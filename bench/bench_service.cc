@@ -63,9 +63,7 @@
 #include "io/tree_text.h"
 #include "model/and_xor_tree.h"
 #include "service/catalog_snapshot.h"
-#include "service/query_scheduler.h"
 #include "service/sharded_scheduler.h"
-#include "service/tree_catalog.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -122,16 +120,29 @@ std::vector<ServiceRequest> HeavyTailBatch() {
   return batch;
 }
 
+EngineOptions BenchEngineOptions(int threads) {
+  EngineOptions engine_options;
+  engine_options.num_threads = threads;
+  engine_options.use_fast_bid_path = false;
+  return engine_options;
+}
+
 struct ServiceFixture {
-  explicit ServiceFixture(int num_keys, int threads) {
-    EngineOptions engine_options;
-    engine_options.num_threads = threads;
-    engine_options.use_fast_bid_path = false;
-    engine = std::make_unique<Engine>(engine_options);
-    catalog.Insert("serving", MakeServingTree(num_keys)).ValueOrDie();
+  explicit ServiceFixture(int num_keys, int threads)
+      : engine_options(BenchEngineOptions(threads)),
+        tree(MakeServingTree(num_keys)) {}
+
+  // A one-shard scheduler serving the fixture's tree.
+  std::unique_ptr<ShardedScheduler> MakeScheduler(
+      const SchedulerOptions& options = SchedulerOptions()) const {
+    auto scheduler =
+        std::make_unique<ShardedScheduler>(1, engine_options, options);
+    scheduler->Insert("serving", tree).ValueOrDie();
+    return scheduler;
   }
-  std::unique_ptr<Engine> engine;
-  TreeCatalog catalog;
+
+  EngineOptions engine_options;
+  AndXorTree tree;
 };
 
 void BM_ServeBatchUncached(benchmark::State& state) {
@@ -139,10 +150,10 @@ void BM_ServeBatchUncached(benchmark::State& state) {
                          static_cast<int>(state.range(1)));
   SchedulerOptions options;
   options.use_cache = false;
-  QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog, options);
+  auto scheduler = fixture.MakeScheduler(options);
   std::vector<ServiceRequest> batch = SharedBatch();
   for (auto _ : state) {
-    auto results = scheduler.ExecuteBatch(batch);
+    auto results = scheduler->ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
 }
@@ -154,8 +165,12 @@ void BM_ServeBatchColdCache(benchmark::State& state) {
   std::vector<ServiceRequest> batch = SharedBatch();
   for (auto _ : state) {
     // A fresh scheduler per iteration: only within-batch sharing counts.
-    QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog);
-    auto results = scheduler.ExecuteBatch(batch);
+    // Building it (engine pool, catalog insert, fold compile) is setup,
+    // not serving, so it runs off the clock.
+    state.PauseTiming();
+    auto scheduler = fixture.MakeScheduler();
+    state.ResumeTiming();
+    auto results = scheduler->ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
 }
@@ -164,11 +179,11 @@ BENCHMARK(BM_ServeBatchColdCache)->Args({40, 1})->Args({40, 4})->Args({80, 4});
 void BM_ServeBatchWarmCache(benchmark::State& state) {
   ServiceFixture fixture(static_cast<int>(state.range(0)),
                          static_cast<int>(state.range(1)));
-  QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog);
+  auto scheduler = fixture.MakeScheduler();
   std::vector<ServiceRequest> batch = SharedBatch();
-  scheduler.ExecuteBatch(batch);  // warm the (tree, k) entry
+  scheduler->ExecuteBatch(batch);  // warm the (tree, k) entry
   for (auto _ : state) {
-    auto results = scheduler.ExecuteBatch(batch);
+    auto results = scheduler->ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
 }
@@ -180,23 +195,25 @@ BENCHMARK(BM_ServeBatchWarmCache)->Args({40, 1})->Args({40, 4})->Args({80, 4});
 struct ChurnFixture {
   static constexpr int kTrees = 24;
 
-  explicit ChurnFixture(int threads) {
-    EngineOptions engine_options;
-    engine_options.num_threads = threads;
-    engine_options.use_fast_bid_path = false;
-    engine = std::make_unique<Engine>(engine_options);
+  // A one-shard scheduler serving the churn catalog.
+  static std::unique_ptr<ShardedScheduler> MakeScheduler(
+      int threads, const SchedulerOptions& options) {
+    auto scheduler = std::make_unique<ShardedScheduler>(
+        1, BenchEngineOptions(threads), options);
     Rng rng(97);
     for (int i = 0; i < kTrees; ++i) {
       RandomTreeOptions opts;
       opts.num_keys = 24;
       opts.max_depth = 3;
       opts.max_alternatives = 2;
-      catalog.Insert("churn" + std::to_string(i), *RandomAndXorTree(opts, &rng))
+      scheduler
+          ->Insert("churn" + std::to_string(i), *RandomAndXorTree(opts, &rng))
           .ValueOrDie();
     }
+    return scheduler;
   }
 
-  std::vector<ServiceRequest> Stream() const {
+  static std::vector<ServiceRequest> Stream() {
     std::vector<ServiceRequest> requests;
     // 48 distinct (tree, k) keys over 72 requests: every key recurs a round
     // later, so a cache large enough to span a round's working set turns
@@ -214,24 +231,20 @@ struct ChurnFixture {
     }
     return requests;
   }
-
-  std::unique_ptr<Engine> engine;
-  TreeCatalog catalog;
 };
 
 void BM_ServeChurnBudgeted(benchmark::State& state) {
-  ChurnFixture fixture(/*threads=*/4);
   SchedulerOptions options;
   options.cache_budget_bytes = state.range(0);
-  QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog, options);
-  std::vector<ServiceRequest> stream = fixture.Stream();
+  auto scheduler = ChurnFixture::MakeScheduler(/*threads=*/4, options);
+  std::vector<ServiceRequest> stream = ChurnFixture::Stream();
   for (auto _ : state) {
-    auto results = scheduler.ExecuteBatch(stream);
+    auto results = scheduler->ExecuteBatch(stream);
     benchmark::DoNotOptimize(results);
   }
-  CacheStats stats = scheduler.cache_stats();
+  CacheStats stats = scheduler->cache_stats();
   state.counters["cache_bytes"] =
-      static_cast<double>(stats.bytes + scheduler.marginals_stats().bytes);
+      static_cast<double>(stats.bytes + scheduler->marginals_stats().bytes);
   state.counters["evictions"] = static_cast<double>(stats.evictions);
   state.counters["hit_rate"] =
       stats.hits + stats.misses == 0
@@ -248,15 +261,14 @@ BENCHMARK(BM_ServeChurnBudgeted)
     ->Arg(kUnboundedCacheBytes);
 
 void BM_ServeStreamingChurn(benchmark::State& state) {
-  ChurnFixture fixture(/*threads=*/4);
   SchedulerOptions options;
   options.cache_budget_bytes = state.range(0);
-  QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog, options);
-  std::vector<ServiceRequest> stream = fixture.Stream();
+  auto scheduler = ChurnFixture::MakeScheduler(/*threads=*/4, options);
+  std::vector<ServiceRequest> stream = ChurnFixture::Stream();
   int64_t emitted = 0;
   for (auto _ : state) {
     size_t cursor = 0;
-    scheduler.ExecuteStreaming(
+    scheduler->ExecuteStreaming(
         [&](ServiceRequest* request) {
           if (cursor == stream.size()) return false;
           *request = stream[cursor++];
@@ -272,7 +284,7 @@ void BM_ServeStreamingChurn(benchmark::State& state) {
   state.counters["responses"] = benchmark::Counter(
       static_cast<double>(emitted), benchmark::Counter::kAvgIterations);
   state.counters["cache_bytes"] =
-      static_cast<double>(scheduler.cache_stats().bytes);
+      static_cast<double>(scheduler->cache_stats().bytes);
 }
 BENCHMARK(BM_ServeStreamingChurn)->Arg(16 << 10)->Arg(kUnboundedCacheBytes);
 
@@ -325,10 +337,10 @@ void BM_ServeHeavyTailUncached(benchmark::State& state) {
                          static_cast<int>(state.range(1)));
   SchedulerOptions options;
   options.use_cache = false;
-  QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog, options);
+  auto scheduler = fixture.MakeScheduler(options);
   std::vector<ServiceRequest> batch = HeavyTailBatch();
   for (auto _ : state) {
-    auto results = scheduler.ExecuteBatch(batch);
+    auto results = scheduler->ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
 }
@@ -337,11 +349,11 @@ BENCHMARK(BM_ServeHeavyTailUncached)->Args({40, 4});
 void BM_ServeHeavyTailWarmCache(benchmark::State& state) {
   ServiceFixture fixture(static_cast<int>(state.range(0)),
                          static_cast<int>(state.range(1)));
-  QueryScheduler scheduler(fixture.engine.get(), &fixture.catalog);
+  auto scheduler = fixture.MakeScheduler();
   std::vector<ServiceRequest> batch = HeavyTailBatch();
-  scheduler.ExecuteBatch(batch);
+  scheduler->ExecuteBatch(batch);
   for (auto _ : state) {
-    auto results = scheduler.ExecuteBatch(batch);
+    auto results = scheduler->ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
 }
@@ -360,18 +372,15 @@ BENCHMARK(BM_ServeHeavyTailWarmCache)->Args({40, 4});
 //                        rank distributions; the first batch hits the
 //                        seeded cache and re-folds nothing.
 //
-// Each iteration is a full restart: fresh catalog + scheduler, load, then
-// the first batch. The time_to_first_response counter isolates
+// Each iteration is a full restart: a fresh scheduler (built off the
+// clock), load, then the first batch. The time_to_first_response counter isolates
 // startup + first answer — the latency a load balancer waits before
 // routing traffic to the replica. Answers are bitwise identical across all
 // three arms (tests/catalog_warm_restart_test.cc).
 void BM_ServeWarmRestart(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   constexpr int kTrees = 16;
-  EngineOptions engine_options;
-  engine_options.num_threads = 4;
-  engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
+  const EngineOptions engine_options = BenchEngineOptions(4);
 
   // The catalog source of truth, as serve sees it: canonical text.
   Rng rng(67);
@@ -397,40 +406,40 @@ void BM_ServeWarmRestart(benchmark::State& state) {
   // exact batch the restarted replica will serve.
   std::string snapshot_bytes;
   {
-    TreeCatalog catalog;
-    QueryScheduler scheduler(&engine, &catalog);
+    ShardedScheduler scheduler(1, engine_options);
     for (int i = 0; i < kTrees; ++i) {
-      catalog.Insert(names[i], *ParseTree(texts[i])).ValueOrDie();
+      scheduler.Insert(names[i], *ParseTree(texts[i])).ValueOrDie();
     }
     scheduler.ExecuteBatch(batch);
-    snapshot_bytes = EncodeCatalogSnapshot(BuildCatalogSnapshot(
-        catalog, mode == 2 ? &scheduler : nullptr));
+    snapshot_bytes = EncodeCatalogSnapshot(
+        scheduler.BuildSnapshot(/*include_distributions=*/mode == 2));
   }
 
   double first_response_seconds = 0.0;
   for (auto _ : state) {
-    TreeCatalog catalog;
-    QueryScheduler scheduler(&engine, &catalog);
+    state.PauseTiming();
+    auto scheduler = std::make_unique<ShardedScheduler>(1, engine_options);
+    state.ResumeTiming();
     const auto start = std::chrono::steady_clock::now();
     if (mode == 0) {
       for (int i = 0; i < kTrees; ++i) {
-        catalog.Insert(names[i], *ParseTree(texts[i])).ValueOrDie();
+        scheduler->Insert(names[i], *ParseTree(texts[i])).ValueOrDie();
       }
     } else {
       CatalogSnapshot snapshot =
           DecodeCatalogSnapshot(snapshot_bytes.data(), snapshot_bytes.size())
               .ValueOrDie();
-      if (!InstallCatalogSnapshot(snapshot, &catalog, &scheduler).ok()) {
+      if (!scheduler->InstallSnapshot(snapshot).ok()) {
         state.SkipWithError("snapshot install failed");
         return;
       }
     }
-    auto first = scheduler.ExecuteOne(batch[0]);
+    auto first = scheduler->ExecuteOne(batch[0]);
     first_response_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     benchmark::DoNotOptimize(first);
-    auto results = scheduler.ExecuteBatch(batch);
+    auto results = scheduler->ExecuteBatch(batch);
     benchmark::DoNotOptimize(results);
   }
   state.counters["time_to_first_response"] = benchmark::Counter(
@@ -507,11 +516,9 @@ void BM_ServeTraceReplay(benchmark::State& state) {
   // One engine thread: the comparison is instrumented vs uninstrumented
   // serving, and thread-pool scheduling noise (especially on small CI
   // machines) would otherwise swamp the sub-2% effect being measured.
-  EngineOptions engine_options;
-  engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
-  TreeCatalog catalog;
+  SchedulerOptions options;
+  options.enable_metrics = metrics_on;
+  ShardedScheduler scheduler(1, BenchEngineOptions(1), options);
   // Serving-sized trees: per-request work must dwarf the instruments'
   // constant cost (a few hundred ns of atomics and clock reads) the way
   // it does in production, or the comparison measures nothing real.
@@ -521,15 +528,12 @@ void BM_ServeTraceReplay(benchmark::State& state) {
   tree_options.max_depth = 3;
   tree_options.max_alternatives = 2;
   for (int t = 0; t < kTraceTrees; ++t) {
-    catalog
+    scheduler
         .Insert("trace" + std::to_string(t),
                 *RandomAndXorTree(tree_options, &rng))
         .ValueOrDie();
   }
 
-  SchedulerOptions options;
-  options.enable_metrics = metrics_on;
-  QueryScheduler scheduler(&engine, &catalog, options);
   const std::vector<ServiceRequest> trace = MixedTrace(kTraceTrees, traced);
   scheduler.ExecuteBatch(trace);  // warm the caches: steady-state serving
 
@@ -553,10 +557,9 @@ BENCHMARK(BM_ServeTraceReplay)
 // `marginals` command).
 void BM_ServeMarginalsCached(benchmark::State& state) {
   constexpr int kTrees = 8;
-  EngineOptions engine_options;
-  engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
+  SchedulerOptions options;
+  options.use_cache = state.range(0) != 0;
+  ShardedScheduler scheduler(1, BenchEngineOptions(1), options);
 
   // The BM_ServeTraceReplay shapes (same generator seed): serving-sized
   // trees, so the fold-vs-sum gap is the production one.
@@ -565,17 +568,13 @@ void BM_ServeMarginalsCached(benchmark::State& state) {
   tree_options.num_keys = 48;
   tree_options.max_depth = 3;
   tree_options.max_alternatives = 2;
-  TreeCatalog catalog;
   for (int t = 0; t < kTrees; ++t) {
-    catalog
+    scheduler
         .Insert("trace" + std::to_string(t),
                 *RandomAndXorTree(tree_options, &rng))
         .ValueOrDie();
   }
 
-  SchedulerOptions options;
-  options.use_cache = state.range(0) != 0;
-  QueryScheduler scheduler(&engine, &catalog, options);
   std::vector<ServiceRequest> batch;
   for (int i = 0; i < 32; ++i) {
     ServiceRequest request;
@@ -640,10 +639,7 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
   const int dups = static_cast<int>(state.range(0));
   constexpr int kShapes = 8;
 
-  EngineOptions engine_options;
-  engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
+  ShardedScheduler scheduler(1, BenchEngineOptions(1));
 
   // The same serving-sized shapes as BM_ServeTraceReplay (same generator
   // seed), so the two benchmarks' per-request numbers are comparable.
@@ -658,7 +654,6 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
     shapes.push_back(*RandomAndXorTree(tree_options, &rng));
   }
 
-  TreeCatalog catalog;
   Rng shuffle_rng(123);
   const int num_names = kShapes * dups;
   for (int i = 0; i < num_names; ++i) {
@@ -666,10 +661,10 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
                           ? shapes[static_cast<size_t>(i % kShapes)]
                           : ShuffledCopy(shapes[static_cast<size_t>(i % kShapes)],
                                          &shuffle_rng);
-    catalog.Insert("trace" + std::to_string(i), std::move(tree)).ValueOrDie();
+    scheduler.Insert("trace" + std::to_string(i), std::move(tree))
+        .ValueOrDie();
   }
 
-  QueryScheduler scheduler(&engine, &catalog);
   const std::vector<ServiceRequest> trace = MixedTrace(num_names, false);
   scheduler.ExecuteBatch(trace);  // warm: steady-state serving
 
@@ -679,10 +674,13 @@ void BM_ServeDedupedCatalog(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(trace.size()));
-  const CatalogCounts counts = catalog.Counts();
+  ServiceRequest stats;
+  stats.op = ServiceRequest::Op::kStats;
+  const CatalogCounts counts = scheduler.ExecuteOne(stats)->catalog;
   state.counters["names"] = static_cast<double>(counts.names);
   state.counters["shapes"] = static_cast<double>(counts.shapes);
-  state.counters["fold_compiles"] = static_cast<double>(catalog.fold_compiles());
+  state.counters["fold_compiles"] = static_cast<double>(
+      scheduler.MetricsSnapshotNow().Find("cpdb_fold_compiles_total")->value);
   state.counters["rankdist_entries"] =
       static_cast<double>(scheduler.cache_stats().entries);
 }

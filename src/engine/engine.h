@@ -187,7 +187,7 @@ class Engine {
   /// query — the same check ConsensusTopK performs before paying the
   /// O(L^2 k) precompute (NotImplemented for unsupported pairs,
   /// InvalidArgument for unknown enum values). Exposed so batching layers
-  /// (the QueryScheduler) can skip cache population for requests that can
+  /// (the serve scheduler) can skip cache population for requests that can
   /// only fail.
   static Status ValidateConsensusRequest(TopKMetric metric, TopKAnswer answer);
 
@@ -221,7 +221,7 @@ class Engine {
     /// Optional precomputed rank distribution for (tree, k) — see
     /// ConsensusTopKWithDist. When set, its k() must equal `k` (the slot
     /// fails with InvalidArgument otherwise) and the query skips the
-    /// rank-distribution fold; the QueryScheduler points several queries
+    /// rank-distribution fold; the serve scheduler points several queries
     /// sharing (StructKey, k) at one cached instance.
     const RankDistribution* dist = nullptr;
     /// Optional precompiled fold program for `tree` — see

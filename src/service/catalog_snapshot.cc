@@ -14,7 +14,6 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
-#include "service/query_scheduler.h"
 
 namespace cpdb {
 namespace {
@@ -445,66 +444,6 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size) {
   }
 
   return snapshot;
-}
-
-CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
-                                     const QueryScheduler* scheduler) {
-  CatalogSnapshot snapshot;
-  std::set<uint64_t> struct_keys;
-  for (CatalogEntry& entry : catalog.SnapshotEntries()) {
-    SnapshotTree record;
-    record.name = std::move(entry.name);
-    record.content_fp = entry.content_fp;
-    record.struct_key = entry.struct_key;
-    // The stored bytes are the binding's wire identity — what kLoad
-    // carried, which ContentFp hashes — not the canonical orientation the
-    // entry's shared tree holds; the catalog retains them for exactly this
-    // round trip.
-    Result<std::string> content = catalog.ContentBytes(entry.content_fp);
-    if (!content.ok()) continue;  // unreachable for a live entry
-    record.content = std::move(content).ValueOrDie();
-    record.tree = std::move(entry.tree);
-    struct_keys.insert(record.struct_key.value());
-    snapshot.trees.push_back(std::move(record));
-  }
-  if (scheduler != nullptr) {
-    for (RankDistCache::RetainedEntry& entry :
-         scheduler->RetainedRankDistributions()) {
-      // The cache can only hold keys of catalog content, but be defensive:
-      // the decoder rejects a distribution with no tree record, so never
-      // write one.
-      if (struct_keys.count(entry.struct_key.value()) == 0) continue;
-      SnapshotDistribution record;
-      record.struct_key = entry.struct_key;
-      record.k = entry.k;
-      record.dist = std::move(entry.dist);
-      snapshot.distributions.push_back(std::move(record));
-    }
-  }
-  return snapshot;
-}
-
-Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
-                              TreeCatalog* catalog,
-                              QueryScheduler* scheduler) {
-  for (const SnapshotTree& record : snapshot.trees) {
-    // Through InsertCanonical — the seam every line-by-line load ends in —
-    // so identities, dedup, and AlreadyExists/rebind semantics are the
-    // catalog's own, not a snapshot-specific reimplementation. The content
-    // bytes carry the wire identity; the catalog re-canonicalizes the tree
-    // itself, so the record's orientation does not matter.
-    Result<CatalogEntry> inserted =
-        catalog->InsertCanonical(record.name, AndXorTree(*record.tree),
-                                 record.content, record.content_fp);
-    if (!inserted.ok()) return inserted.status();
-  }
-  if (scheduler != nullptr) {
-    for (const SnapshotDistribution& record : snapshot.distributions) {
-      scheduler->SeedRankDistribution(record.struct_key, record.k,
-                                      record.dist);
-    }
-  }
-  return Status::OK();
 }
 
 Status WriteCatalogSnapshotFile(const std::string& path,

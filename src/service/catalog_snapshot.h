@@ -76,8 +76,6 @@
 
 namespace cpdb {
 
-class QueryScheduler;
-
 /// \brief The 8 magic bytes opening every snapshot file.
 inline constexpr char kCatalogSnapshotMagic[8] = {'C', 'P', 'D', 'B',
                                                   'S', 'N', 'A', 'P'};
@@ -132,27 +130,6 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 /// garbage — returns a typed Status describing the first defect found.
 /// Never aborts, never returns a partially valid snapshot.
 Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size);
-
-/// \brief Captures the live serving state: every catalog binding (with its
-/// stored wire-visible content bytes), plus — when `scheduler` is non-null
-/// — the retained entries of its rank-distribution cache (filtered to
-/// structural keys the catalog holds) as the precomputed sections. Pass a
-/// null scheduler for a trees-only snapshot.
-CatalogSnapshot BuildCatalogSnapshot(const TreeCatalog& catalog,
-                                     const QueryScheduler* scheduler);
-
-/// \brief Installs a decoded snapshot: inserts every tree through
-/// TreeCatalog::InsertCanonical — the same seam line-by-line loading ends
-/// in, so identities, dedup, and AlreadyExists/rebind semantics are
-/// byte-identical to feeding the content texts as individual loads — and,
-/// when `scheduler` is non-null, seeds its rank-distribution cache with
-/// the snapshot's precomputed sections. Into a fresh catalog this cannot
-/// fail (decode already validated everything); into a pre-populated
-/// catalog a name bound to different content fails with the catalog's own
-/// AlreadyExists, leaving earlier entries installed — exactly as the same
-/// sequence of loads would.
-Status InstallCatalogSnapshot(const CatalogSnapshot& snapshot,
-                              TreeCatalog* catalog, QueryScheduler* scheduler);
 
 /// \brief Encodes and writes `snapshot` to `path` (truncating).
 Status WriteCatalogSnapshotFile(const std::string& path,

@@ -280,7 +280,7 @@ Status ParseStats(const RequestLine& line, ServiceRequest* request) {
   return CheckAllowedFields(line, {"trace"});
 }
 
-Result<ServiceResponse> ExecuteStatsAdmin(OpHost& host,
+Result<ServiceResponse> ExecuteStatsAdmin(AdminHost& host,
                                           const ServiceRequest& request) {
   (void)request;
   return host.StatsNow();
@@ -288,10 +288,9 @@ Result<ServiceResponse> ExecuteStatsAdmin(OpHost& host,
 
 void FormatStats(const ServiceResponse& response,
                  std::vector<RequestField>* fields) {
-  // The aggregate fields come first and are identical in meaning whether
-  // the answer came from one engine or a sharded front-end; the per-shard
-  // breakdown (when present) trails them, so clients reading only the
-  // totals never notice the shard layout.
+  // The aggregate fields come first and mean the same at any shard count;
+  // the per-shard breakdown (present only at N >= 2) trails them, so
+  // clients reading only the totals never notice the shard layout.
   AppendCacheFields(response.stats, "", fields);
   AppendCacheFields(response.marginals_stats, "marg_", fields);
   // The two-level-identity fields: distinct shapes behind the bound names,
@@ -336,7 +335,7 @@ Status ParseMetrics(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
-Result<ServiceResponse> ExecuteMetricsAdmin(OpHost& host,
+Result<ServiceResponse> ExecuteMetricsAdmin(AdminHost& host,
                                             const ServiceRequest& request) {
   CPDB_ASSIGN_OR_RETURN(MetricsSnapshot snapshot, host.MetricsNow());
   ServiceResponse response;

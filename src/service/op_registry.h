@@ -19,12 +19,12 @@
 //     before queries before stats before metrics);
 //   * its cache usage (which of the scheduler's memo caches the op routes
 //     its precompute through);
-//   * an execute hook against an abstract OpHost (Engine + caches +
-//     catalog + merged admin state), and
+//   * an execute hook against an abstract host (OpHost: one shard's
+//     Engine + caches; AdminHost: the merged front-end state), and
 //   * a deterministic response formatter.
 //
-// QueryScheduler::ExecuteBatch/ExecuteOne/ExecuteStreaming and the
-// ShardedScheduler fan-out are generic walks of this table: adding an op
+// ShardedScheduler::ExecuteBatch/ExecuteOne and the per-shard executor
+// behind them are generic walks of this table: adding an op
 // means adding one row here (plus its core/engine computation), not
 // editing six dispatch sites. The wire error for an unknown op enumerates
 // the valid names from the table, so the message can never go stale.
@@ -56,9 +56,8 @@ enum class OpRouting {
   /// Addressed to one catalog tree by name: routed to the shard owning the
   /// tree's StructKey and executed there through `execute_tree`.
   kTreeAddressed,
-  /// Touches the catalog as a whole: executed on the front-end thread
-  /// (which routes the result to the owning shard) through the host's
-  /// load primitive.
+  /// Touches the catalog as a whole: executed on the front-end thread,
+  /// which computes the identity and inserts into the owning shard.
   kCatalogGlobal,
   /// Introspection: executed on the front end by merging per-shard state
   /// through `execute_admin`.
@@ -76,11 +75,9 @@ enum OpBatchPhase : int {
   kMetricsPhase = 3,
 };
 
-/// \brief The execution surface an OpSpec hook runs against. QueryScheduler
-/// adapts itself behind this for single-engine execution; ShardedScheduler
-/// adapts its merged front-end state for the admin and load hooks
-/// (tree-addressed hooks always run on the owning shard's scheduler, so a
-/// sharded host never implements the tree primitives).
+/// \brief The execution surface a kTreeAddressed hook runs against: one
+/// shard's engine and memo caches. The per-shard executor inside
+/// ShardedScheduler implements it.
 class OpHost {
  public:
   virtual ~OpHost() = default;
@@ -105,19 +102,20 @@ class OpHost {
   /// when caching is off). world, marginals, and aggregate route here.
   virtual std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) = 0;
+};
 
-  /// The kStats answer as of now (merged across shards by a sharded host).
+/// \brief The surface a kAdmin hook runs against: the front end's state,
+/// merged across shards.
+class AdminHost {
+ public:
+  virtual ~AdminHost() = default;
+
+  /// The kStats answer as of now.
   virtual ServiceResponse StatsNow() = 0;
 
   /// The full metrics scrape, or the in-band refusal
   /// (MetricsDisabledError) when metrics are off.
   virtual Result<MetricsSnapshot> MetricsNow() = 0;
-
-  /// The load path with stage spans (parse, catalog); a sharded host
-  /// computes the identity up front and inserts into the owning shard.
-  virtual Result<ServiceResponse> ExecuteLoadOp(const ServiceRequest& request,
-                                                const Clock* clk,
-                                                ResponseTiming* timing) = 0;
 };
 
 /// \brief One op, declaratively. The function members are stateless hooks
@@ -162,7 +160,7 @@ struct OpSpec {
 
   /// Executes a kAdmin op against the host's merged state. The caller owns
   /// whole-op timing and instrument records. Null for non-admin ops.
-  Result<ServiceResponse> (*execute_admin)(OpHost& host,
+  Result<ServiceResponse> (*execute_admin)(AdminHost& host,
                                            const ServiceRequest& request) =
       nullptr;
 
@@ -217,9 +215,8 @@ void AddSpan(ResponseTiming* timing, const char* stage,
 ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
                                       const TopKResult& result);
 
-/// \brief The in-band refusal both hosts answer for op=metrics when
-/// metrics are disabled — defined once so the single-engine and sharded
-/// paths stay byte-identical by construction.
+/// \brief The in-band refusal op=metrics answers when metrics are
+/// disabled.
 Status MetricsDisabledError();
 
 }  // namespace cpdb

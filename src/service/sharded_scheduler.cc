@@ -3,11 +3,16 @@
 #include "service/sharded_scheduler.h"
 
 #include <algorithm>
+#include <set>
 #include <thread>
 #include <utility>
 
 #include "common/hash.h"
+#include "io/table_io.h"
+#include "io/tree_text.h"
+#include "model/builders.h"
 #include "service/catalog_snapshot.h"
+#include "service/marginals_cache.h"
 #include "service/op_registry.h"
 
 namespace cpdb {
@@ -23,7 +28,365 @@ void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
   total->evictions += part.evictions;
 }
 
+// Reads and parses a kLoad request's file into a validated tree
+// (request.load_format selects the parser).
+Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
+  CPDB_ASSIGN_OR_RETURN(std::string content,
+                        ReadFileToString(request.load_file));
+  if (request.load_format == "tree") {
+    return ParseTree(content);
+  }
+  CPDB_ASSIGN_OR_RETURN(std::vector<Block> blocks, ParseBidTable(content));
+  return MakeBlockIndependent(blocks);
+}
+
+// QueryScheduler — one shard's executor. It runs the tree-addressed
+// requests the front end routes to its shard against the shard's engine
+// and catalog, owning the shard's RankDistCache and MarginalsCache and its
+// instruments. It is the OpHost the registry's tree hooks execute against.
+//
+// Thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are safe —
+// catalog and caches are internally locked; the engine is stateless per
+// query.
+class QueryScheduler : public OpHost {
+ public:
+  // Neither pointer is owned; both must outlive the scheduler.
+  QueryScheduler(const Engine* engine, TreeCatalog* catalog,
+                 const SchedulerOptions& options)
+      : engine_(engine),
+        catalog_(catalog),
+        options_(options),
+        clock_(options.clock != nullptr ? options.clock
+                                        : SteadyClock::Instance()),
+        instruments_(options.enable_metrics
+                         ? std::make_unique<ServeInstruments>()
+                         : nullptr),
+        cache_(options.cache_budget_bytes),
+        marginals_cache_(options.cache_budget_bytes) {}
+
+  // Executes a sub-batch of tree-addressed requests; results[i] answers
+  // requests[i], per-request failures landing in their slot.
+  std::vector<Result<ServiceResponse>> ExecuteBatch(
+      const std::vector<ServiceRequest>& requests);
+
+  // Executes one tree-addressed request immediately.
+  Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
+
+  // Seeds the rank-distribution cache with a precomputed entry — the
+  // warm-restart seam. No-op when caching is disabled or the entry is not
+  // retained; never changes answers.
+  void SeedRankDistribution(StructKey struct_key, int k,
+                            std::shared_ptr<const RankDistribution> dist) {
+    if (options_.use_cache) cache_.Seed(struct_key, k, std::move(dist));
+  }
+
+  std::vector<RankDistCache::RetainedEntry> RetainedRankDistributions() const {
+    return cache_.RetainedEntries();
+  }
+
+  CacheStats cache_stats() const { return cache_.stats(); }
+  CacheStats marginals_stats() const { return marginals_cache_.stats(); }
+
+  // The owned instruments, or nullptr when metrics are disabled.
+  ServeInstruments* instruments() const { return instruments_.get(); }
+
+  // The shard's full metrics scrape: the registry's instruments plus the
+  // fold/arena counters (cpdb_fold_compiles_total counts the catalog's
+  // per-shape compiles together with the engine's on-demand ones), the
+  // catalog's identity gauges (cpdb_catalog_entries = bound names,
+  // cpdb_catalog_shapes = distinct structures), and both caches' counters
+  // re-exported under cpdb_rankdist_cache_* / cpdb_marginals_cache_*.
+  // Must not be called when metrics are disabled.
+  MetricsSnapshot MetricsSnapshotNow() const;
+
+  // OpHost.
+  const Engine* engine() const override { return engine_; }
+  std::shared_ptr<const RankDistribution> GatedDistFor(
+      const CatalogEntry& entry, const ServiceRequest& request) override;
+  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
+                                                      int k) override;
+  std::shared_ptr<const std::vector<double>> MarginalsFor(
+      const CatalogEntry& entry) override;
+
+ private:
+  // The timing source for a unit of work: the injected clock when this
+  // request must be timed (metrics on, or the request said trace=on),
+  // nullptr — which makes every Stopwatch inert — otherwise.
+  const Clock* TimingClock(bool any_trace) const {
+    return (instruments_ != nullptr || any_trace) ? clock_ : nullptr;
+  }
+
+  // Sums a finished request's spans into total_ns, records the op and
+  // stage histograms (when metrics are on), and attaches trace output to
+  // an ok response when the request asked for it.
+  void FinishTiming(const ServiceRequest& request, ResponseTiming* timing,
+                    Result<ServiceResponse>* response);
+
+  const Engine* engine_;
+  TreeCatalog* catalog_;
+  SchedulerOptions options_;
+  const Clock* clock_;
+  std::unique_ptr<ServeInstruments> instruments_;
+  RankDistCache cache_;
+  MarginalsCache marginals_cache_;
+};
+
+std::shared_ptr<const RankDistribution> QueryScheduler::GatedDistFor(
+    const CatalogEntry& entry, const ServiceRequest& request) {
+  // A request that can only fail (bad k, unsupported metric/answer pair)
+  // must not populate the cache: the engine rejects such queries *before*
+  // paying the fold, and the scheduler keeps that property. The engine
+  // call downstream reports the actual error.
+  if (!options_.use_cache || request.k < 1 ||
+      !Engine::ValidateConsensusRequest(request.metric, request.answer).ok()) {
+    return nullptr;
+  }
+  return RankDistFor(entry, request.k);
+}
+
+std::shared_ptr<const RankDistribution> QueryScheduler::RankDistFor(
+    const CatalogEntry& entry, int k) {
+  // Keyed by struct_key: permuted duplicates resolve to one entry, and a
+  // baseline probe and a Top-k query against the same content share one
+  // fold — in either order. The fold runs over the catalog's canonical
+  // tree with its precompiled per-shape program, so a miss pays the
+  // O(L^2 k) fold but never a compile.
+  const AndXorTree& tree = *entry.tree;
+  if (!options_.use_cache) {
+    return std::make_shared<const RankDistribution>(
+        engine_->ComputeRankDistribution(tree, k, entry.program.get()));
+  }
+  return cache_.GetOrCompute(entry.struct_key, k, [this, &tree, k, &entry] {
+    return engine_->ComputeRankDistribution(tree, k, entry.program.get());
+  });
+}
+
+std::shared_ptr<const std::vector<double>> QueryScheduler::MarginalsFor(
+    const CatalogEntry& entry) {
+  const AndXorTree& tree = *entry.tree;
+  if (!options_.use_cache) {
+    return std::make_shared<const std::vector<double>>(
+        engine_->LeafMarginals(tree, entry.program.get()));
+  }
+  return marginals_cache_.GetOrCompute(entry.struct_key, [this, &tree, &entry] {
+    return engine_->LeafMarginals(tree, entry.program.get());
+  });
+}
+
+MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
+  MetricsSnapshot snapshot = instruments_->registry.Snapshot();
+  // The registry holds the serve-path instruments; the engine counters and
+  // the cache counters live in their own structs and are re-exported into
+  // the same scrape, so one op=metrics answer covers the whole shard.
+  MetricsSnapshot extra;
+  const EngineObsCounters engine_counters = engine_->obs_counters();
+  const CatalogCounts catalog_counts = catalog_->Counts();
+  MetricSample fold_compiles;
+  fold_compiles.name = "cpdb_fold_compiles_total";
+  fold_compiles.help =
+      "FlatTree compilations performed: the catalog's one-per-shape compiles "
+      "plus the engine's on-demand ones.";
+  fold_compiles.kind = MetricSample::Kind::kCounter;
+  fold_compiles.value =
+      engine_counters.fold_compiles + catalog_->fold_compiles();
+  extra.samples.push_back(std::move(fold_compiles));
+  MetricSample catalog_entries;
+  catalog_entries.name = "cpdb_catalog_entries";
+  catalog_entries.help = "Names bound in the tree catalog.";
+  catalog_entries.kind = MetricSample::Kind::kGauge;
+  catalog_entries.value = catalog_counts.names;
+  extra.samples.push_back(std::move(catalog_entries));
+  MetricSample catalog_shapes;
+  catalog_shapes.name = "cpdb_catalog_shapes";
+  catalog_shapes.help =
+      "Distinct tree structures (canonical orientations) in the catalog.";
+  catalog_shapes.kind = MetricSample::Kind::kGauge;
+  catalog_shapes.value = catalog_counts.shapes;
+  extra.samples.push_back(std::move(catalog_shapes));
+  MetricSample arena_highwater;
+  arena_highwater.name = "cpdb_poly_arena_highwater_bytes";
+  arena_highwater.help =
+      "Peak thread-local fold-arena capacity observed on any engine thread.";
+  arena_highwater.kind = MetricSample::Kind::kGauge;
+  arena_highwater.value = engine_counters.arena_highwater_bytes;
+  extra.samples.push_back(std::move(arena_highwater));
+  AppendCacheStatsMetrics(cache_.stats(), "cpdb_rankdist_cache_", &extra);
+  AppendCacheStatsMetrics(marginals_cache_.stats(), "cpdb_marginals_cache_",
+                          &extra);
+  std::sort(extra.samples.begin(), extra.samples.end(),
+            [](const MetricSample& a, const MetricSample& b) {
+              return a.name < b.name;
+            });
+  snapshot.MergeFrom(extra);
+  return snapshot;
+}
+
+void QueryScheduler::FinishTiming(const ServiceRequest& request,
+                                  ResponseTiming* timing,
+                                  Result<ServiceResponse>* response) {
+  timing->total_ns = 0;
+  for (const auto& [stage, nanos] : timing->spans) timing->total_ns += nanos;
+  if (instruments_ != nullptr && !timing->spans.empty()) {
+    instruments_->op_latency(request.op)->Record(timing->total_ns);
+    for (const auto& [stage, nanos] : timing->spans) {
+      if (LatencyHistogram* hist = instruments_->stage(stage)) {
+        hist->Record(nanos);
+      }
+    }
+  }
+  // Attach timing to every timed ok response — not just traced ones: the
+  // transport's slow-query log reads total_ns off the response. The wire
+  // is unaffected because ResponseToFields only renders trace_* fields
+  // when timing.trace (the request said trace=on) is set.
+  if (response->ok() && !timing->spans.empty()) {
+    timing->trace = request.trace;
+    (*response)->timing = std::move(*timing);
+  }
+}
+
+std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
+    const std::vector<ServiceRequest>& requests) {
+  std::vector<Result<ServiceResponse>> responses(
+      requests.size(),
+      Result<ServiceResponse>(Status::Internal("request not executed")));
+  const OpRegistry& ops = OpRegistry::Get();
+
+  // Timing is live when metrics are on or any request asked for a trace;
+  // otherwise `clk` is null and every Stopwatch below is inert (zero clock
+  // reads). Instrumentation never touches answer bytes either way.
+  bool any_trace = false;
+  for (const ServiceRequest& request : requests) any_trace |= request.trace;
+  const Clock* clk = TimingClock(any_trace);
+  ServeInstruments* instruments = instruments_.get();
+  if (instruments != nullptr) {
+    instruments->requests_total->Increment(
+        static_cast<int64_t>(requests.size()));
+    for (const ServiceRequest& request : requests) {
+      instruments->op_counter(request.op)->Increment();
+    }
+  }
+  std::vector<ResponseTiming> timings(requests.size());
+
+  // Resolve every slot's tree; a name unbound here (the shard catalog can
+  // only lag the front end's directory, never lead it) fails its slot
+  // only. Slots whose spec fuses into the consensus batch are split from
+  // the ones executing their own hook.
+  std::vector<size_t> fused_slots;
+  std::vector<CatalogEntry> fused_entries;
+  std::vector<size_t> direct_slots;
+  std::vector<CatalogEntry> direct_entries;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Stopwatch catalog_watch(clk);
+    Result<CatalogEntry> entry = catalog_->Lookup(requests[i].tree_name);
+    AddSpan(&timings[i], "catalog", catalog_watch);
+    if (!entry.ok()) {
+      responses[i] = entry.status();
+      continue;
+    }
+    if (ops.spec(requests[i].op).fuse_consensus_batch) {
+      fused_slots.push_back(i);
+      fused_entries.push_back(*std::move(entry));
+    } else {
+      direct_slots.push_back(i);
+      direct_entries.push_back(*std::move(entry));
+    }
+  }
+
+  // The deduplication step: route every Top-k query's rank-distribution
+  // precompute through the (StructKey, k) cache, in slot order, so the
+  // first query of each pair computes the fold and the rest hit — within
+  // this batch and across batches alike. The handles keep cached entries
+  // alive for the duration of the engine call even if entries are evicted
+  // concurrently.
+  std::vector<std::shared_ptr<const RankDistribution>> dists(
+      fused_slots.size());
+  for (size_t j = 0; j < fused_slots.size(); ++j) {
+    Stopwatch cache_watch(clk);
+    dists[j] = GatedDistFor(fused_entries[j], requests[fused_slots[j]]);
+    AddSpan(&timings[fused_slots[j]], "cache", cache_watch);
+  }
+
+  // One engine submission for all fused slots: whole queries fan across
+  // the pool, cached distributions are shared read-only.
+  std::vector<Engine::ConsensusQuery> queries(fused_slots.size());
+  for (size_t j = 0; j < fused_slots.size(); ++j) {
+    const ServiceRequest& request = requests[fused_slots[j]];
+    queries[j] = {fused_entries[j].tree.get(), request.k, request.metric,
+                  request.answer, dists[j].get(),
+                  fused_entries[j].program.get()};
+  }
+  Stopwatch fold_watch(clk);
+  std::vector<Result<TopKResult>> results =
+      engine_->EvaluateConsensusBatch(queries);
+  // The whole submission is one engine call, so every fused slot records
+  // the same fold duration — per-slot attribution inside a fused batch
+  // would be fiction. The count (one fold span per slot) is what the
+  // sharded-parity tests rely on; values are side-band by contract.
+  const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
+  for (size_t j = 0; j < fused_slots.size(); ++j) {
+    const size_t slot = fused_slots[j];
+    if (fold_watch.enabled()) {
+      timings[slot].spans.emplace_back("fold", batch_fold_nanos);
+    }
+    if (!results[j].ok()) {
+      responses[slot] = results[j].status();
+      continue;
+    }
+    responses[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
+  }
+
+  // The direct slots (worlds, the analytics ops) run their own execute
+  // hooks after the fused finalize, in slot order — each routes its
+  // precompute through the caches inside the hook.
+  for (size_t j = 0; j < direct_slots.size(); ++j) {
+    const size_t slot = direct_slots[j];
+    responses[slot] = ops.spec(requests[slot].op)
+                          .execute_tree(*this, direct_entries[j],
+                                        requests[slot], clk, &timings[slot]);
+  }
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    FinishTiming(requests[i], &timings[i], &responses[i]);
+    if (instruments != nullptr && !responses[i].ok()) {
+      instruments->request_errors_total->Increment();
+    }
+  }
+  return responses;
+}
+
+Result<ServiceResponse> QueryScheduler::ExecuteOne(
+    const ServiceRequest& request) {
+  const Clock* clk = TimingClock(request.trace);
+  ServeInstruments* instruments = instruments_.get();
+  if (instruments != nullptr) {
+    instruments->requests_total->Increment();
+    instruments->op_counter(request.op)->Increment();
+  }
+  ResponseTiming timing;
+  Stopwatch catalog_watch(clk);
+  Result<CatalogEntry> entry = catalog_->Lookup(request.tree_name);
+  AddSpan(&timing, "catalog", catalog_watch);
+  Result<ServiceResponse> response =
+      entry.ok() ? OpRegistry::Get().spec(request.op).execute_tree(
+                       *this, *entry, request, clk, &timing)
+                 : Result<ServiceResponse>(entry.status());
+  FinishTiming(request, &timing, &response);
+  if (instruments != nullptr && !response.ok()) {
+    instruments->request_errors_total->Increment();
+  }
+  return response;
+}
+
 }  // namespace
+
+struct ShardedScheduler::Shard {
+  Shard(const EngineOptions& engine_options, const SchedulerOptions& options)
+      : engine(engine_options), scheduler(&engine, &catalog, options) {}
+
+  Engine engine;
+  TreeCatalog catalog;
+  QueryScheduler scheduler;
+};
 
 ShardedScheduler::ShardedScheduler(int num_shards,
                                    const EngineOptions& engine_options,
@@ -33,14 +396,11 @@ ShardedScheduler::ShardedScheduler(int num_shards,
   const int n = std::max(num_shards, 1);
   shards_.reserve(static_cast<size_t>(n));
   for (int s = 0; s < n; ++s) {
-    Shard shard;
-    shard.engine = std::make_unique<Engine>(engine_options);
-    shard.catalog = std::make_unique<TreeCatalog>();
-    shard.scheduler = std::make_unique<QueryScheduler>(
-        shard.engine.get(), shard.catalog.get(), options);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>(engine_options, options));
   }
 }
+
+ShardedScheduler::~ShardedScheduler() = default;
 
 int ShardedScheduler::ShardOfKey(StructKey key, int num_shards) {
   // SplitMix64 finalizer: a bijective remix, so the partition stays a pure
@@ -67,8 +427,18 @@ int ShardedScheduler::ThreadsPerShard(int total_threads, int num_shards) {
   return std::max(1, total / std::max(num_shards, 1));
 }
 
+ServeInstruments* ShardedScheduler::ShardInstruments(size_t s) const {
+  return shards_[s]->scheduler.instruments();
+}
+
 Result<CatalogEntry> ShardedScheduler::Insert(const std::string& name,
                                               AndXorTree tree) {
+  return InsertRouted(name, std::move(tree));
+}
+
+Result<CatalogEntry> ShardedScheduler::InsertRouted(const std::string& name,
+                                                    AndXorTree tree,
+                                                    int* out_shard) {
   // Same error (and same cheap-first ordering) as TreeCatalog::Insert.
   if (name.empty()) {
     return Status::InvalidArgument("catalog name must not be empty");
@@ -78,7 +448,7 @@ Result<CatalogEntry> ShardedScheduler::Insert(const std::string& name,
   // recomputing it.
   CPDB_ASSIGN_OR_RETURN(TreeIdentity identity,
                         TreeCatalog::ComputeIdentity(std::move(tree)));
-  return InsertIdentityRouted(name, identity);
+  return InsertIdentityRouted(name, identity, out_shard);
 }
 
 Result<CatalogEntry> ShardedScheduler::InsertIdentityRouted(
@@ -87,17 +457,17 @@ Result<CatalogEntry> ShardedScheduler::InsertIdentityRouted(
   // A bound name stays on its shard: re-inserting identical content lands
   // there anyway (same structural key, same shard), and different content
   // must reach the catalog that holds the name so the rebind is rejected
-  // with exactly the AlreadyExists the single catalog reports. The
-  // catalog insert runs under mu_ so two racing loads of one unbound name
-  // cannot route to different shards; loads are the cold path (queries
-  // take mu_ only for a map lookup), so the wider section is cheap.
+  // with the catalog's own AlreadyExists. The catalog insert runs under
+  // mu_ so two racing loads of one unbound name cannot route to different
+  // shards; loads are the cold path (queries take mu_ only for a map
+  // lookup), so the wider section is cheap.
   auto it = directory_.find(name);
   const int shard = it != directory_.end()
                         ? it->second
                         : ShardOfKey(identity.struct_key, num_shards());
   if (out_shard != nullptr) *out_shard = shard;
   Result<CatalogEntry> entry =
-      shards_[static_cast<size_t>(shard)].catalog->InsertWithIdentity(
+      shards_[static_cast<size_t>(shard)]->catalog.InsertWithIdentity(
           name, identity);
   if (entry.ok()) directory_.emplace(name, shard);
   return entry;
@@ -111,15 +481,19 @@ Status ShardedScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
     if (record.name.empty()) {
       return Status::InvalidArgument("catalog name must not be empty");
     }
-    // Through the same routed identity path kLoad takes — the directory
-    // learns every binding, so queries route; keys and
-    // AlreadyExists/rebind semantics are the catalog's own. ComputeIdentity
-    // re-derives the wire identity from the decoded tree: the decoder
-    // already verified the stored fingerprint hashes the stored bytes, and
-    // FormatTree(ParseTree(bytes)) == bytes, so the identity matches the
-    // record's — including struct_key, which the v2 decoder checks.
-    CPDB_ASSIGN_OR_RETURN(TreeIdentity identity,
-                          TreeCatalog::ComputeIdentity(AndXorTree(*record.tree)));
+    // The record's content bytes and ContentFp are the binding's wire
+    // identity — what the original kLoad carried, verified by the decoder
+    // (or read off a live catalog by BuildSnapshot). Its tree is the
+    // canonical orientation, so only the structural level is derived from
+    // it; re-deriving the wire level from that tree would bind a
+    // non-canonical load under its canonical twin's fingerprint.
+    CPDB_ASSIGN_OR_RETURN(
+        TreeIdentity identity,
+        TreeCatalog::IdentityWithContent(AndXorTree(*record.tree),
+                                         record.content, record.content_fp));
+    // Through the same routed insert kLoad takes — the directory learns
+    // every binding, so queries route; dedup and AlreadyExists/rebind
+    // semantics are the catalog's own.
     Result<CatalogEntry> entry = InsertIdentityRouted(record.name, identity);
     if (!entry.ok()) return entry.status();
   }
@@ -127,7 +501,7 @@ Status ShardedScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
     // Each (StructKey, k) cache key lives on exactly one shard — seed it
     // there, the shard every query for that shape reaches.
     const int shard = ShardOfKey(record.struct_key, num_shards());
-    shards_[static_cast<size_t>(shard)].scheduler->SeedRankDistribution(
+    shards_[static_cast<size_t>(shard)]->scheduler.SeedRankDistribution(
         record.struct_key, record.k, record.dist);
   }
   return Status::OK();
@@ -136,15 +510,38 @@ Status ShardedScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
 CatalogSnapshot ShardedScheduler::BuildSnapshot(
     bool include_distributions) const {
   CatalogSnapshot snapshot;
-  for (const Shard& shard : shards_) {
-    CatalogSnapshot part = BuildCatalogSnapshot(
-        *shard.catalog,
-        include_distributions ? shard.scheduler.get() : nullptr);
-    for (SnapshotTree& record : part.trees) {
+  std::set<StructKey> struct_keys;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    for (CatalogEntry& entry : shard->catalog.SnapshotEntries()) {
+      SnapshotTree record;
+      record.name = std::move(entry.name);
+      record.content_fp = entry.content_fp;
+      record.struct_key = entry.struct_key;
+      // The stored bytes are the binding's wire identity — what kLoad
+      // carried, which ContentFp hashes — not the canonical orientation
+      // the entry's shared tree holds; the catalog retains them for
+      // exactly this round trip.
+      Result<std::string> content =
+          shard->catalog.ContentBytes(entry.content_fp);
+      if (!content.ok()) continue;  // unreachable for a live entry
+      record.content = std::move(content).ValueOrDie();
+      record.tree = std::move(entry.tree);
+      struct_keys.insert(record.struct_key);
       snapshot.trees.push_back(std::move(record));
     }
-    for (SnapshotDistribution& record : part.distributions) {
-      snapshot.distributions.push_back(std::move(record));
+  }
+  if (include_distributions) {
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      for (RankDistCache::RetainedEntry& entry :
+           shard->scheduler.RetainedRankDistributions()) {
+        // The cache can only hold keys of catalog content, but be
+        // defensive: the decoder rejects a distribution with no tree
+        // record, so never write one.
+        if (struct_keys.count(entry.struct_key) == 0) continue;
+        snapshot.distributions.push_back(
+            SnapshotDistribution{entry.struct_key, entry.k,
+                                 std::move(entry.dist)});
+      }
     }
   }
   // Merge order must not leak the shard count: names are disjoint across
@@ -165,52 +562,57 @@ CatalogSnapshot ShardedScheduler::BuildSnapshot(
   return snapshot;
 }
 
-Result<int> ShardedScheduler::ShardForName(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = directory_.find(name);
-  if (it == directory_.end()) {
-    // A query failing at the routing layer produces the same error line
-    // it would against a single catalog — the shared formatter makes the
-    // parity structural (tests/sharded_service_test.cc pins it).
-    return TreeCatalog::UnknownTreeError(name);
+Result<int> ShardedScheduler::RouteTree(const ServiceRequest& request,
+                                        const Clock* clk) const {
+  Stopwatch catalog_watch(clk);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = directory_.find(request.tree_name);
+    if (it != directory_.end()) return it->second;
   }
-  return it->second;
+  // The owning shard's executor does its own counting and timing, so a
+  // routed request records nothing here — one request, one set of
+  // records. A miss never reaches a shard: its trail lands on shard 0.
+  ResponseTiming timing;
+  if (catalog_watch.enabled()) {
+    timing.total_ns = catalog_watch.ElapsedNanos();
+    timing.spans.emplace_back("catalog", timing.total_ns);
+  }
+  RecordFrontend(0, request, timing, /*ok=*/false);
+  // The shared formatter keeps the error line byte-identical to a catalog
+  // Lookup's.
+  return TreeCatalog::UnknownTreeError(request.tree_name);
 }
 
 Result<ServiceResponse> ShardedScheduler::ExecuteLoad(
-    const ServiceRequest& request, const Clock* clk, ResponseTiming* timing,
-    int* out_shard) {
-  // The shared front half (read + parse) runs here because routing needs
-  // the content before any shard catalog is chosen; sharing it with the
-  // single scheduler keeps the two paths' error statuses byte-identical
-  // by construction. Spans mirror the single scheduler's load path: parse
-  // (read + parse), catalog (the routed insert, serialization included —
-  // the single catalog serializes inside Insert too).
-  *out_shard = 0;
-  Stopwatch parse_watch(clk);
-  Result<AndXorTree> tree = LoadRequestTree(request);
-  if (parse_watch.enabled()) {
-    timing->spans.emplace_back("parse", parse_watch.ElapsedNanos());
-  }
-  if (!tree.ok()) return tree.status();
-  Stopwatch catalog_watch(clk);
-  Result<CatalogEntry> entry = [&]() -> Result<CatalogEntry> {
-    // Insert()'s body, with the owning shard surfaced for attribution.
-    if (request.load_name.empty()) {
-      return Status::InvalidArgument("catalog name must not be empty");
-    }
-    CPDB_ASSIGN_OR_RETURN(TreeIdentity identity,
-                          TreeCatalog::ComputeIdentity(std::move(*tree)));
-    return InsertIdentityRouted(request.load_name, identity, out_shard);
+    const ServiceRequest& request, const Clock* clk) {
+  // The read + parse runs on the front end because routing needs the
+  // content before any shard catalog is chosen. Spans: parse (read +
+  // parse), catalog (identity computation and the routed insert).
+  ResponseTiming timing;
+  int shard = 0;
+  Result<ServiceResponse> response = [&]() -> Result<ServiceResponse> {
+    Stopwatch parse_watch(clk);
+    Result<AndXorTree> tree = LoadRequestTree(request);
+    AddSpan(&timing, "parse", parse_watch);
+    if (!tree.ok()) return tree.status();
+    Stopwatch catalog_watch(clk);
+    Result<CatalogEntry> entry =
+        InsertRouted(request.load_name, std::move(*tree), &shard);
+    AddSpan(&timing, "catalog", catalog_watch);
+    if (!entry.ok()) return entry.status();
+    ServiceResponse loaded;
+    loaded.op = ServiceRequest::Op::kLoad;
+    loaded.tree_name = entry->name;
+    loaded.fingerprint = entry->content_fp;
+    return loaded;
   }();
-  if (catalog_watch.enabled()) {
-    timing->spans.emplace_back("catalog", catalog_watch.ElapsedNanos());
+  for (const auto& [stage, nanos] : timing.spans) timing.total_ns += nanos;
+  RecordFrontend(static_cast<size_t>(shard), request, timing, response.ok());
+  if (response.ok() && !timing.spans.empty()) {
+    timing.trace = request.trace;
+    response->timing = std::move(timing);
   }
-  if (!entry.ok()) return entry.status();
-  ServiceResponse response;
-  response.op = ServiceRequest::Op::kLoad;
-  response.tree_name = entry->name;
-  response.fingerprint = entry->content_fp;
   return response;
 }
 
@@ -233,8 +635,8 @@ void ShardedScheduler::RecordFrontend(size_t s, const ServiceRequest& request,
 ServiceResponse ShardedScheduler::StatsResponse() const {
   ServiceResponse response;
   response.op = ServiceRequest::Op::kStats;
-  response.shard_stats = PerShardStats();
-  for (const ShardCacheStats& shard : response.shard_stats) {
+  std::vector<ShardCacheStats> per_shard = PerShardStats();
+  for (const ShardCacheStats& shard : per_shard) {
     AccumulateCacheStats(&response.stats, shard.rank_dist);
     AccumulateCacheStats(&response.marginals_stats, shard.marginals);
     // Exact sums: StructKey routing makes names, contents, and shapes all
@@ -244,6 +646,8 @@ ServiceResponse ShardedScheduler::StatsResponse() const {
     response.catalog.contents += shard.catalog.contents;
     response.catalog.shapes += shard.catalog.shapes;
   }
+  // One shard's breakdown would only repeat the totals.
+  if (per_shard.size() >= 2) response.shard_stats = std::move(per_shard);
   return response;
 }
 
@@ -253,7 +657,7 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
       requests.size(),
       Result<ServiceResponse>(Status::Internal("request not executed")));
 
-  // The front-end timing gate mirrors the per-shard schedulers': live when
+  // The front-end timing gate mirrors the per-shard executors': live when
   // metrics are on or the batch asked for a trace, inert otherwise.
   bool any_trace = false;
   for (const ServiceRequest& request : requests) any_trace |= request.trace;
@@ -261,49 +665,32 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
 
   const OpRegistry& ops = OpRegistry::Get();
 
+  // Admin probes count at batch entry, like every executor sub-batch, so
+  // a metrics scrape counts every probe of its batch — itself included.
+  for (const ServiceRequest& request : requests) {
+    if (ops.spec(request.op).routing == OpRouting::kAdmin) CountAdmin(request);
+  }
+
   // Loads first, in request order — the batch contract. Loads stay on the
   // front-end thread: they are rare, order-sensitive on names, and each
-  // one decides the routing for every query that follows. Their metrics
-  // attribute to the shard that owns the loaded content, so the merged
-  // scrape matches a single scheduler's exactly.
+  // one decides the routing for every query that follows.
   for (size_t i = 0; i < requests.size(); ++i) {
     if (ops.spec(requests[i].op).batch_phase == kLoadPhase) {
-      ResponseTiming timing;
-      int shard = 0;
-      responses[i] = ExecuteLoad(requests[i], clk, &timing, &shard);
-      for (const auto& [stage, nanos] : timing.spans) {
-        timing.total_ns += nanos;
-      }
-      RecordFrontend(static_cast<size_t>(shard), requests[i], timing,
-                     responses[i].ok());
-      if (responses[i].ok() && !timing.spans.empty()) {
-        timing.trace = requests[i].trace;
-        responses[i]->timing = std::move(timing);
-      }
+      responses[i] = ExecuteLoad(requests[i], clk);
     }
   }
 
   // Partition queries by owning shard, preserving slot order within each
   // sub-batch — per-key request order is what keeps each shard's cache
-  // counters identical to the single scheduler's. Unknown names fail
-  // their slot here, exactly as the single scheduler's Lookup would —
-  // including the metrics trail such a failure leaves (a catalog span, an
-  // op-latency record, an error count), which lands on shard 0 since no
-  // shard owns the name.
+  // counters independent of the shard count. Unknown names fail their
+  // slot here.
   std::vector<std::vector<ServiceRequest>> sub_batches(shards_.size());
   std::vector<std::vector<size_t>> sub_slots(shards_.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     const ServiceRequest& request = requests[i];
     if (ops.spec(request.op).routing != OpRouting::kTreeAddressed) continue;
-    Stopwatch catalog_watch(clk);
-    Result<int> shard = ShardForName(request.tree_name);
+    Result<int> shard = RouteTree(request, clk);
     if (!shard.ok()) {
-      ResponseTiming timing;
-      if (catalog_watch.enabled()) {
-        timing.total_ns = catalog_watch.ElapsedNanos();
-        timing.spans.emplace_back("catalog", timing.total_ns);
-      }
-      RecordFrontend(0, request, timing, /*ok=*/false);
       responses[i] = shard.status();
       continue;
     }
@@ -313,12 +700,12 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
 
   // Fan the sub-batches concurrently: one helper thread per non-empty
   // shard beyond the first, which runs on the calling thread (a 1-shard
-  // front-end spawns nothing and degenerates to the plain scheduler).
-  // Each sub-batch executes on its shard's own engine/caches, so the only
-  // shared state the helpers touch is their private results slot. The
-  // helpers are created per batch on purpose: the steady-state threads
-  // live in the shard engines' pools, and one short-lived dispatcher
-  // thread per busy shard is noise next to the folds it dispatches.
+  // front-end spawns nothing). Each sub-batch executes on its shard's own
+  // engine/caches, so the only shared state the helpers touch is their
+  // private results slot. The helpers are created per batch on purpose:
+  // the steady-state threads live in the shard engines' pools, and one
+  // short-lived dispatcher thread per busy shard is noise next to the
+  // folds it dispatches.
   std::vector<std::vector<Result<ServiceResponse>>> shard_results(
       shards_.size());
   // A throw anywhere in the fan-out must fail slots, not the process: an
@@ -328,7 +715,7 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   // throw from any of it.
   auto run_shard = [this, &sub_batches, &shard_results](size_t s) {
     try {
-      shard_results[s] = shards_[s].scheduler->ExecuteBatch(sub_batches[s]);
+      shard_results[s] = shards_[s]->scheduler.ExecuteBatch(sub_batches[s]);
     } catch (const std::exception& e) {
       shard_results[s].assign(
           sub_batches[s].size(),
@@ -378,11 +765,10 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   }
 
   // Admin phases in declared order — stats next-to-last (the aggregate
-  // describes the batch that just ran), metrics last of all, exactly like
-  // the single scheduler: the scrape answers for everything the batch did.
-  // By the time either runs every helper has joined, so the shard
-  // registries are quiescent and the merged snapshot is the sum of what a
-  // single scheduler would have recorded. The probes themselves count
+  // describes the batch that just ran), metrics last of all (a scrape
+  // answers for everything the batch did, its stats probes included),
+  // regardless of slot order. By the time either runs every helper has
+  // joined, so the shard registries are quiescent. The probes record
   // against shard 0, like every front-end op no shard owns.
   for (int phase : {kStatsPhase, kMetricsPhase}) {
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -393,74 +779,40 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   return responses;
 }
 
-// The OpHost surface the registry's admin hooks execute against on the
-// sharded front end: stats and metrics merge per-shard state; the load
-// primitive is the routed insert path. The tree-addressed primitives are
-// never consulted — tree ops always execute on the owning shard's own
-// scheduler (through its SchedulerOpHost), so this host returns nothing
-// for them. Lives in namespace cpdb so the header's friend declaration
-// names exactly this class.
-class ShardedOpHost : public OpHost {
+// The AdminHost the registry's admin hooks execute against: stats and
+// metrics merge per-shard state. Lives in namespace cpdb so the header's
+// friend declaration names exactly this class.
+class ShardedAdminHost : public AdminHost {
  public:
-  explicit ShardedOpHost(ShardedScheduler* sharded) : sharded_(sharded) {}
-
-  const Engine* engine() const override { return nullptr; }
-
-  std::shared_ptr<const RankDistribution> GatedDistFor(
-      const CatalogEntry& entry, const ServiceRequest& request) override {
-    (void)entry;
-    (void)request;
-    return nullptr;
-  }
-
-  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
-                                                      int k) override {
-    (void)entry;
-    (void)k;
-    return nullptr;
-  }
-
-  std::shared_ptr<const std::vector<double>> MarginalsFor(
-      const CatalogEntry& entry) override {
-    (void)entry;
-    return nullptr;
-  }
+  explicit ShardedAdminHost(ShardedScheduler* sharded) : sharded_(sharded) {}
 
   ServiceResponse StatsNow() override { return sharded_->StatsResponse(); }
 
   Result<MetricsSnapshot> MetricsNow() override {
-    if (sharded_->ShardInstruments(0) == nullptr) {
-      // Byte-identical to the single scheduler's refusal.
-      return MetricsDisabledError();
-    }
+    if (sharded_->ShardInstruments(0) == nullptr) return MetricsDisabledError();
     return sharded_->MetricsSnapshotNow();
-  }
-
-  Result<ServiceResponse> ExecuteLoadOp(const ServiceRequest& request,
-                                        const Clock* clk,
-                                        ResponseTiming* timing) override {
-    // The batch/one paths call ExecuteLoad directly for its shard
-    // attribution; this hook exists for completeness of the host surface.
-    int shard = 0;
-    return sharded_->ExecuteLoad(request, clk, timing, &shard);
   }
 
  private:
   ShardedScheduler* sharded_;
 };
 
-Result<ServiceResponse> ShardedScheduler::ExecuteAdminOne(
-    const ServiceRequest& request, const Clock* clk) {
-  const OpSpec& spec = OpRegistry::Get().spec(request.op);
-  ShardedOpHost host(this);
-  ServeInstruments* instruments = ShardInstruments(0);
-  // Count before executing (a metrics scrape includes its own count,
-  // matching the single scheduler's count-at-entry); record the latency
-  // after — a scrape describes the work before it, never itself.
-  if (instruments != nullptr) {
+void ShardedScheduler::CountAdmin(const ServiceRequest& request) const {
+  if (ServeInstruments* instruments = ShardInstruments(0)) {
     instruments->requests_total->Increment();
     instruments->op_counter(request.op)->Increment();
   }
+}
+
+Result<ServiceResponse> ShardedScheduler::ExecuteAdminOne(
+    const ServiceRequest& request, const Clock* clk) {
+  const OpSpec& spec = OpRegistry::Get().spec(request.op);
+  ShardedAdminHost host(this);
+  ServeInstruments* instruments = ShardInstruments(0);
+  // The caller has counted the request (CountAdmin); record the latency
+  // after the hook — a scrape describes the work before it, never itself.
+  // A refused op (metrics while disabled) records no latency, only the
+  // error count.
   Stopwatch watch(clk);
   Result<ServiceResponse> response = spec.execute_admin(host, request);
   if (watch.enabled() && response.ok()) {
@@ -477,9 +829,9 @@ Result<ServiceResponse> ShardedScheduler::ExecuteAdminOne(
 }
 
 MetricsSnapshot ShardedScheduler::MetricsSnapshotNow() const {
-  MetricsSnapshot merged = shards_[0].scheduler->MetricsSnapshotNow();
+  MetricsSnapshot merged = shards_[0]->scheduler.MetricsSnapshotNow();
   for (size_t s = 1; s < shards_.size(); ++s) {
-    merged.MergeFrom(shards_[s].scheduler->MetricsSnapshotNow());
+    merged.MergeFrom(shards_[s]->scheduler.MetricsSnapshotNow());
   }
   return merged;
 }
@@ -488,8 +840,8 @@ std::vector<MetricsSnapshot> ShardedScheduler::PerShardMetricsSnapshots()
     const {
   std::vector<MetricsSnapshot> snapshots;
   snapshots.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    snapshots.push_back(shard.scheduler->MetricsSnapshotNow());
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    snapshots.push_back(shard->scheduler.MetricsSnapshotNow());
   }
   return snapshots;
 }
@@ -501,43 +853,14 @@ Result<ServiceResponse> ShardedScheduler::ExecuteOne(
   // execution, not one branch per op. Adding an op touches the registry
   // table, never this switch.
   switch (OpRegistry::Get().spec(request.op).routing) {
-    case OpRouting::kCatalogGlobal: {
-      ResponseTiming timing;
-      int shard = 0;
-      Result<ServiceResponse> response =
-          ExecuteLoad(request, clk, &timing, &shard);
-      for (const auto& [stage, nanos] : timing.spans) {
-        timing.total_ns += nanos;
-      }
-      RecordFrontend(static_cast<size_t>(shard), request, timing,
-                     response.ok());
-      if (response.ok() && !timing.spans.empty()) {
-        timing.trace = request.trace;
-        response->timing = std::move(timing);
-      }
-      return response;
-    }
+    case OpRouting::kCatalogGlobal:
+      return ExecuteLoad(request, clk);
     case OpRouting::kAdmin:
+      CountAdmin(request);
       return ExecuteAdminOne(request, clk);
     case OpRouting::kTreeAddressed: {
-      Stopwatch catalog_watch(clk);
-      Result<int> shard = ShardForName(request.tree_name);
-      if (!shard.ok()) {
-        // The same metrics trail the single scheduler leaves for an
-        // unknown tree: a catalog span, an op-latency record, an error
-        // count — against shard 0, which fields every ownerless request.
-        ResponseTiming timing;
-        if (catalog_watch.enabled()) {
-          timing.total_ns = catalog_watch.ElapsedNanos();
-          timing.spans.emplace_back("catalog", timing.total_ns);
-        }
-        RecordFrontend(0, request, timing, /*ok=*/false);
-        return shard.status();
-      }
-      // The owning shard's scheduler does its own counting and timing, so
-      // the front-end lookup above deliberately records nothing on
-      // success — one request, one set of records.
-      return shards_[static_cast<size_t>(*shard)].scheduler->ExecuteOne(
+      CPDB_ASSIGN_OR_RETURN(int shard, RouteTree(request, clk));
+      return shards_[static_cast<size_t>(shard)]->scheduler.ExecuteOne(
           request);
     }
   }
@@ -548,9 +871,9 @@ void ShardedScheduler::ExecuteStreaming(
     const std::function<bool(ServiceRequest*)>& next,
     const std::function<void(const Result<ServiceResponse>&)>& emit) {
   ServiceRequest request;
-  // The same loop shape as QueryScheduler::ExecuteStreaming — the
-  // interleaving contract (emit response N before pulling request N+1)
-  // lives in the loop, not in which shard answers.
+  // The contract is the loop shape itself: each response is emitted before
+  // the next request is pulled, so a client driving `next` from a pipe has
+  // answer N in hand while composing request N+1.
   while (next(&request)) {
     emit(ExecuteOne(request));
   }
@@ -558,16 +881,16 @@ void ShardedScheduler::ExecuteStreaming(
 
 CacheStats ShardedScheduler::cache_stats() const {
   CacheStats total;
-  for (const Shard& shard : shards_) {
-    AccumulateCacheStats(&total, shard.scheduler->cache_stats());
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    AccumulateCacheStats(&total, shard->scheduler.cache_stats());
   }
   return total;
 }
 
 CacheStats ShardedScheduler::marginals_stats() const {
   CacheStats total;
-  for (const Shard& shard : shards_) {
-    AccumulateCacheStats(&total, shard.scheduler->marginals_stats());
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    AccumulateCacheStats(&total, shard->scheduler.marginals_stats());
   }
   return total;
 }
@@ -575,10 +898,10 @@ CacheStats ShardedScheduler::marginals_stats() const {
 std::vector<ShardCacheStats> ShardedScheduler::PerShardStats() const {
   std::vector<ShardCacheStats> stats;
   stats.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    stats.push_back(ShardCacheStats{shard.scheduler->cache_stats(),
-                                    shard.scheduler->marginals_stats(),
-                                    shard.catalog->Counts()});
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    stats.push_back(ShardCacheStats{shard->scheduler.cache_stats(),
+                                    shard->scheduler.marginals_stats(),
+                                    shard->catalog.Counts()});
   }
   return stats;
 }

@@ -1,30 +1,38 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// ShardedScheduler — the partitioned serving front-end, the first step from
-// one process toward replicated serving. The observation it exploits is
-// that consensus answers are embarrassingly partitionable by tree shape:
-// every expensive precompute (the rank-distribution fold, the leaf-marginal
-// fold) is keyed by *structural key* — the canonical-orientation hash — so
-// requests against disjoint shapes never share state, and permuted
-// duplicates of one shape always land on the same shard, where they share
-// one fold program and one set of cache lines. The front-end therefore owns
-// N shard contexts — each a private Engine (with its own thread pool),
-// TreeCatalog, and QueryScheduler (with its own RankDistCache /
-// MarginalsCache) — and:
+// ShardedScheduler — the serving front end: every serve request, at any
+// shard count, executes through it (N = 1 by default). The observation it
+// exploits is that consensus answers are embarrassingly partitionable by
+// tree shape: every expensive precompute (the rank-distribution fold, the
+// leaf-marginal fold) is keyed by *structural key* — the canonical-
+// orientation hash — so requests against disjoint shapes never share
+// state, and permuted duplicates of one shape always land on the same
+// shard, where they share one fold program and one set of cache lines. The
+// front end therefore owns N shard contexts — each a private Engine (with
+// its own thread pool), TreeCatalog, and per-shard executor (with its own
+// RankDistCache / MarginalsCache and instruments) — and:
 //
 //   * routes every kLoad to the shard owning the loaded content's
 //     structural key (deterministic key-hash partitioning; a name
 //     already bound stays on its shard so rebind conflicts surface exactly
-//     as the single catalog reports them);
+//     as the shard catalog reports them);
 //   * routes every tree-addressed op (kTopK, kWorld, and the analytics
 //     ops — the OpRegistry's kTreeAddressed rows) to the shard owning its
 //     tree, fanning the per-shard sub-batches across threads — sub-batches
 //     execute concurrently, each on its shard's engine — and reassembles
 //     the per-slot Results in input order;
 //   * answers the admin ops (the registry's kAdmin rows) on the front end:
-//     kStats with the *sum* of the shards' cache counters plus the
-//     per-shard breakdown (ServiceResponse::shard_stats), kMetrics with
-//     the shards' registries merged.
+//     kStats with the *sum* of the shards' cache counters (plus, at
+//     N >= 2, the per-shard breakdown ServiceResponse::shard_stats),
+//     kMetrics with the shards' registries merged.
+//
+// The per-shard executor routes each query's shared precompute through the
+// shard's caches, so queries sharing a structural key — within a batch or
+// across batches — pay the fold once, over the catalog's precompiled
+// per-shape program; the remaining per-query work (strata, Hungarian
+// columns, q matrices) fans through Engine::EvaluateConsensusBatch. Both
+// caches are single-flight and LRU-evicting under the configured byte
+// budget (SchedulerOptions::cache_budget_bytes, applied per shard cache).
 //
 // The dispatch is a generic walk of the OpRegistry (service/op_registry.h):
 // the fan-out keys on each op's routing trait and batch phase, never on the
@@ -32,22 +40,22 @@
 // here.
 //
 // Determinism: because the partitioning is a pure function of structural
-// keys, every (StructKey, k) cache key lives on exactly one
-// shard, and requests for it arrive there in the same slot order the
-// single-engine QueryScheduler would process them. Combined with the
-// engine's schedule determinism, answers are bitwise identical to a
-// single-engine QueryScheduler for every op, metric, thread count, shard
-// count, and cache budget — sharding is observable only in throughput and
-// in the kStats shard breakdown (tests/sharded_service_test.cc pins this,
-// including aggregate counter totals for unbounded budgets; a *finite*
-// budget applies per shard cache, so eviction-driven counters may
-// legitimately differ across shard counts while answers never do).
+// keys, every (StructKey, k) cache key lives on exactly one shard, and
+// requests for it arrive there in input slot order. Combined with the
+// engine's schedule determinism, answers are bitwise identical to
+// one-at-a-time Engine calls for every op, metric, thread count, shard
+// count, and cache state — sharding is observable only in throughput and
+// in the kStats shard breakdown (tests/sharded_service_test.cc pins N
+// shards against N = 1, including aggregate counter totals for unbounded
+// budgets; a *finite* budget applies per shard cache, so eviction-driven
+// counters may legitimately differ across shard counts while answers
+// never do).
 //
 // Scope: shards are in-process today (contexts, not processes). The
-// interface is deliberately the QueryScheduler's — ExecuteBatch /
-// ExecuteOne / ExecuteStreaming with per-slot Results — so replacing a
-// shard context with a remote replica changes the transport, not the
-// partitioning or the callers.
+// interface — ExecuteBatch / ExecuteOne / ExecuteStreaming with per-slot
+// Results — is shard-count agnostic, so replacing a shard context with a
+// remote replica changes the transport, not the partitioning or the
+// callers.
 
 #ifndef CPDB_SERVICE_SHARDED_SCHEDULER_H_
 #define CPDB_SERVICE_SHARDED_SCHEDULER_H_
@@ -70,20 +78,21 @@ namespace cpdb {
 struct CatalogSnapshot;
 
 /// \brief Executes request batches partitioned across N private
-/// (Engine, TreeCatalog, QueryScheduler) shard contexts.
+/// (Engine, TreeCatalog, executor) shard contexts.
 ///
-/// Thread-compatible like the QueryScheduler it fans out to: concurrent
-/// ExecuteBatch / ExecuteOne calls are safe (the name directory has its own
-/// mutex; shard contexts are internally locked), though batches racing on
-/// `load` of conflicting content may observe AlreadyExists.
+/// Thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are safe
+/// (the name directory has its own mutex; shard catalogs and caches are
+/// internally locked; the engines are stateless per query), though batches
+/// racing on `load` of conflicting content may observe AlreadyExists.
 class ShardedScheduler {
  public:
   /// \brief Builds `num_shards` contexts (clamped to >= 1), each with its
   /// own Engine(engine_options) — callers wanting a fixed total thread
-  /// count split it with ThreadsPerShard — and a QueryScheduler configured
-  /// with `options` (so a cache budget applies to each shard's caches).
+  /// count split it with ThreadsPerShard — and an executor configured with
+  /// `options` (so a cache budget applies to each shard's caches).
   ShardedScheduler(int num_shards, const EngineOptions& engine_options,
                    SchedulerOptions options = SchedulerOptions());
+  ~ShardedScheduler();
 
   /// \brief The shard owning structural key `key`: a deterministic pure
   /// function of (key, num_shards), identical across processes and runs.
@@ -115,36 +124,50 @@ class ShardedScheduler {
   /// so query routing, dedup, and AlreadyExists/rebind semantics are
   /// identical to loading the same trees line-by-line — and every persisted
   /// rank distribution seeds the cache of the shard that owns its key.
-  /// The per-shard placement is a pure function of content, so a snapshot
-  /// saved at --shards=M restores correctly at --shards=N for any M, N.
+  /// Each binding keeps the record's wire identity (content bytes and
+  /// ContentFp); only the structural level is derived from the record's
+  /// tree, whose orientation therefore does not matter. Into a fresh front
+  /// end this cannot fail (decode already validated everything); a name
+  /// already bound to different content fails with the catalog's own
+  /// AlreadyExists, leaving earlier records installed. The per-shard
+  /// placement is a pure function of content, so a snapshot saved at
+  /// --shards=M restores correctly at --shards=N for any M, N.
   Status InstallSnapshot(const CatalogSnapshot& snapshot);
 
   /// \brief Captures the merged serving state of all shards as one
-  /// snapshot: the union of the shard catalogs (disjoint by construction —
-  /// each name lives on exactly one shard) plus, when
-  /// `include_distributions` is set, the union of the shards' retained
-  /// rank-distribution caches (disjoint too: each (StructKey, k) lives on
-  /// one shard). The result is independent of shard count:
-  /// entries are merged and sorted, so saving at --shards=M and at
-  /// --shards=N produces byte-identical files for the same logical state.
+  /// snapshot: every binding of the shard catalogs (disjoint by
+  /// construction — each name lives on exactly one shard) with its stored
+  /// wire-visible content bytes, plus, when `include_distributions` is set,
+  /// the shards' retained rank-distribution cache entries (disjoint too:
+  /// each (StructKey, k) lives on one shard). The result is independent of
+  /// shard count: entries are merged and sorted, so saving at --shards=M
+  /// and at --shards=N produces byte-identical files for the same logical
+  /// state.
   CatalogSnapshot BuildSnapshot(bool include_distributions) const;
 
-  /// \brief Executes a batch with QueryScheduler::ExecuteBatch semantics:
-  /// loads apply first in request order, per-request failures land in
-  /// their slot, kStats reports post-batch counters. Shard sub-batches run
-  /// concurrently; results[i] answers requests[i] regardless of which
-  /// shard served it.
+  /// \brief Executes a batch; results[i] answers requests[i] regardless of
+  /// which shard served it. A batch is a unit of work, not a transcript:
+  /// loads apply first in request order (queries may reference trees
+  /// loaded later in the same batch), per-request failures (unknown tree,
+  /// unreadable file, unsupported metric/answer combination) land in their
+  /// slot only, kStats reports the post-batch counters, and kMetrics
+  /// describes everything the batch did. Shard sub-batches run
+  /// concurrently.
   std::vector<Result<ServiceResponse>> ExecuteBatch(
       const std::vector<ServiceRequest>& requests);
 
-  /// \brief Executes one request on its owning shard — the unit of the
-  /// streaming path, with QueryScheduler::ExecuteOne's order-sensitive
-  /// semantics (queries see only earlier loads; kStats is point-in-time).
+  /// \brief Executes one request immediately — the unit of the streaming
+  /// path. Same cache routing and bitwise-identical answers as a
+  /// single-request ExecuteBatch, with the two order-sensitive differences
+  /// streaming implies: a query sees only trees loaded before this call,
+  /// and kStats reports the counters as of now.
   Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
 
-  /// \brief The incremental serve loop, same interleaving contract as
-  /// QueryScheduler::ExecuteStreaming: request N's response is emitted
-  /// before request N+1 is pulled, no matter which shards serve them.
+  /// \brief The incremental serve loop (serve --stream): repeatedly pulls
+  /// a request from `next` (false when the input is exhausted) and passes
+  /// its response to `emit` — always emitting request N's response
+  /// *before* pulling request N+1, no matter which shards serve them, so a
+  /// client on a pipe observes answers as it writes.
   void ExecuteStreaming(
       const std::function<bool(ServiceRequest*)>& next,
       const std::function<void(const Result<ServiceResponse>&)>& emit);
@@ -165,8 +188,8 @@ class ShardedScheduler {
   /// \brief The fleet metrics scrape: the shards' snapshots merged
   /// (counters and gauges sum, histograms merge bucket-wise) — a pure
   /// function of the per-shard snapshots, independent of shard count or
-  /// merge order. This is what op=metrics answers when sharded. Must not
-  /// be called with metrics disabled.
+  /// merge order. This is what op=metrics answers. Must not be called
+  /// with metrics disabled.
   MetricsSnapshot MetricsSnapshotNow() const;
 
   /// \brief Each shard's own scrape, in shard order — the seam the parity
@@ -175,83 +198,80 @@ class ShardedScheduler {
 
   /// \brief The instruments front-end work records into (shard 0's — the
   /// shard that fields every ownerless request), or nullptr when metrics
-  /// are off. The transport records its parse/format stages here, exactly
-  /// as it records into a single scheduler's instruments().
-  ServeInstruments* frontend_instruments() const {
-    return shards_[0].scheduler->instruments();
-  }
+  /// are off. The transport records its parse/format stages here.
+  ServeInstruments* frontend_instruments() const { return ShardInstruments(0); }
 
   /// \brief The injected clock (never null; defaults to SteadyClock).
   const Clock* clock() const { return clock_; }
 
  private:
   /// The registry's admin hooks execute against the front end through a
-  /// private OpHost adapter (service/op_registry.h) defined in the .cc —
-  /// the primitives below are its surface.
-  friend class ShardedOpHost;
+  /// private AdminHost adapter (service/op_registry.h) defined in the .cc.
+  friend class ShardedAdminHost;
 
-  struct Shard {
-    std::unique_ptr<Engine> engine;
-    std::unique_ptr<TreeCatalog> catalog;
-    std::unique_ptr<QueryScheduler> scheduler;
-  };
+  /// One shard context: Engine, TreeCatalog, and the executor owning the
+  /// shard's caches and instruments. Defined in the .cc.
+  struct Shard;
 
-  /// Front-end load execution with stage spans (parse, catalog). Requests
-  /// and timing attribute to the shard owning the loaded content
-  /// (*out_shard; 0 when the load fails before routing) — so summing the
-  /// shards' registries reproduces the single scheduler's counts exactly.
+  /// The load op: reads and parses the file, then the routed insert, with
+  /// stage spans (parse, catalog). The request's metrics attribute to the
+  /// shard owning the loaded content (shard 0 when the load fails before
+  /// routing), so summing the shards' registries counts every load once.
   Result<ServiceResponse> ExecuteLoad(const ServiceRequest& request,
-                                      const Clock* clk, ResponseTiming* timing,
-                                      int* out_shard);
+                                      const Clock* clk);
 
-  /// The shared back half of Insert, ExecuteLoad, and InstallSnapshot:
-  /// routes by the directory (bound names stay on their shard) or the
-  /// StructKey partition, inserts via the shard catalog's
-  /// InsertWithIdentity, and records the binding — all under mu_, so
-  /// racing loads of one unbound name cannot route to different shards.
-  /// The identity is computed once on the front end (outside mu_) so the
-  /// locked section does only map work plus the catalog's own insert.
+  /// The routed load shared by Insert and ExecuteLoad: the name check,
+  /// the identity computation (outside mu_), then InsertIdentityRouted.
+  Result<CatalogEntry> InsertRouted(const std::string& name, AndXorTree tree,
+                                    int* out_shard = nullptr);
+
+  /// The routed insert behind InsertRouted and InstallSnapshot: routes by
+  /// the directory (bound names stay on their shard) or the StructKey
+  /// partition, inserts via the shard catalog's InsertWithIdentity, and
+  /// records the binding — all under mu_, so racing loads of one unbound
+  /// name cannot route to different shards. The identity is computed by
+  /// the caller, outside mu_, so the locked section does only map work
+  /// plus the catalog's own insert.
   /// `out_shard` (optional) receives the shard the name routed to.
   Result<CatalogEntry> InsertIdentityRouted(const std::string& name,
                                             const TreeIdentity& identity,
                                             int* out_shard = nullptr);
 
-  /// The shard bound to `name`, or NotFound with the same message
-  /// TreeCatalog::Lookup reports — routing must not change error lines.
-  Result<int> ShardForName(const std::string& name) const;
+  /// The shard bound to the request's tree, or NotFound with the message
+  /// TreeCatalog::Lookup reports — routing must not change error lines. A
+  /// miss leaves its metrics trail (a catalog span, an op-latency record,
+  /// an error count) on shard 0, which fields every ownerless request.
+  Result<int> RouteTree(const ServiceRequest& request, const Clock* clk) const;
 
   ServiceResponse StatsResponse() const;
 
-  /// Executes one kAdmin registry row (stats, metrics) against the merged
-  /// front-end state: the request counts against shard 0 *before* the hook
-  /// runs (a metrics scrape includes its own count, matching the single
-  /// scheduler's count-at-entry), and its latency is recorded after —
-  /// a scrape describes the work before it, never itself. Refusals (the
-  /// hook's own in-band errors, e.g. metrics while disabled) are
-  /// byte-identical to the single scheduler's by construction.
+  /// Counts one kAdmin request against shard 0 — always *before* its hook
+  /// runs, so a metrics scrape includes its own count.
+  void CountAdmin(const ServiceRequest& request) const;
+
+  /// Executes one counted kAdmin registry row (stats, metrics) against the
+  /// merged front-end state; its latency is recorded after the hook — a
+  /// scrape describes the work before it, never itself.
   Result<ServiceResponse> ExecuteAdminOne(const ServiceRequest& request,
                                           const Clock* clk);
 
   /// Shard `s`'s instruments (nullptr when metrics are off). Front-end
   /// work — loads, routing failures, stats/metrics ops — is recorded here
-  /// against its owning shard (shard 0 when no shard owns it), keeping
-  /// "merged scrape == what a single scheduler would have recorded" exact.
-  ServeInstruments* ShardInstruments(size_t s) const {
-    return shards_[s].scheduler->instruments();
-  }
+  /// against its owning shard (shard 0 when no shard owns it).
+  ServeInstruments* ShardInstruments(size_t s) const;
 
   /// Counts one front-end request (and its optional error/latency/stage
   /// records) into shard `s`'s registry; no-op when metrics are off.
   void RecordFrontend(size_t s, const ServiceRequest& request,
                       const ResponseTiming& timing, bool ok) const;
 
-  /// The front-end timing gate, same rule as the per-shard schedulers:
-  /// live when metrics are on or this batch asked for a trace.
+  /// The front-end timing gate, same rule as the per-shard executors: live
+  /// when metrics are on or this batch asked for a trace.
   const Clock* TimingClock(bool any_trace) const {
     return (ShardInstruments(0) != nullptr || any_trace) ? clock_ : nullptr;
   }
 
-  std::vector<Shard> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   const Clock* clock_;
   // Guards directory_: name -> owning shard. Names route to the shard
   // owning their content's structural key; the directory exists because

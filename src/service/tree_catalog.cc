@@ -9,6 +9,20 @@
 
 namespace cpdb {
 
+namespace {
+
+// Fills the structural level of `identity` from a validated `tree`.
+Status DeriveStructure(const AndXorTree& tree, TreeIdentity* identity) {
+  CPDB_ASSIGN_OR_RETURN(AndXorTree canonical, CanonicalizeTree(tree));
+  identity->canonical_bytes = FormatTree(canonical, /*indent=*/false);
+  identity->struct_key = StructKey(Fnv1a64(identity->canonical_bytes));
+  identity->canonical_tree =
+      std::make_shared<const AndXorTree>(std::move(canonical));
+  return Status::OK();
+}
+
+}  // namespace
+
 ContentFp TreeCatalog::FingerprintTree(const AndXorTree& tree) {
   // The canonical single-line serialization, not the user's input text:
   // formatting differences must not split identical trees into distinct
@@ -21,11 +35,17 @@ Result<TreeIdentity> TreeCatalog::ComputeIdentity(AndXorTree tree) {
   TreeIdentity identity;
   identity.content_bytes = FormatTree(tree, /*indent=*/false);
   identity.content_fp = ContentFp(Fnv1a64(identity.content_bytes));
-  CPDB_ASSIGN_OR_RETURN(AndXorTree canonical, CanonicalizeTree(tree));
-  identity.canonical_bytes = FormatTree(canonical, /*indent=*/false);
-  identity.struct_key = StructKey(Fnv1a64(identity.canonical_bytes));
-  identity.canonical_tree =
-      std::make_shared<const AndXorTree>(std::move(canonical));
+  CPDB_RETURN_NOT_OK(DeriveStructure(tree, &identity));
+  return identity;
+}
+
+Result<TreeIdentity> TreeCatalog::IdentityWithContent(
+    AndXorTree tree, std::string content_bytes, ContentFp content_fp) {
+  CPDB_RETURN_NOT_OK(tree.Validate());
+  TreeIdentity identity;
+  identity.content_bytes = std::move(content_bytes);
+  identity.content_fp = content_fp;
+  CPDB_RETURN_NOT_OK(DeriveStructure(tree, &identity));
   return identity;
 }
 
@@ -106,29 +126,6 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
                      shape->second.tree, shape->second.program};
   by_name_.emplace(name, entry);
   return entry;
-}
-
-Result<CatalogEntry> TreeCatalog::InsertCanonical(const std::string& name,
-                                                  AndXorTree tree,
-                                                  std::string content_bytes,
-                                                  ContentFp content_fp) {
-  if (name.empty()) {
-    return Status::InvalidArgument("catalog name must not be empty");
-  }
-  // The caller owns the wire identity (content bytes + fingerprint); derive
-  // only the structural level here. `tree` may be any orientation of the
-  // content — canonicalization collapses it to the shape's one orientation.
-  CPDB_RETURN_NOT_OK(tree.Validate());
-  TreeIdentity identity;
-  identity.content_bytes = std::move(content_bytes);
-  identity.content_fp = content_fp;
-  CPDB_ASSIGN_OR_RETURN(AndXorTree canonical,
-                        CanonicalizeTree(std::move(tree)));
-  identity.canonical_bytes = FormatTree(canonical, /*indent=*/false);
-  identity.struct_key = StructKey(Fnv1a64(identity.canonical_bytes));
-  identity.canonical_tree =
-      std::make_shared<const AndXorTree>(std::move(canonical));
-  return InsertWithIdentity(name, identity);
 }
 
 Result<CatalogEntry> TreeCatalog::InsertFromText(const std::string& name,

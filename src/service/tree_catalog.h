@@ -104,6 +104,15 @@ class TreeCatalog {
   /// the returned canonical_tree is validated and ready to compile.
   static Result<TreeIdentity> ComputeIdentity(AndXorTree tree);
 
+  /// \brief The identity of a binding whose wire level the caller already
+  /// holds: `content_bytes` MUST be the serialization `content_fp`
+  /// fingerprints (a mismatch corrupts the content dedup). `tree` may be
+  /// any orientation of that content — a snapshot record carries the
+  /// canonical one — and only the structural level is derived from it.
+  static Result<TreeIdentity> IdentityWithContent(AndXorTree tree,
+                                                  std::string content_bytes,
+                                                  ContentFp content_fp);
+
   /// \brief Registers `tree` under `name` and returns its entry.
   /// Idempotent for identical content: inserting the same name again
   /// succeeds iff the content matches (returning the existing entry); a
@@ -123,18 +132,6 @@ class TreeCatalog {
   /// twice per load; Insert is ComputeIdentity + this.
   Result<CatalogEntry> InsertWithIdentity(const std::string& name,
                                           const TreeIdentity& identity);
-
-  /// \brief Insert with the wire identity precomputed by the caller:
-  /// `content_bytes` MUST be the canonical serialization the caller loaded
-  /// (FormatTree of the orientation `content_fp` fingerprints) and
-  /// `content_fp` its Fnv1a64 — a mismatch corrupts the content dedup.
-  /// `tree` may be any orientation of that content (snapshot install hands
-  /// in the canonical orientation; live loads the as-parsed one): it is
-  /// canonicalized here to derive the structural level.
-  Result<CatalogEntry> InsertCanonical(const std::string& name,
-                                       AndXorTree tree,
-                                       std::string content_bytes,
-                                       ContentFp content_fp);
 
   /// \brief Parses `text` (the s-expression tree format) and inserts it.
   Result<CatalogEntry> InsertFromText(const std::string& name,

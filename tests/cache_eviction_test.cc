@@ -30,9 +30,8 @@
 #include "engine/engine.h"
 #include "io/tree_text.h"
 #include "service/marginals_cache.h"
-#include "service/query_scheduler.h"
+#include "service/sharded_scheduler.h"
 #include "service/rank_dist_cache.h"
-#include "service/tree_catalog.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -334,12 +333,17 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
   engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
-  TreeCatalog catalog;
-  for (int i = 0; i < kTrees; ++i) {
-    ASSERT_TRUE(
-        catalog.Insert("tree" + std::to_string(i), RandomTree(3000 + i)).ok());
-  }
+  // One-shard front ends over the same trees.
+  auto make_scheduler = [&](const SchedulerOptions& options) {
+    auto scheduler =
+        std::make_unique<ShardedScheduler>(1, engine_options, options);
+    for (int i = 0; i < kTrees; ++i) {
+      EXPECT_TRUE(scheduler
+                      ->Insert("tree" + std::to_string(i), RandomTree(3000 + i))
+                      .ok());
+    }
+    return scheduler;
+  };
 
   std::vector<ServiceRequest> churn;
   for (int round = 0; round < 3; ++round) {
@@ -361,16 +365,16 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
 
   SchedulerOptions tiny_options;
   tiny_options.cache_budget_bytes = 4096;  // a couple of entries at most
-  QueryScheduler tiny(&engine, &catalog, tiny_options);
-  QueryScheduler unbounded(&engine, &catalog);
+  auto tiny = make_scheduler(tiny_options);
+  auto unbounded = make_scheduler(SchedulerOptions());
   SchedulerOptions no_cache;
   no_cache.use_cache = false;
-  QueryScheduler uncached(&engine, &catalog, no_cache);
+  auto uncached = make_scheduler(no_cache);
 
-  auto tiny_results = tiny.ExecuteBatch(churn);
-  auto warm_tiny_results = tiny.ExecuteBatch(churn);  // evicted + re-folded
-  auto unbounded_results = unbounded.ExecuteBatch(churn);
-  auto uncached_results = uncached.ExecuteBatch(churn);
+  auto tiny_results = tiny->ExecuteBatch(churn);
+  auto warm_tiny_results = tiny->ExecuteBatch(churn);  // evicted + re-folded
+  auto unbounded_results = unbounded->ExecuteBatch(churn);
+  auto uncached_results = uncached->ExecuteBatch(churn);
   for (size_t i = 0; i < churn.size(); ++i) {
     ASSERT_TRUE(tiny_results[i].ok()) << tiny_results[i].status().ToString();
     ASSERT_TRUE(unbounded_results[i].ok());
@@ -387,15 +391,15 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   }
   // The tiny cache worked for its living: it evicted, stayed in budget,
   // and the unbounded sibling kept every distinct (fingerprint, k) entry.
-  CacheStats tiny_stats = tiny.cache_stats();
+  CacheStats tiny_stats = tiny->cache_stats();
   EXPECT_GT(tiny_stats.evictions, 0);
   EXPECT_LE(tiny_stats.bytes, tiny_options.cache_budget_bytes);
-  EXPECT_LE(tiny.marginals_stats().bytes, tiny_options.cache_budget_bytes);
-  CacheStats unbounded_stats = unbounded.cache_stats();
+  EXPECT_LE(tiny->marginals_stats().bytes, tiny_options.cache_budget_bytes);
+  CacheStats unbounded_stats = unbounded->cache_stats();
   EXPECT_EQ(unbounded_stats.evictions, 0);
   // 6 trees x 3 distinct k values each over the rounds.
   EXPECT_EQ(unbounded_stats.entries, kTrees * 3);
-  EXPECT_EQ(unbounded.marginals_stats().entries, kTrees);
+  EXPECT_EQ(unbounded->marginals_stats().entries, kTrees);
 }
 
 }  // namespace

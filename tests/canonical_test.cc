@@ -32,7 +32,6 @@
 #include "io/tree_text.h"
 #include "model/and_xor_tree.h"
 #include "service/catalog_snapshot.h"
-#include "service/query_scheduler.h"
 #include "service/sharded_scheduler.h"
 #include "service/tree_catalog.h"
 #include "workload/generators.h"
@@ -292,13 +291,17 @@ class CanonicalServingTest : public ::testing::Test {
     }
   }
 
-  std::vector<std::string> ReferenceWire() const {
-    Engine engine(ReferenceEngineOptions(2));
-    TreeCatalog catalog;
-    QueryScheduler scheduler(&engine, &catalog);
+  // Inserts the fixture's trees into `scheduler`.
+  void Seed(ShardedScheduler* scheduler) const {
     for (size_t i = 0; i < trees_.size(); ++i) {
-      EXPECT_TRUE(catalog.Insert(names_[i], trees_[i]).ok());
+      EXPECT_TRUE(scheduler->Insert(names_[i], trees_[i]).ok());
     }
+  }
+
+  // The one-shard transcript every topology must reproduce.
+  std::vector<std::string> ReferenceWire() const {
+    ShardedScheduler scheduler(1, ReferenceEngineOptions(2));
+    Seed(&scheduler);
     return WireLines(scheduler.ExecuteBatch(QueryBatch(names_)));
   }
 
@@ -317,9 +320,7 @@ TEST_F(CanonicalServingTest, TranscriptsAreByteIdenticalAcrossTopologies) {
         if (budget >= 0) scheduler_options.cache_budget_bytes = budget;
         ShardedScheduler sharded(shards, ReferenceEngineOptions(threads),
                                  scheduler_options);
-        for (size_t i = 0; i < trees_.size(); ++i) {
-          ASSERT_TRUE(sharded.Insert(names_[i], trees_[i]).ok());
-        }
+        Seed(&sharded);
         const std::vector<std::string> got =
             WireLines(sharded.ExecuteBatch(QueryBatch(names_)));
         ASSERT_EQ(got.size(), want.size());
@@ -334,18 +335,14 @@ TEST_F(CanonicalServingTest, TranscriptsAreByteIdenticalAcrossTopologies) {
 }
 
 // Warm restart: snapshot the reference catalog, install it into a fresh
-// sharded service, and replay — still byte-identical.
+// service at several shard counts, and replay — still byte-identical.
 TEST_F(CanonicalServingTest, WarmRestartTranscriptIsByteIdentical) {
   const std::vector<std::string> want = ReferenceWire();
 
-  Engine engine(ReferenceEngineOptions(2));
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
-  for (size_t i = 0; i < trees_.size(); ++i) {
-    ASSERT_TRUE(catalog.Insert(names_[i], trees_[i]).ok());
-  }
-  const std::string bytes =
-      EncodeCatalogSnapshot(BuildCatalogSnapshot(catalog, nullptr));
+  ShardedScheduler scheduler(1, ReferenceEngineOptions(2));
+  Seed(&scheduler);
+  const std::string bytes = EncodeCatalogSnapshot(
+      scheduler.BuildSnapshot(/*include_distributions=*/false));
   auto snapshot = DecodeCatalogSnapshot(bytes.data(), bytes.size());
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
@@ -367,9 +364,7 @@ TEST_F(CanonicalServingTest, WarmRestartTranscriptIsByteIdentical) {
 // duplicates' answers are byte-identical on the wire.
 TEST_F(CanonicalServingTest, PermutedDuplicatesShareShapeCompileAndCache) {
   const AndXorTree base = RandomTree(321, /*num_keys=*/6);
-  Engine engine(ReferenceEngineOptions(2));
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
+  ShardedScheduler scheduler(1, ReferenceEngineOptions(2));
 
   Rng rng(7);
   std::vector<std::string> names;
@@ -378,17 +373,21 @@ TEST_F(CanonicalServingTest, PermutedDuplicatesShareShapeCompileAndCache) {
     AndXorTree permuted = ShuffleCommutative(base, &rng);
     distinct_texts.insert(FormatTree(permuted, /*indent=*/false));
     names.push_back("dup" + std::to_string(i));
-    ASSERT_TRUE(catalog.Insert(names.back(), std::move(permuted)).ok());
+    ASSERT_TRUE(scheduler.Insert(names.back(), std::move(permuted)).ok());
   }
   // The orbit draw produced at least two distinct wire identities (else the
   // dedup below is vacuous).
   ASSERT_GT(distinct_texts.size(), 1u);
 
-  const CatalogCounts counts = catalog.Counts();
+  ServiceRequest stats_request;
+  stats_request.op = ServiceRequest::Op::kStats;
+  const CatalogCounts counts = scheduler.ExecuteOne(stats_request)->catalog;
   EXPECT_EQ(counts.names, 4);
   EXPECT_EQ(counts.contents, static_cast<int>(distinct_texts.size()));
   EXPECT_EQ(counts.shapes, 1);
-  EXPECT_EQ(catalog.fold_compiles(), 1);
+  EXPECT_EQ(
+      scheduler.MetricsSnapshotNow().Find("cpdb_fold_compiles_total")->value,
+      1);
 
   std::vector<ServiceRequest> batch;
   for (const std::string& name : names) {

@@ -36,7 +36,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
-#include "service/query_scheduler.h"
+#include "service/sharded_scheduler.h"
 #include "service/tree_catalog.h"
 #include "workload/generators.h"
 
@@ -108,16 +108,21 @@ ServiceRequest TopKRequest(const std::string& tree, int k) {
   return request;
 }
 
-// A populated catalog + scheduler pair whose snapshot carries both trees
-// and (when `with_distributions`) warmed rank-distribution sections.
+// The front end's catalog counts, read through op=stats.
+CatalogCounts Counts(ShardedScheduler* scheduler) {
+  ServiceRequest stats;
+  stats.op = ServiceRequest::Op::kStats;
+  return scheduler->ExecuteOne(stats)->catalog;
+}
+
+// A populated one-shard service whose snapshot carries both trees and
+// (when `with_distributions`) warmed rank-distribution sections.
 struct LiveService {
-  Engine engine{TestEngineOptions()};
-  TreeCatalog catalog;
-  QueryScheduler scheduler{&engine, &catalog};
+  ShardedScheduler scheduler{1, TestEngineOptions()};
 
   explicit LiveService(bool with_distributions) {
-    EXPECT_TRUE(catalog.Insert("a", Tree(kTreeText)).ok());
-    EXPECT_TRUE(catalog.Insert("b", Tree(kOtherTreeText)).ok());
+    EXPECT_TRUE(scheduler.Insert("a", Tree(kTreeText)).ok());
+    EXPECT_TRUE(scheduler.Insert("b", Tree(kOtherTreeText)).ok());
     if (with_distributions) {
       EXPECT_TRUE(scheduler.ExecuteOne(TopKRequest("a", 3)).ok());
       EXPECT_TRUE(scheduler.ExecuteOne(TopKRequest("b", 2)).ok());
@@ -125,8 +130,7 @@ struct LiveService {
   }
 
   CatalogSnapshot Snapshot(bool with_distributions) const {
-    return BuildCatalogSnapshot(catalog,
-                                with_distributions ? &scheduler : nullptr);
+    return scheduler.BuildSnapshot(with_distributions);
   }
 };
 
@@ -184,18 +188,15 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
 
   // The serve path decodes before touching any catalog, so a pre-populated
   // catalog and a warm cache survive a corrupt file bit-for-bit.
-  Engine engine(TestEngineOptions());
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
-  ASSERT_TRUE(catalog.Insert("existing", Tree(kTreeText)).ok());
+  ShardedScheduler scheduler(1, TestEngineOptions());
+  ASSERT_TRUE(scheduler.Insert("existing", Tree(kTreeText)).ok());
   ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest("existing", 2)).ok());
   const CacheStats before = scheduler.cache_stats();
   Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
   if (loaded.ok()) {
-    ASSERT_TRUE(
-        InstallCatalogSnapshot(*loaded, &catalog, &scheduler).ok());
+    ASSERT_TRUE(scheduler.InstallSnapshot(*loaded).ok());
   }
-  EXPECT_EQ(catalog.size(), 1u);
+  EXPECT_EQ(Counts(&scheduler).names, 1);
   EXPECT_EQ(scheduler.cache_stats().entries, before.entries);
   EXPECT_EQ(scheduler.cache_stats().bytes, before.bytes);
 }
@@ -325,7 +326,7 @@ TEST(CatalogSnapshotCorruptionTest, NonCanonicalTreeTextIsRejected) {
   // kTreeText parses fine but is the *indented-author* form; the canonical
   // form is FormatTree's single line. Accepting it would let a
   // hand-crafted snapshot plant a (fingerprint, canonical) pair that
-  // disagrees with what InsertCanonical requires.
+  // disagrees with what TreeCatalog::IdentityWithContent requires.
   AndXorTree tree = Tree(kTreeText);
   const std::string canonical = FormatTree(tree, /*indent=*/false);
   const std::string indented = FormatTree(tree, /*indent=*/true);
@@ -484,23 +485,22 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     opts.num_keys = 10;
     opts.max_depth = 3;
 
-    Engine engine(TestEngineOptions());
-    TreeCatalog catalog;
-    QueryScheduler scheduler(&engine, &catalog);
+    ShardedScheduler scheduler(1, TestEngineOptions());
     auto insert = [&](const std::string& name, Result<AndXorTree> tree) {
       ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-      ASSERT_TRUE(catalog.Insert(name, *std::move(tree)).ok());
+      ASSERT_TRUE(scheduler.Insert(name, *std::move(tree)).ok());
     };
     insert("deep", RandomAndXorTree(opts, &rng));
     insert("bid", RandomBid(opts, &rng));
     insert("ti", RandomTupleIndependent(8, &rng));
     insert("fixed", Tree(kTreeText));
     // Warm the cache so the snapshot carries distribution sections too.
-    for (const std::string& name : {"deep", "bid", "ti", "fixed"}) {
+    for (const char* name : {"deep", "bid", "ti", "fixed"}) {
       ASSERT_TRUE(scheduler.ExecuteOne(TopKRequest(name, 3)).ok());
     }
 
-    const CatalogSnapshot original = BuildCatalogSnapshot(catalog, &scheduler);
+    const CatalogSnapshot original =
+        scheduler.BuildSnapshot(/*include_distributions=*/true);
     ASSERT_EQ(original.trees.size(), 4u);
     ASSERT_EQ(original.distributions.size(), 4u);
     const std::string bytes = EncodeCatalogSnapshot(original);
@@ -530,43 +530,87 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
       EXPECT_EQ(decoded->trees[i].name, original.trees[i].name);
     }
 
-    // Installing into a fresh catalog + scheduler reproduces the state:
-    // same entries, and a snapshot saved from the restored service is the
-    // same file again (save -> load -> install -> save, still identical).
-    Engine engine2(TestEngineOptions());
-    TreeCatalog restored;
-    QueryScheduler scheduler2(&engine2, &restored);
-    ASSERT_TRUE(
-        InstallCatalogSnapshot(*decoded, &restored, &scheduler2).ok());
-    EXPECT_EQ(restored.size(), catalog.size());
-    EXPECT_EQ(EncodeCatalogSnapshot(BuildCatalogSnapshot(restored,
-                                                         &scheduler2)),
+    // Installing into a fresh service reproduces the state: same entries,
+    // and a snapshot saved from the restored service is the same file
+    // again (save -> load -> install -> save, still identical).
+    ShardedScheduler restored(1, TestEngineOptions());
+    ASSERT_TRUE(restored.InstallSnapshot(*decoded).ok());
+    EXPECT_EQ(Counts(&restored).names, Counts(&scheduler).names);
+    EXPECT_EQ(EncodeCatalogSnapshot(
+                  restored.BuildSnapshot(/*include_distributions=*/true)),
               bytes);
   }
 }
 
-// Install reuses InsertCanonical, so its conflict semantics are the
-// catalog's own: identical content re-installs idempotently; a name bound
-// to different content fails with AlreadyExists.
+// Install takes the routed insert every load takes, so its conflict
+// semantics are the catalog's own: identical content re-installs
+// idempotently; a name bound to different content fails with
+// AlreadyExists.
 TEST(CatalogSnapshotRoundTripTest, InstallSemanticsMatchLineByLineLoads) {
   LiveService live(/*with_distributions=*/false);
   const CatalogSnapshot snapshot = live.Snapshot(false);
 
   // Idempotent onto itself.
-  EXPECT_TRUE(
-      InstallCatalogSnapshot(snapshot, &live.catalog, nullptr).ok());
-  EXPECT_EQ(live.catalog.size(), 2u);
+  EXPECT_TRUE(live.scheduler.InstallSnapshot(snapshot).ok());
+  EXPECT_EQ(Counts(&live.scheduler).names, 2);
 
   // Rebind conflict: the same error Insert reports, byte for byte.
-  TreeCatalog conflicted;
+  ShardedScheduler conflicted(1, TestEngineOptions());
   ASSERT_TRUE(conflicted.Insert("a", Tree(kOtherTreeText)).ok());
-  Status install =
-      InstallCatalogSnapshot(snapshot, &conflicted, nullptr);
+  Status install = conflicted.InstallSnapshot(snapshot);
   Result<CatalogEntry> direct = conflicted.Insert("a", Tree(kTreeText));
   ASSERT_FALSE(install.ok());
   ASSERT_FALSE(direct.ok());
   EXPECT_EQ(install.code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(install.message(), direct.status().message());
+}
+
+// An in-memory snapshot — BuildSnapshot handed straight to InstallSnapshot,
+// no encode/decode in between — carries each tree in its canonical
+// orientation. Install must still bind every name under the record's own
+// content bytes and fingerprint: re-loading the original non-canonical
+// content is then idempotent, and op=load echoes the original fingerprint.
+TEST(CatalogSnapshotRoundTripTest, InMemoryInstallKeepsTheWireIdentity) {
+  const AndXorTree ab = Tree(
+      "(and (xor 0.6 (leaf key=1 score=8) 0.3 (leaf key=1 score=5))"
+      " (xor 0.7 (leaf key=2 score=9)))");
+  const AndXorTree ba = Tree(
+      "(and (xor 0.7 (leaf key=2 score=9))"
+      " (xor 0.6 (leaf key=1 score=8) 0.3 (leaf key=1 score=5)))");
+  const std::string canon_text =
+      FormatTree(*CanonicalizeTree(ab), /*indent=*/false);
+  const AndXorTree& permuted =
+      FormatTree(ab, /*indent=*/false) == canon_text ? ba : ab;
+  ASSERT_NE(FormatTree(permuted, /*indent=*/false), canon_text);
+  const std::string path = ::testing::TempDir() + "/permuted.sexp";
+  ASSERT_TRUE(
+      WriteStringToFile(path, FormatTree(permuted, /*indent=*/false)).ok());
+  ServiceRequest load;
+  load.op = ServiceRequest::Op::kLoad;
+  load.load_name = "t";
+  load.load_file = path;
+
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedScheduler source(shards, TestEngineOptions());
+    Result<CatalogEntry> original = source.Insert("t", permuted);
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    const CatalogSnapshot snapshot =
+        source.BuildSnapshot(/*include_distributions=*/false);
+
+    ShardedScheduler restored(shards, TestEngineOptions());
+    ASSERT_TRUE(restored.InstallSnapshot(snapshot).ok());
+    Result<CatalogEntry> reloaded = restored.Insert("t", permuted);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(reloaded->content_fp, original->content_fp);
+    Result<ServiceResponse> echoed = restored.ExecuteOne(load);
+    ASSERT_TRUE(echoed.ok()) << echoed.status().ToString();
+    EXPECT_EQ(echoed->fingerprint, original->content_fp);
+    // The restored service saves the snapshot it was given.
+    EXPECT_EQ(EncodeCatalogSnapshot(
+                  restored.BuildSnapshot(/*include_distributions=*/false)),
+              EncodeCatalogSnapshot(snapshot));
+  }
 }
 
 // Seeded distributions are bitwise the ones the engine would compute: a
@@ -581,7 +625,8 @@ TEST(CatalogSnapshotRoundTripTest, LoadedDistributionsAreBitwiseExact) {
   ASSERT_EQ(decoded->distributions.size(), 2u);
   for (const SnapshotDistribution& dist : decoded->distributions) {
     std::shared_ptr<const RankDistribution> retained;
-    for (const auto& entry : live.scheduler.RetainedRankDistributions()) {
+    for (const SnapshotDistribution& entry :
+         live.Snapshot(true).distributions) {
       if (entry.struct_key == dist.struct_key && entry.k == dist.k) {
         retained = entry.dist;
       }
@@ -652,7 +697,7 @@ std::string EncodeV1Snapshot(
   return out;
 }
 
-// A v1 file loads through the same decode + InsertCanonical seam, with
+// A v1 file loads through the same decode + install seam, with
 // structural keys recomputed from the stored content. Distributions keyed
 // by content fingerprint remap to their tree's StructKey only when the
 // stored orientation is already canonical; a non-canonical orientation's
@@ -701,11 +746,9 @@ TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
 
   // Installing lands both names on one shared shape, with the persisted
   // fold pre-seeded for it.
-  Engine engine(TestEngineOptions());
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
-  ASSERT_TRUE(InstallCatalogSnapshot(*decoded, &catalog, &scheduler).ok());
-  const CatalogCounts counts = catalog.Counts();
+  ShardedScheduler scheduler(1, TestEngineOptions());
+  ASSERT_TRUE(scheduler.InstallSnapshot(*decoded).ok());
+  const CatalogCounts counts = Counts(&scheduler);
   EXPECT_EQ(counts.names, 2);
   EXPECT_EQ(counts.contents, 2);
   EXPECT_EQ(counts.shapes, 1);
@@ -713,8 +756,8 @@ TEST(CatalogSnapshotV1CompatTest, V1FilesLoadWithRecomputedKeys) {
 
   // Re-saving writes the current version; the upgraded file round-trips
   // byte-identically from then on.
-  const std::string upgraded =
-      EncodeCatalogSnapshot(BuildCatalogSnapshot(catalog, &scheduler));
+  const std::string upgraded = EncodeCatalogSnapshot(
+      scheduler.BuildSnapshot(/*include_distributions=*/true));
   Result<CatalogSnapshot> reloaded =
       DecodeCatalogSnapshot(upgraded.data(), upgraded.size());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();

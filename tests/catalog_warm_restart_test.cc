@@ -33,9 +33,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "service/catalog_snapshot.h"
-#include "service/query_scheduler.h"
 #include "service/sharded_scheduler.h"
-#include "service/tree_catalog.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -169,24 +167,28 @@ class CatalogWarmRestartTest : public ::testing::Test {
   }
 
   // The cold path: feed every tree line-by-line (Insert, the seam op=load
-  // ends in) into whichever back end is given.
-  void SeedCold(TreeCatalog* catalog, ShardedScheduler* sharded) const {
+  // ends in).
+  void SeedCold(ShardedScheduler* scheduler) const {
     for (size_t i = 0; i < trees_.size(); ++i) {
-      if (catalog != nullptr) {
-        ASSERT_TRUE(catalog->Insert(names_[i], trees_[i]).ok());
-      }
-      if (sharded != nullptr) {
-        ASSERT_TRUE(sharded->Insert(names_[i], trees_[i]).ok());
-      }
+      ASSERT_TRUE(scheduler->Insert(names_[i], trees_[i]).ok());
     }
   }
 
   // Saves a trees-only snapshot (cold caches) of the full tree set.
   void SaveTreesOnlySnapshot() const {
-    TreeCatalog catalog;
-    SeedCold(&catalog, nullptr);
+    ShardedScheduler scheduler(1, ReferenceEngineOptions());
+    SeedCold(&scheduler);
     ASSERT_TRUE(WriteCatalogSnapshotFile(
-                    snapshot_path_, BuildCatalogSnapshot(catalog, nullptr))
+                    snapshot_path_,
+                    scheduler.BuildSnapshot(/*include_distributions=*/false))
+                    .ok());
+  }
+
+  // Saves a snapshot with the rank distributions `scheduler` retains.
+  void SaveSnapshotWithDistributions(const ShardedScheduler& scheduler) const {
+    ASSERT_TRUE(WriteCatalogSnapshotFile(
+                    snapshot_path_,
+                    scheduler.BuildSnapshot(/*include_distributions=*/true))
                     .ok());
   }
 
@@ -202,47 +204,62 @@ class CatalogWarmRestartTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Single scheduler: warm vs cold, full byte parity (stats included)
+// Trees-only snapshots: warm vs cold, full byte parity (stats included)
 // ---------------------------------------------------------------------------
 
 // A trees-only snapshot restores a service whose *entire wire transcript* —
 // answers, error lines, and stats lines — is byte-identical to a cold
-// service fed the same trees line-by-line, on both load paths, batch and
-// streaming, cold and re-run warm.
-TEST_F(CatalogWarmRestartTest, TreesOnlySnapshotIsByteIdenticalToColdStart) {
+// service of the same shard count fed the same trees line-by-line, on both
+// load paths, cold and re-run warm; and answers match the one-shard
+// reference at every shard count.
+TEST_F(CatalogWarmRestartTest, ShardedWarmStartMatchesColdAcrossShardCounts) {
   SaveTreesOnlySnapshot();
   const std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
-  Engine cold_engine(ReferenceEngineOptions());
-  TreeCatalog cold_catalog;
-  QueryScheduler cold(&cold_engine, &cold_catalog);
-  SeedCold(&cold_catalog, nullptr);
-  auto want_first = cold.ExecuteBatch(batch);
-  auto want_second = cold.ExecuteBatch(batch);
+  // The one-shard cold service anchors answer parity across every
+  // configuration. Its stats lines are excluded from that comparison —
+  // stats at N >= 2 carry the per-shard breakdown fields by design — so
+  // the stats bytes are pinned by the like-for-like comparison below.
+  ShardedScheduler reference(1, ReferenceEngineOptions());
+  SeedCold(&reference);
+  auto want_first = reference.ExecuteBatch(batch);
+  auto want_second = reference.ExecuteBatch(batch);
 
-  for (bool mmap : {false, true}) {
-    const std::string label = mmap ? "mmap" : "read";
-    Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    Engine warm_engine(ReferenceEngineOptions());
-    TreeCatalog warm_catalog;
-    QueryScheduler warm(&warm_engine, &warm_catalog);
-    ASSERT_TRUE(
-        InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
-    EXPECT_EQ(warm_catalog.size(), trees_.size());
-    // No distribution sections => the restored cache is exactly as cold as
-    // a fresh one, so even hit/miss counters must match byte-for-byte.
-    ExpectSameWire(warm.ExecuteBatch(batch), want_first,
-                   /*compare_stats=*/true, label + " first batch");
-    ExpectSameWire(warm.ExecuteBatch(batch), want_second,
-                   /*compare_stats=*/true, label + " second batch");
+  for (int shards : {1, 2, 4}) {
+    // Like-for-like cold service: same shard count, trees fed line-by-line.
+    // Against this reference the warm transcript must be byte-identical in
+    // full, per-shard stats fields included.
+    ShardedScheduler cold(shards, ReferenceEngineOptions());
+    SeedCold(&cold);
+    auto cold_first = cold.ExecuteBatch(batch);
+    auto cold_second = cold.ExecuteBatch(batch);
+    ExpectSameWire(cold_first, want_first, /*compare_stats=*/false,
+                   "cold shards=" + std::to_string(shards));
+
+    for (bool mmap : {false, true}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                (mmap ? " mmap" : " read");
+      Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      ShardedScheduler warm(shards, ReferenceEngineOptions());
+      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+      EXPECT_EQ(warm.ExecuteOne(StatsRequest())->catalog.names,
+                static_cast<int64_t>(trees_.size()))
+          << label;
+      // No distribution sections => the restored caches are exactly as
+      // cold as fresh ones, so even hit/miss counters match byte-for-byte.
+      ExpectSameWire(warm.ExecuteBatch(batch), cold_first,
+                     /*compare_stats=*/true, label + " first");
+      ExpectSameWire(warm.ExecuteBatch(batch), cold_second,
+                     /*compare_stats=*/true, label + " second");
+    }
   }
 }
 
 TEST_F(CatalogWarmRestartTest, StreamingTranscriptMatchesColdStart) {
   SaveTreesOnlySnapshot();
   const std::vector<ServiceRequest> requests = DifferentialBatch(names_);
-  auto stream_through = [&requests](QueryScheduler* scheduler) {
+  auto stream_through = [&requests](ShardedScheduler* scheduler) {
     std::vector<Result<ServiceResponse>> responses;
     size_t cursor = 0;
     scheduler->ExecuteStreaming(
@@ -257,89 +274,36 @@ TEST_F(CatalogWarmRestartTest, StreamingTranscriptMatchesColdStart) {
     return responses;
   };
 
-  Engine cold_engine(ReferenceEngineOptions());
-  TreeCatalog cold_catalog;
-  QueryScheduler cold(&cold_engine, &cold_catalog);
-  SeedCold(&cold_catalog, nullptr);
+  ShardedScheduler cold(1, ReferenceEngineOptions());
+  SeedCold(&cold);
   auto want = stream_through(&cold);
 
   for (bool mmap : {false, true}) {
     Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
     ASSERT_TRUE(snapshot.ok());
-    Engine warm_engine(ReferenceEngineOptions());
-    TreeCatalog warm_catalog;
-    QueryScheduler warm(&warm_engine, &warm_catalog);
-    ASSERT_TRUE(
-        InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
+    ShardedScheduler warm(1, ReferenceEngineOptions());
+    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
     ExpectSameWire(stream_through(&warm), want, /*compare_stats=*/true,
                    mmap ? "streaming mmap" : "streaming read");
   }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded: warm vs cold across shard counts, both load paths
-// ---------------------------------------------------------------------------
-
-TEST_F(CatalogWarmRestartTest, ShardedWarmStartMatchesColdAcrossShardCounts) {
-  SaveTreesOnlySnapshot();
-  const std::vector<ServiceRequest> batch = DifferentialBatch(names_);
-
-  // The single-engine cold service anchors answer parity across every
-  // configuration. Its stats lines are excluded from that comparison —
-  // sharded stats carry the per-shard breakdown fields by design — so the
-  // stats bytes are pinned by the like-for-like comparison below instead.
-  Engine reference_engine(ReferenceEngineOptions());
-  TreeCatalog reference_catalog;
-  QueryScheduler reference(&reference_engine, &reference_catalog);
-  SeedCold(&reference_catalog, nullptr);
-  auto want_first = reference.ExecuteBatch(batch);
-  auto want_second = reference.ExecuteBatch(batch);
-
-  for (int shards : {1, 2, 4}) {
-    // Like-for-like cold service: same shard count, trees fed line-by-line.
-    // Against this reference the warm transcript must be byte-identical in
-    // full, per-shard stats fields included.
-    ShardedScheduler cold(shards, ReferenceEngineOptions());
-    SeedCold(nullptr, &cold);
-    auto cold_first = cold.ExecuteBatch(batch);
-    auto cold_second = cold.ExecuteBatch(batch);
-    ExpectSameWire(cold_first, want_first, /*compare_stats=*/false,
-                   "cold shards=" + std::to_string(shards));
-
-    for (bool mmap : {false, true}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                (mmap ? " mmap" : " read");
-      Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      ShardedScheduler warm(shards, ReferenceEngineOptions());
-      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-      ExpectSameWire(warm.ExecuteBatch(batch), cold_first,
-                     /*compare_stats=*/true, label + " first");
-      ExpectSameWire(warm.ExecuteBatch(batch), cold_second,
-                     /*compare_stats=*/true, label + " second");
-    }
-  }
-}
-
-// A snapshot saved from a sharded service equals the snapshot saved from
-// the single-engine service, byte for byte, for every shard count — the
-// file is a pure function of the logical serving state.
+// A snapshot saved at any shard count equals the one-shard snapshot, byte
+// for byte — the file is a pure function of the logical serving state.
 TEST_F(CatalogWarmRestartTest, SavedBytesAreIndependentOfShardCount) {
   const std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
-  Engine single_engine(ReferenceEngineOptions());
-  TreeCatalog single_catalog;
-  QueryScheduler single(&single_engine, &single_catalog);
-  SeedCold(&single_catalog, nullptr);
+  ShardedScheduler single(1, ReferenceEngineOptions());
+  SeedCold(&single);
   for (const auto& result : single.ExecuteBatch(batch)) {
     (void)result;  // warm the caches; per-slot failures are part of the mix
   }
   const std::string want_bytes = EncodeCatalogSnapshot(
-      BuildCatalogSnapshot(single_catalog, &single));
+      single.BuildSnapshot(/*include_distributions=*/true));
 
   for (int shards : {1, 2, 4}) {
     ShardedScheduler sharded(shards, ReferenceEngineOptions());
-    SeedCold(nullptr, &sharded);
+    SeedCold(&sharded);
     sharded.ExecuteBatch(batch);
     EXPECT_EQ(EncodeCatalogSnapshot(
                   sharded.BuildSnapshot(/*include_distributions=*/true)),
@@ -359,18 +323,14 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
   const std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
   // Cold run, twice: the second pass is what a warmed cache should mimic.
-  Engine cold_engine(ReferenceEngineOptions());
-  TreeCatalog cold_catalog;
-  QueryScheduler cold(&cold_engine, &cold_catalog);
-  SeedCold(&cold_catalog, nullptr);
+  ShardedScheduler cold(1, ReferenceEngineOptions());
+  SeedCold(&cold);
   auto want_cold = cold.ExecuteBatch(batch);
-  ASSERT_TRUE(WriteCatalogSnapshotFile(
-                  snapshot_path_, BuildCatalogSnapshot(cold_catalog, &cold))
-                  .ok());
+  SaveSnapshotWithDistributions(cold);
   const CacheStats after_cold = cold.cache_stats();
   ASSERT_GT(after_cold.misses, 0);
 
-  for (int shards : {0, 1, 2, 4}) {  // 0 = the single-engine scheduler
+  for (int shards : {1, 2, 4}) {
     for (bool mmap : {false, true}) {
       const std::string label = "shards=" + std::to_string(shards) +
                                 (mmap ? " mmap" : " read");
@@ -379,30 +339,16 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
       ASSERT_EQ(snapshot->distributions.size(),
                 static_cast<size_t>(after_cold.entries));
 
-      std::vector<Result<ServiceResponse>> got;
-      CacheStats warm_stats;
-      if (shards == 0) {
-        Engine warm_engine(ReferenceEngineOptions());
-        TreeCatalog warm_catalog;
-        QueryScheduler warm(&warm_engine, &warm_catalog);
-        ASSERT_TRUE(
-            InstallCatalogSnapshot(*snapshot, &warm_catalog, &warm).ok());
-        // Seeding provisions the cache without pretending to be traffic:
-        // entries and bytes are charged, counters stay zero.
-        EXPECT_EQ(warm.cache_stats().entries, after_cold.entries);
-        EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes);
-        EXPECT_EQ(warm.cache_stats().hits, 0);
-        EXPECT_EQ(warm.cache_stats().misses, 0);
-        got = warm.ExecuteBatch(batch);
-        warm_stats = warm.cache_stats();
-      } else {
-        ShardedScheduler warm(shards, ReferenceEngineOptions());
-        ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-        EXPECT_EQ(warm.cache_stats().entries, after_cold.entries);
-        EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes);
-        got = warm.ExecuteBatch(batch);
-        warm_stats = warm.cache_stats();
-      }
+      ShardedScheduler warm(shards, ReferenceEngineOptions());
+      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+      // Seeding provisions the cache without pretending to be traffic:
+      // entries and bytes are charged, counters stay zero.
+      EXPECT_EQ(warm.cache_stats().entries, after_cold.entries) << label;
+      EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes) << label;
+      EXPECT_EQ(warm.cache_stats().hits, 0) << label;
+      EXPECT_EQ(warm.cache_stats().misses, 0) << label;
+      std::vector<Result<ServiceResponse>> got = warm.ExecuteBatch(batch);
+      const CacheStats warm_stats = warm.cache_stats();
 
       // Answers (and error lines) byte-identical; stats lines excluded —
       // their difference is the feature under test, asserted directly:
@@ -421,24 +367,18 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
 // cold), and a zero budget retains nothing.
 TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
   const std::vector<ServiceRequest> batch = DifferentialBatch(names_);
-  Engine cold_engine(ReferenceEngineOptions());
-  TreeCatalog cold_catalog;
-  QueryScheduler cold(&cold_engine, &cold_catalog);
-  SeedCold(&cold_catalog, nullptr);
+  ShardedScheduler cold(1, ReferenceEngineOptions());
+  SeedCold(&cold);
   auto want = cold.ExecuteBatch(batch);
-  ASSERT_TRUE(WriteCatalogSnapshotFile(
-                  snapshot_path_, BuildCatalogSnapshot(cold_catalog, &cold))
-                  .ok());
+  SaveSnapshotWithDistributions(cold);
 
   Result<CatalogSnapshot> snapshot = LoadSnapshot(false);
   ASSERT_TRUE(snapshot.ok());
   for (int64_t budget : {int64_t{0}, int64_t{700}}) {
     SchedulerOptions options;
     options.cache_budget_bytes = budget;
-    Engine engine(ReferenceEngineOptions());
-    TreeCatalog catalog;
-    QueryScheduler warm(&engine, &catalog, options);
-    ASSERT_TRUE(InstallCatalogSnapshot(*snapshot, &catalog, &warm).ok());
+    ShardedScheduler warm(1, ReferenceEngineOptions(), options);
+    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
     EXPECT_LE(warm.cache_stats().bytes, budget);
     ExpectSameWire(warm.ExecuteBatch(batch), want, /*compare_stats=*/false,
                    "budget=" + std::to_string(budget));
@@ -455,10 +395,8 @@ TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
 // watches the directory mutex, shard catalogs, and cache seeding.
 TEST_F(CatalogWarmRestartTest, QueriesDuringInstallSeeNotFoundOrExactAnswer) {
   // Snapshot with distributions, so the install also races cache seeding.
-  Engine cold_engine(ReferenceEngineOptions());
-  TreeCatalog cold_catalog;
-  QueryScheduler cold(&cold_engine, &cold_catalog);
-  SeedCold(&cold_catalog, nullptr);
+  ShardedScheduler cold(1, ReferenceEngineOptions());
+  SeedCold(&cold);
   const std::vector<ServiceRequest> probe = {
       TopKRequest(names_[0], 3, TopKMetric::kSymDiff),
       TopKRequest(names_[3], 2, TopKMetric::kKendall),
@@ -467,9 +405,7 @@ TEST_F(CatalogWarmRestartTest, QueriesDuringInstallSeeNotFoundOrExactAnswer) {
   auto want = cold.ExecuteBatch(probe);
   for (const auto& slot : want) ASSERT_TRUE(slot.ok());
   const std::vector<std::string> want_lines = WireLines(want);
-  ASSERT_TRUE(WriteCatalogSnapshotFile(
-                  snapshot_path_, BuildCatalogSnapshot(cold_catalog, &cold))
-                  .ok());
+  SaveSnapshotWithDistributions(cold);
   Result<CatalogSnapshot> snapshot = LoadSnapshot(true);
   ASSERT_TRUE(snapshot.ok());
 

@@ -561,9 +561,10 @@ TEST_F(CliTest, ServeStreamingAnswersInInputOrder) {
   EXPECT_EQ(lines[3], batch_lines[3]);
 }
 
-// serve --shards=N: answers bitwise identical to --shards=1 and to the
-// default single scheduler for every op, in both execution modes; op=stats
-// keeps identical aggregate totals and adds the per-shard breakdown.
+// serve --shards=N: answers bitwise identical to the default (one shard)
+// for every op, in both execution modes; op=stats keeps identical aggregate
+// totals and, at N >= 2 only, adds the per-shard breakdown — so
+// --shards=1 reproduces the default transcript byte for byte.
 TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
   std::string requests_path = ::testing::TempDir() + "/cli_shard_req.txt";
   ASSERT_TRUE(WriteStringToFile(
@@ -582,10 +583,13 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
                   .ok());
   CliResult plain = RunCliArgs({"serve", requests_path, "--threads=2"});
   ASSERT_EQ(plain.code, 1);  // the op=topk tree=nope slot fails in-band
+  CliResult plain_stream =
+      RunCliArgs({"serve", requests_path, "--threads=2", "--stream"});
+  ASSERT_EQ(plain_stream.code, 1);
 
   // Everything except the trailing stats line must be byte-identical
-  // across the default scheduler and every shard count, in batch and
-  // streaming modes alike.
+  // across the default and every shard count, in batch and streaming
+  // modes alike.
   auto lines_before_stats = [](const std::string& out) {
     return out.substr(0, out.find("ok\top=stats"));
   };
@@ -601,9 +605,14 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
     ASSERT_EQ(streamed.code, 1) << flag << " --stream: " << streamed.err;
     EXPECT_EQ(lines_before_stats(streamed.out), lines_before_stats(plain.out))
         << flag << " --stream";
+    if (shards == 1) {
+      // One shard is the default: whole transcripts, stats line included.
+      EXPECT_EQ(sharded.out, plain.out);
+      EXPECT_EQ(streamed.out, plain_stream.out);
+    }
 
-    // Aggregate stats totals equal the unsharded scheduler's counters;
-    // the breakdown names the shard layout and sums to the totals.
+    // Aggregate stats totals equal the default's counters; at N >= 2 the
+    // breakdown names the shard layout and sums to the totals.
     ResponseLine plain_stats = FindResponse(plain.out, {{"op", "stats"}});
     ResponseLine shard_stats = FindResponse(sharded.out, {{"op", "stats"}});
     for (const char* field : {"hits", "misses", "coalesced", "entries",
@@ -612,6 +621,12 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
       ASSERT_NE(shard_stats.Find(field), nullptr) << field;
       EXPECT_EQ(*shard_stats.Find(field), *plain_stats.Find(field))
           << flag << " " << field;
+    }
+    if (shards == 1) {
+      // One shard's breakdown would only repeat the totals: none rendered.
+      EXPECT_EQ(shard_stats.Find("shards"), nullptr);
+      EXPECT_EQ(shard_stats.Find("s0_misses"), nullptr);
+      continue;
     }
     ASSERT_NE(shard_stats.Find("shards"), nullptr);
     EXPECT_EQ(*shard_stats.Find("shards"), std::to_string(shards));
@@ -623,7 +638,7 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
       breakdown_misses += std::stoll(*part);
     }
     EXPECT_EQ(std::to_string(breakdown_misses), *shard_stats.Find("misses"));
-    // The default scheduler's line carries no shard fields at all.
+    // The default's line carries no shard fields at all.
     EXPECT_EQ(plain_stats.Find("shards"), nullptr);
   }
 

@@ -21,10 +21,10 @@
 #include <vector>
 
 #include "io/request_protocol.h"
+#include "io/tree_text.h"
 #include "obs/clock.h"
 #include "obs/histogram.h"
-#include "service/query_scheduler.h"
-#include "service/tree_catalog.h"
+#include "service/sharded_scheduler.h"
 
 namespace cpdb {
 namespace {
@@ -476,13 +476,10 @@ std::vector<std::string> RunTracedWorkload() {
 
   EngineOptions engine_options;
   engine_options.num_threads = 1;
-  Engine engine(engine_options);
-  TreeCatalog catalog;
-  EXPECT_TRUE(catalog.InsertFromText("t", kTreeText).ok());
-
   SchedulerOptions options;
   options.clock = &clock;
-  QueryScheduler scheduler(&engine, &catalog, options);
+  ShardedScheduler scheduler(1, engine_options, options);
+  EXPECT_TRUE(scheduler.Insert("t", *ParseTree(kTreeText)).ok());
 
   std::vector<std::string> lines;
   for (const Result<ServiceResponse>& result :
@@ -519,13 +516,11 @@ TEST(TraceDeterminismTest, TraceNeverChangesAnswerBytes) {
 
   auto run = [&](bool trace, bool enable_metrics) {
     FakeClock clock(42);
-    Engine engine(engine_options);
-    TreeCatalog catalog;
-    EXPECT_TRUE(catalog.InsertFromText("t", kTreeText).ok());
     SchedulerOptions options;
     options.clock = &clock;
     options.enable_metrics = enable_metrics;
-    QueryScheduler scheduler(&engine, &catalog, options);
+    ShardedScheduler scheduler(1, engine_options, options);
+    EXPECT_TRUE(scheduler.Insert("t", *ParseTree(kTreeText)).ok());
 
     std::vector<ServiceRequest> requests = TraceWorkload();
     requests.pop_back();  // drop op=metrics: it errors when disabled
@@ -565,12 +560,10 @@ TEST(TraceDeterminismTest, FixedFakeClockYieldsZeroSpans) {
   FakeClock clock(999);
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  Engine engine(engine_options);
-  TreeCatalog catalog;
-  ASSERT_TRUE(catalog.InsertFromText("t", kTreeText).ok());
   SchedulerOptions options;
   options.clock = &clock;
-  QueryScheduler scheduler(&engine, &catalog, options);
+  ShardedScheduler scheduler(1, engine_options, options);
+  ASSERT_TRUE(scheduler.Insert("t", *ParseTree(kTreeText)).ok());
 
   auto results = scheduler.ExecuteBatch(TraceWorkload());
   ASSERT_EQ(results.size(), 4u);

@@ -1,7 +1,7 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // The op-pipeline differential suite. The OpRegistry is the single table
-// the protocol parser, both schedulers, the instruments, and the wire
+// the protocol parser, the scheduler, the instruments, and the wire
 // formatter walk; this file pins the properties that make that table safe
 // to extend:
 //
@@ -33,8 +33,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
-#include "service/query_scheduler.h"
-#include "service/tree_catalog.h"
+#include "service/sharded_scheduler.h"
 #include "tools/cli_lib.h"
 #include "workload/generators.h"
 
@@ -553,11 +552,9 @@ TEST(EngineExpectedRanksTest, BitwiseEqualToTheSequentialCoreFold) {
 }
 
 TEST(OpPipelineCacheTest, RepeatedAnalyticsFoldMarginalsOnce) {
-  Engine engine;
-  TreeCatalog catalog;
-  QueryScheduler scheduler(&engine, &catalog);
+  ShardedScheduler scheduler(1, EngineOptions());
   ASSERT_TRUE(
-      catalog.Insert("lab", *CanonicalizeTree(*ParseTree(kLabeledTreeText)))
+      scheduler.Insert("lab", *CanonicalizeTree(*ParseTree(kLabeledTreeText)))
           .ok());
   ServiceRequest marginals;
   marginals.op = ServiceRequest::Op::kMarginals;

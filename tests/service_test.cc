@@ -7,12 +7,13 @@
 // counts. The cache stores a value the engine computes deterministically,
 // so memoization must be observable only in the CacheStats counters.
 
-#include "service/query_scheduler.h"
+#include "service/sharded_scheduler.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,10 +299,10 @@ TEST(ServiceRequestTest, GarbageNeverBecomesADefault) {
 }
 
 // ---------------------------------------------------------------------------
-// QueryScheduler — parity and dedup
+// The serve scheduler (one shard) — parity and dedup
 // ---------------------------------------------------------------------------
 
-class QuerySchedulerTest : public ::testing::Test {
+class SchedulerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(catalog_.InsertFromText("t", kTreeText).ok());
@@ -310,6 +311,17 @@ class QuerySchedulerTest : public ::testing::Test {
     // deep_ are then bitwise comparable with scheduler answers.
     deep_ = *CanonicalizeTree(RandomDeepTree(101));
     ASSERT_TRUE(catalog_.Insert("deep", deep_).ok());
+  }
+
+  // A one-shard front end holding the fixture's two trees.
+  std::unique_ptr<ShardedScheduler> MakeScheduler(
+      const EngineOptions& engine_options = EngineOptions(),
+      const SchedulerOptions& options = SchedulerOptions()) const {
+    auto scheduler =
+        std::make_unique<ShardedScheduler>(1, engine_options, options);
+    EXPECT_TRUE(scheduler->Insert("t", *ParseTree(kTreeText)).ok());
+    EXPECT_TRUE(scheduler->Insert("deep", deep_).ok());
+    return scheduler;
   }
 
   static ServiceRequest TopKRequest(const std::string& tree, int k,
@@ -324,6 +336,7 @@ class QuerySchedulerTest : public ::testing::Test {
     return request;
   }
 
+  // The reference catalog: direct engine calls read their trees here.
   TreeCatalog catalog_;
   AndXorTree deep_;
 };
@@ -331,7 +344,7 @@ class QuerySchedulerTest : public ::testing::Test {
 // The acceptance-criteria test: for all four metrics on one catalog tree,
 // answers must be bitwise identical with the cache cold, warm, and
 // disabled — and equal to direct one-at-a-time engine calls.
-TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
+TEST_F(SchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
   const int k = 3;
   const TopKMetric kMetrics[] = {TopKMetric::kSymDiff,
                                  TopKMetric::kIntersection,
@@ -346,14 +359,14 @@ TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
   engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
 
-  QueryScheduler cached(&engine, &catalog_);
+  auto cached = MakeScheduler(engine_options);
   SchedulerOptions no_cache;
   no_cache.use_cache = false;
-  QueryScheduler uncached(&engine, &catalog_, no_cache);
+  auto uncached = MakeScheduler(engine_options, no_cache);
 
-  auto cold = cached.ExecuteBatch(batch);   // cache cold: all misses
-  auto warm = cached.ExecuteBatch(batch);   // cache warm: all hits
-  auto direct = uncached.ExecuteBatch(batch);
+  auto cold = cached->ExecuteBatch(batch);   // cache cold: all misses
+  auto warm = cached->ExecuteBatch(batch);   // cache warm: all hits
+  auto direct = uncached->ExecuteBatch(batch);
   ASSERT_EQ(cold.size(), batch.size());
 
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -375,18 +388,18 @@ TEST_F(QuerySchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
 
   // The counters tell the sharing story: 4 queries on one (tree, k) cost
   // one fold cold (1 miss + 3 hits), zero folds warm (4 more hits).
-  CacheStats stats = cached.cache_stats();
+  CacheStats stats = cached->cache_stats();
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 7);
   EXPECT_EQ(stats.entries, 1);
-  CacheStats untouched = uncached.cache_stats();
+  CacheStats untouched = uncached->cache_stats();
   EXPECT_EQ(untouched.hits + untouched.misses, 0);
 }
 
 // A heterogeneous batch (two trees, mixed k / metric / answer, an unknown
 // tree, a bad k) must return per-slot exactly what one-at-a-time engine
 // calls return, failures isolated to their slot.
-TEST_F(QuerySchedulerTest, BatchMatchesOneAtATimeEngineAnswers) {
+TEST_F(SchedulerTest, BatchMatchesOneAtATimeEngineAnswers) {
   std::vector<ServiceRequest> batch = {
       TopKRequest("t", 2, TopKMetric::kSymDiff),
       TopKRequest("deep", 3, TopKMetric::kSymDiff, TopKAnswer::kMedian),
@@ -401,8 +414,8 @@ TEST_F(QuerySchedulerTest, BatchMatchesOneAtATimeEngineAnswers) {
   engine_options.num_threads = 4;
   engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
-  QueryScheduler scheduler(&engine, &catalog_);
-  auto results = scheduler.ExecuteBatch(batch);
+  auto scheduler = MakeScheduler(engine_options);
+  auto results = scheduler->ExecuteBatch(batch);
   ASSERT_EQ(results.size(), batch.size());
 
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -424,15 +437,15 @@ TEST_F(QuerySchedulerTest, BatchMatchesOneAtATimeEngineAnswers) {
   }
 }
 
-TEST_F(QuerySchedulerTest, WorldRequestsMatchEngineSetConsensus) {
+TEST_F(SchedulerTest, WorldRequestsMatchEngineSetConsensus) {
   ServiceRequest mean;
   mean.op = ServiceRequest::Op::kWorld;
   mean.tree_name = "deep";
   ServiceRequest median = mean;
   median.median_world = true;
   Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
-  auto results = scheduler.ExecuteBatch({mean, median});
+  auto scheduler = MakeScheduler();
+  auto results = scheduler->ExecuteBatch({mean, median});
   ASSERT_TRUE(results[0].ok());
   ASSERT_TRUE(results[1].ok());
 
@@ -455,7 +468,7 @@ TEST_F(QuerySchedulerTest, WorldRequestsMatchEngineSetConsensus) {
 
 // Scheduler answers must be bitwise identical for any engine thread count —
 // the serving layer adds no scheduling dependence of its own.
-TEST_F(QuerySchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
+TEST_F(SchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
   std::vector<ServiceRequest> batch = {
       TopKRequest("deep", 3, TopKMetric::kSymDiff),
       TopKRequest("deep", 3, TopKMetric::kKendall),
@@ -468,9 +481,7 @@ TEST_F(QuerySchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
     engine_options.use_fast_bid_path = false;
-    Engine engine(engine_options);
-    QueryScheduler scheduler(&engine, &catalog_);
-    auto results = scheduler.ExecuteBatch(batch);
+    auto results = MakeScheduler(engine_options)->ExecuteBatch(batch);
     if (threads == 1) {
       reference = std::move(results);
       continue;
@@ -488,21 +499,20 @@ TEST_F(QuerySchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
 
 // The scheduler's own concurrency claim — "concurrent ExecuteBatch calls
 // are safe" — run for real: several threads fire batches through one
-// scheduler (one shared engine, catalog, and cache) interleaved with
-// idempotent catalog re-inserts and stats probes. Every answer must equal
+// one-shard scheduler (one shared engine, catalog, and cache) interleaved
+// with idempotent catalog re-inserts and stats probes. Every answer must equal
 // the single-threaded reference; TSan watches the lock discipline.
-TEST_F(QuerySchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
+TEST_F(SchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
   engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
-  QueryScheduler scheduler(&engine, &catalog_);
+  auto scheduler = MakeScheduler(engine_options);
   const std::vector<ServiceRequest> batch = {
       TopKRequest("deep", 3, TopKMetric::kSymDiff),
       TopKRequest("deep", 3, TopKMetric::kKendall),
       TopKRequest("t", 2, TopKMetric::kFootrule),
   };
-  auto reference = scheduler.ExecuteBatch(batch);
+  auto reference = scheduler->ExecuteBatch(batch);
   for (const auto& slot : reference) ASSERT_TRUE(slot.ok());
 
   constexpr int kThreads = 4;
@@ -512,11 +522,11 @@ TEST_F(QuerySchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
       std::vector<Result<ServiceResponse>>());
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([this, &scheduler, &batch, &observed, t] {
+    workers.emplace_back([&scheduler, &batch, &observed, t] {
       for (int round = 0; round < kRounds; ++round) {
-        EXPECT_TRUE(catalog_.InsertFromText("t", kTreeText).ok());
-        scheduler.cache_stats();
-        observed[t * kRounds + round] = scheduler.ExecuteBatch(batch);
+        EXPECT_TRUE(scheduler->Insert("t", *ParseTree(kTreeText)).ok());
+        scheduler->cache_stats();
+        observed[t * kRounds + round] = scheduler->ExecuteBatch(batch);
       }
     });
   }
@@ -533,7 +543,7 @@ TEST_F(QuerySchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   // All traffic shared the two (tree, k) folds: exactly 2 misses (single-
   // flight makes that deterministic even under the race), every other call
   // a hit or a coalesced wait, total accounted.
-  CacheStats stats = scheduler.cache_stats();
+  CacheStats stats = scheduler->cache_stats();
   EXPECT_EQ(stats.entries, 2);
   EXPECT_EQ(stats.misses, 2);
   EXPECT_EQ(stats.hits + stats.misses + stats.coalesced,
@@ -542,7 +552,7 @@ TEST_F(QuerySchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
 
 // Loads apply before queries in the same batch, both input formats work,
 // and a load failure stays in its slot.
-TEST_F(QuerySchedulerTest, LoadsApplyBeforeQueriesInTheSameBatch) {
+TEST_F(SchedulerTest, LoadsApplyBeforeQueriesInTheSameBatch) {
   std::string tree_path = ::testing::TempDir() + "/service_load.sexp";
   std::string bid_path = ::testing::TempDir() + "/service_load.bid";
   ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
@@ -562,29 +572,30 @@ TEST_F(QuerySchedulerTest, LoadsApplyBeforeQueriesInTheSameBatch) {
   load_missing.load_name = "missing_file";
   load_missing.load_file = ::testing::TempDir() + "/does_not_exist.sexp";
 
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
+  auto scheduler = MakeScheduler();
   // The query references a tree loaded *later* in the batch.
   auto results =
-      scheduler.ExecuteBatch({query, load, load_bid, load_missing});
+      scheduler->ExecuteBatch({query, load, load_bid, load_missing});
   ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
   ASSERT_TRUE(results[1].ok());
   EXPECT_NE(results[1]->fingerprint.value(), 0u);
   ASSERT_TRUE(results[2].ok());
   EXPECT_FALSE(results[3].ok());
-  EXPECT_EQ(catalog_.size(), 4u);  // t, deep, late, late_bid
+  ServiceRequest stats;
+  stats.op = ServiceRequest::Op::kStats;
+  EXPECT_EQ(scheduler->ExecuteOne(stats)->catalog.names,
+            4);  // t, deep, late, late_bid
 }
 
-TEST_F(QuerySchedulerTest, StatsRequestReportsCacheCounters) {
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
+TEST_F(SchedulerTest, StatsRequestReportsCacheCounters) {
+  auto scheduler = MakeScheduler();
   ServiceRequest stats;
   stats.op = ServiceRequest::Op::kStats;
   ServiceRequest world;
   world.op = ServiceRequest::Op::kWorld;
   world.tree_name = "t";
   // Stats report the post-batch state even when the line precedes queries.
-  auto results = scheduler.ExecuteBatch(
+  auto results = scheduler->ExecuteBatch(
       {stats, TopKRequest("t", 2, TopKMetric::kSymDiff),
        TopKRequest("t", 2, TopKMetric::kFootrule), world, world});
   ASSERT_TRUE(results[0].ok());
@@ -600,7 +611,7 @@ TEST_F(QuerySchedulerTest, StatsRequestReportsCacheCounters) {
 
 // World queries share one marginal fold per content fingerprint — across
 // batches, across mean/median, and in agreement with uncached execution.
-TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
+TEST_F(SchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
   ServiceRequest mean;
   mean.op = ServiceRequest::Op::kWorld;
   mean.tree_name = "deep";
@@ -609,15 +620,14 @@ TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
 
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  Engine engine(engine_options);
-  QueryScheduler cached(&engine, &catalog_);
+  auto cached = MakeScheduler(engine_options);
   SchedulerOptions no_cache;
   no_cache.use_cache = false;
-  QueryScheduler uncached(&engine, &catalog_, no_cache);
+  auto uncached = MakeScheduler(engine_options, no_cache);
 
-  auto first = cached.ExecuteBatch({mean, median});
-  auto second = cached.ExecuteBatch({median, mean});
-  auto direct = uncached.ExecuteBatch({mean, median});
+  auto first = cached->ExecuteBatch({mean, median});
+  auto second = cached->ExecuteBatch({median, mean});
+  auto direct = uncached->ExecuteBatch({mean, median});
   for (auto* results : {&first, &second, &direct}) {
     for (auto& slot : *results) ASSERT_TRUE(slot.ok());
   }
@@ -629,11 +639,11 @@ TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
   EXPECT_EQ(second[1]->keys, first[0]->keys);
   EXPECT_EQ(second[1]->expected_distance, first[0]->expected_distance);
   // Four world queries, one fingerprint, one fold.
-  CacheStats stats = cached.marginals_stats();
+  CacheStats stats = cached->marginals_stats();
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 3);
   EXPECT_EQ(stats.entries, 1);
-  CacheStats untouched = uncached.marginals_stats();
+  CacheStats untouched = uncached->marginals_stats();
   EXPECT_EQ(untouched.hits + untouched.misses, 0);
 }
 
@@ -645,9 +655,8 @@ TEST_F(QuerySchedulerTest, MarginalsCacheDeduplicatesWorldFolds) {
 // is pulled — the property that lets a client on a pipe see answers while
 // composing the next request ("the first response before the last request
 // is read").
-TEST_F(QuerySchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
+TEST_F(SchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
+  auto scheduler = MakeScheduler();
   std::vector<ServiceRequest> requests = {
       TopKRequest("t", 2, TopKMetric::kSymDiff),
       TopKRequest("t", 2, TopKMetric::kFootrule),
@@ -655,7 +664,7 @@ TEST_F(QuerySchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
   };
   std::vector<std::string> events;
   size_t cursor = 0;
-  scheduler.ExecuteStreaming(
+  scheduler->ExecuteStreaming(
       [&](ServiceRequest* out) {
         if (cursor == requests.size()) return false;
         events.push_back("read" + std::to_string(cursor));
@@ -673,11 +682,10 @@ TEST_F(QuerySchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
 // Streamed answers are bitwise the batch answers, and the folds still share
 // the caches (the second symdiff k=2 request hits the entry the first one
 // computed).
-TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
+TEST_F(SchedulerTest, StreamingAnswersMatchBatchBitwise) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
   engine_options.use_fast_bid_path = false;
-  Engine engine(engine_options);
   ServiceRequest world;
   world.op = ServiceRequest::Op::kWorld;
   world.tree_name = "deep";
@@ -688,13 +696,12 @@ TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
       world,
       world,
   };
-  QueryScheduler batch_scheduler(&engine, &catalog_);
-  auto batch = batch_scheduler.ExecuteBatch(requests);
+  auto batch = MakeScheduler(engine_options)->ExecuteBatch(requests);
 
-  QueryScheduler stream_scheduler(&engine, &catalog_);
+  auto stream_scheduler = MakeScheduler(engine_options);
   std::vector<Result<ServiceResponse>> streamed;
   size_t cursor = 0;
-  stream_scheduler.ExecuteStreaming(
+  stream_scheduler->ExecuteStreaming(
       [&](ServiceRequest* out) {
         if (cursor == requests.size()) return false;
         *out = requests[cursor++];
@@ -713,10 +720,10 @@ TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
   // Fold sharing carried over: one rank-distribution fold (two k=3 symdiff
   // queries share it; kendall reuses the same (fingerprint, k) entry), one
   // marginal fold for the two world queries.
-  CacheStats stats = stream_scheduler.cache_stats();
+  CacheStats stats = stream_scheduler->cache_stats();
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.hits, 2);
-  CacheStats marginals = stream_scheduler.marginals_stats();
+  CacheStats marginals = stream_scheduler->marginals_stats();
   EXPECT_EQ(marginals.misses, 1);
   EXPECT_EQ(marginals.hits, 1);
 }
@@ -724,7 +731,7 @@ TEST_F(QuerySchedulerTest, StreamingAnswersMatchBatchBitwise) {
 // Streaming executes strictly in input order: unlike a batch, a query may
 // not reference a tree loaded later in the stream, and stats report their
 // point in the stream, not the post-input state.
-TEST_F(QuerySchedulerTest, StreamingIsOrderSensitiveWhereBatchIsNot) {
+TEST_F(SchedulerTest, StreamingIsOrderSensitiveWhereBatchIsNot) {
   std::string tree_path = ::testing::TempDir() + "/stream_late.sexp";
   ASSERT_TRUE(WriteStringToFile(tree_path, kOtherTreeText).ok());
   ServiceRequest query = TopKRequest("stream_late", 1, TopKMetric::kSymDiff);
@@ -736,20 +743,17 @@ TEST_F(QuerySchedulerTest, StreamingIsOrderSensitiveWhereBatchIsNot) {
   stats.op = ServiceRequest::Op::kStats;
   std::vector<ServiceRequest> requests = {stats, query, load, query};
 
-  Engine engine;
-  // Private catalogs: the point is what each mode does with a name bound
-  // mid-input, so the name must not leak from one scheduler to the other.
-  TreeCatalog batch_catalog;
-  TreeCatalog stream_catalog;
+  // Separate empty schedulers: the point is what each mode does with a
+  // name bound mid-input, so the name must not leak from one to the other.
   // The same input as a batch: the load applies first, both queries answer,
   // and the leading stats line reports the post-batch counters.
-  QueryScheduler batch_scheduler(&engine, &batch_catalog);
+  ShardedScheduler batch_scheduler(1, EngineOptions());
   auto batch = batch_scheduler.ExecuteBatch(requests);
   EXPECT_TRUE(batch[1].ok());
   EXPECT_TRUE(batch[3].ok());
   EXPECT_EQ(batch[0]->stats.misses, 1);
 
-  QueryScheduler stream_scheduler(&engine, &stream_catalog);
+  ShardedScheduler stream_scheduler(1, EngineOptions());
   std::vector<Result<ServiceResponse>> streamed;
   size_t cursor = 0;
   stream_scheduler.ExecuteStreaming(
@@ -775,11 +779,9 @@ TEST_F(QuerySchedulerTest, StreamingIsOrderSensitiveWhereBatchIsNot) {
 }
 
 // ResponseToFields renders every op into protocol fields.
-TEST_F(QuerySchedulerTest, ResponsesRenderToProtocolFields) {
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
-  auto results =
-      scheduler.ExecuteBatch({TopKRequest("t", 2, TopKMetric::kSymDiff)});
+TEST_F(SchedulerTest, ResponsesRenderToProtocolFields) {
+  auto results = MakeScheduler()->ExecuteBatch(
+      {TopKRequest("t", 2, TopKMetric::kSymDiff)});
   ASSERT_TRUE(results[0].ok());
   std::string line = FormatResponseLine(ResponseToFields(*results[0]));
   EXPECT_EQ(line.find("ok\top=topk\ttree=t\tmetric=symdiff"), 0u);
@@ -796,7 +798,7 @@ TEST_F(QuerySchedulerTest, ResponsesRenderToProtocolFields) {
 // for each prefix is pinned here. A rename must show up as a deliberate
 // edit to this list.
 TEST(CacheStatsMetricsTest, ExportedNamesAreGolden) {
-  for (const std::string prefix :
+  for (const std::string& prefix :
        {std::string("cpdb_rankdist_cache_"),
         std::string("cpdb_marginals_cache_")}) {
     CacheStats stats;
@@ -827,9 +829,8 @@ TEST(CacheStatsMetricsTest, ExportedNamesAreGolden) {
 
 // op=stats and op=metrics read the same CacheStats structs; the values
 // they report must agree exactly.
-TEST_F(QuerySchedulerTest, MetricsScrapeAgreesWithStatsOp) {
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
+TEST_F(SchedulerTest, MetricsScrapeAgreesWithStatsOp) {
+  auto scheduler = MakeScheduler();
   std::vector<ServiceRequest> batch = {
       TopKRequest("deep", 3, TopKMetric::kSymDiff),
       TopKRequest("deep", 3, TopKMetric::kSymDiff),  // warm hit
@@ -846,7 +847,7 @@ TEST_F(QuerySchedulerTest, MetricsScrapeAgreesWithStatsOp) {
   metrics.op = ServiceRequest::Op::kMetrics;
   batch.push_back(metrics);
 
-  auto results = scheduler.ExecuteBatch(batch);
+  auto results = scheduler->ExecuteBatch(batch);
   ASSERT_EQ(results.size(), batch.size());
   for (const auto& result : results) ASSERT_TRUE(result.ok());
 
@@ -878,14 +879,13 @@ TEST_F(QuerySchedulerTest, MetricsScrapeAgreesWithStatsOp) {
 
 // trace_* fields appear exactly when the request said trace=on — never
 // on a plain request, even with metrics recording enabled.
-TEST_F(QuerySchedulerTest, TraceFieldsGatedByRequest) {
-  Engine engine;
-  QueryScheduler scheduler(&engine, &catalog_);
+TEST_F(SchedulerTest, TraceFieldsGatedByRequest) {
+  auto scheduler = MakeScheduler();
   ServiceRequest plain = TopKRequest("deep", 3, TopKMetric::kSymDiff);
   ServiceRequest traced = plain;
   traced.trace = true;
 
-  auto results = scheduler.ExecuteBatch({plain, traced});
+  auto results = scheduler->ExecuteBatch({plain, traced});
   ASSERT_TRUE(results[0].ok());
   ASSERT_TRUE(results[1].ok());
   const std::string plain_line =

@@ -1,11 +1,11 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Tests for the sharded serving front-end. The load-bearing property is the
-// differential one: a ShardedScheduler's answers must be bitwise identical
-// to a single-engine QueryScheduler's for every op, metric, shard count,
-// cache budget, and execution mode — partitioning by content fingerprint
-// must be observable only in throughput and in the kStats per-shard
-// breakdown. Also covered: deterministic routing, name-directory semantics
+// differential one: a ShardedScheduler's answers at N shards must be
+// bitwise identical to its answers at N = 1 for every op, metric, cache
+// budget, and execution mode — partitioning by structural key must be
+// observable only in throughput and in the kStats per-shard breakdown
+// (rendered at N >= 2 only). Also covered: deterministic routing, name-directory semantics
 // (cross-shard rebind conflicts, idempotent re-loads), stats aggregation,
 // the streaming interleaving contract, and concurrent ExecuteBatch calls
 // (this suite runs in the TSan CI job).
@@ -167,15 +167,10 @@ class ShardedSchedulerTest : public ::testing::Test {
     }
   }
 
-  // Seeds every tree into `sharded` and the reference catalog alike.
-  void Seed(ShardedScheduler* sharded, TreeCatalog* catalog) const {
+  // Seeds every tree into `sharded`.
+  void Seed(ShardedScheduler* sharded) const {
     for (size_t i = 0; i < trees_.size(); ++i) {
-      if (sharded != nullptr) {
-        ASSERT_TRUE(sharded->Insert(names_[i], trees_[i]).ok());
-      }
-      if (catalog != nullptr) {
-        ASSERT_TRUE(catalog->Insert(names_[i], trees_[i]).ok());
-      }
+      ASSERT_TRUE(sharded->Insert(names_[i], trees_[i]).ok());
     }
   }
 
@@ -215,26 +210,24 @@ TEST(ShardRoutingTest, ThreadsPerShardSplitsTheBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// The differential suite: sharded vs single-engine, bitwise
+// The differential suite: N shards vs N = 1, bitwise
 // ---------------------------------------------------------------------------
 
 // Batch mode, cold and warm, across shard counts, unbounded budget:
-// answers AND aggregated stats totals must match the single scheduler
+// answers AND aggregated stats totals must match the one-shard reference
 // (every (fingerprint, k) key lives on one shard and sees the same request
 // order, so even the hit/miss counters are preserved under the sum).
 TEST_F(ShardedSchedulerTest, BatchParityAcrossShardCountsUnbounded) {
   std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
-  Engine reference_engine(ReferenceEngineOptions());
-  TreeCatalog reference_catalog;
-  Seed(nullptr, &reference_catalog);
-  QueryScheduler reference(&reference_engine, &reference_catalog);
+  ShardedScheduler reference(1, ReferenceEngineOptions());
+  Seed(&reference);
   auto want_cold = reference.ExecuteBatch(batch);
   auto want_warm = reference.ExecuteBatch(batch);
 
   for (int shards : {1, 2, 4, 8}) {
     ShardedScheduler sharded(shards, ReferenceEngineOptions());
-    Seed(&sharded, nullptr);
+    Seed(&sharded);
     auto got_cold = sharded.ExecuteBatch(batch);
     auto got_warm = sharded.ExecuteBatch(batch);
     ExpectSameResponses(got_cold, want_cold, /*compare_stats=*/true,
@@ -250,10 +243,8 @@ TEST_F(ShardedSchedulerTest, BatchParityAcrossShardCountsUnbounded) {
 TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
   std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
-  Engine reference_engine(ReferenceEngineOptions());
-  TreeCatalog reference_catalog;
-  Seed(nullptr, &reference_catalog);
-  QueryScheduler reference(&reference_engine, &reference_catalog);
+  ShardedScheduler reference(1, ReferenceEngineOptions());
+  Seed(&reference);
   auto want = reference.ExecuteBatch(batch);
   auto want_warm = reference.ExecuteBatch(batch);
 
@@ -262,7 +253,7 @@ TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
       SchedulerOptions options;
       options.cache_budget_bytes = budget;
       ShardedScheduler sharded(shards, ReferenceEngineOptions(), options);
-      Seed(&sharded, nullptr);
+      Seed(&sharded);
       const std::string label = "shards=" + std::to_string(shards) +
                                 " budget=" + std::to_string(budget);
       ExpectSameResponses(sharded.ExecuteBatch(batch), want,
@@ -286,15 +277,13 @@ TEST_F(ShardedSchedulerTest, BatchParityWithCacheDisabled) {
   SchedulerOptions no_cache;
   no_cache.use_cache = false;
 
-  Engine reference_engine(ReferenceEngineOptions());
-  TreeCatalog reference_catalog;
-  Seed(nullptr, &reference_catalog);
-  QueryScheduler reference(&reference_engine, &reference_catalog, no_cache);
+  ShardedScheduler reference(1, ReferenceEngineOptions(), no_cache);
+  Seed(&reference);
   auto want = reference.ExecuteBatch(batch);
 
   for (int shards : {2, 8}) {
     ShardedScheduler sharded(shards, ReferenceEngineOptions(), no_cache);
-    Seed(&sharded, nullptr);
+    Seed(&sharded);
     ExpectSameResponses(sharded.ExecuteBatch(batch), want,
                         /*compare_stats=*/true,
                         "uncached shards=" + std::to_string(shards));
@@ -308,7 +297,7 @@ TEST_F(ShardedSchedulerTest, AnswersIndependentOfShardThreadCounts) {
   std::vector<Result<ServiceResponse>> want;
   for (int threads : {1, 2, 4}) {
     ShardedScheduler sharded(3, ReferenceEngineOptions(threads));
-    Seed(&sharded, nullptr);
+    Seed(&sharded);
     auto got = sharded.ExecuteBatch(batch);
     if (threads == 1) {
       want = std::move(got);
@@ -320,7 +309,7 @@ TEST_F(ShardedSchedulerTest, AnswersIndependentOfShardThreadCounts) {
 }
 
 // Streaming mode: same differential workload through ExecuteStreaming,
-// compared slot-for-slot against the single scheduler's streaming path.
+// compared slot-for-slot against the one-shard streaming path.
 TEST_F(ShardedSchedulerTest, StreamingParityAcrossShardCounts) {
   std::vector<ServiceRequest> requests = DifferentialBatch(names_);
   auto stream_through = [&requests](auto* scheduler) {
@@ -338,15 +327,13 @@ TEST_F(ShardedSchedulerTest, StreamingParityAcrossShardCounts) {
     return responses;
   };
 
-  Engine reference_engine(ReferenceEngineOptions());
-  TreeCatalog reference_catalog;
-  Seed(nullptr, &reference_catalog);
-  QueryScheduler reference(&reference_engine, &reference_catalog);
+  ShardedScheduler reference(1, ReferenceEngineOptions());
+  Seed(&reference);
   auto want = stream_through(&reference);
 
   for (int shards : {1, 2, 4, 8}) {
     ShardedScheduler sharded(shards, ReferenceEngineOptions());
-    Seed(&sharded, nullptr);
+    Seed(&sharded);
     ExpectSameResponses(stream_through(&sharded), want,
                         /*compare_stats=*/true,
                         "streaming shards=" + std::to_string(shards));
@@ -357,7 +344,7 @@ TEST_F(ShardedSchedulerTest, StreamingParityAcrossShardCounts) {
 // emitted before request N+1 is pulled, regardless of which shard answers.
 TEST_F(ShardedSchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
   ShardedScheduler sharded(4, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
+  Seed(&sharded);
   std::vector<ServiceRequest> requests = {
       TopKRequest(names_[0], 2, TopKMetric::kSymDiff),
       TopKRequest(names_[1], 1, TopKMetric::kFootrule),
@@ -386,7 +373,7 @@ TEST_F(ShardedSchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
 
 TEST_F(ShardedSchedulerTest, StatsAggregateSumsPerShardBreakdown) {
   ShardedScheduler sharded(4, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
+  Seed(&sharded);
   auto responses = sharded.ExecuteBatch(DifferentialBatch(names_));
   const Result<ServiceResponse>& stats = responses.back();
   ASSERT_TRUE(stats.ok());
@@ -420,7 +407,7 @@ TEST_F(ShardedSchedulerTest, StatsAggregateSumsPerShardBreakdown) {
 
 TEST_F(ShardedSchedulerTest, StatsResponseRendersShardBreakdownFields) {
   ShardedScheduler sharded(2, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
+  Seed(&sharded);
   auto responses = sharded.ExecuteBatch(
       {TopKRequest(names_[0], 2, TopKMetric::kSymDiff), StatsRequest()});
   ASSERT_TRUE(responses[1].ok());
@@ -437,11 +424,9 @@ TEST_F(ShardedSchedulerTest, StatsResponseRendersShardBreakdownFields) {
   EXPECT_EQ(std::stoll(*parsed->Find("misses")),
             std::stoll(*parsed->Find("s0_misses")) +
                 std::stoll(*parsed->Find("s1_misses")));
-  // The single-engine scheduler's stats line carries no shard fields at
-  // all — its wire output is byte-identical to the pre-sharding protocol.
-  Engine engine(ReferenceEngineOptions());
-  TreeCatalog catalog;
-  QueryScheduler single(&engine, &catalog);
+  // At one shard the breakdown would only repeat the totals, so the stats
+  // line carries no shard fields at all.
+  ShardedScheduler single(1, ReferenceEngineOptions());
   auto single_stats = single.ExecuteBatch({StatsRequest()});
   ASSERT_TRUE(single_stats[0].ok());
   std::string single_line =
@@ -565,7 +550,7 @@ TEST_F(ShardedSchedulerTest, StreamingIsOrderSensitive) {
 // mutex, the per-shard catalogs/caches, and the fan-out helper threads.
 TEST_F(ShardedSchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   ShardedScheduler sharded(3, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
+  Seed(&sharded);
   const std::vector<ServiceRequest> batch = {
       TopKRequest(names_[2], 3, TopKMetric::kSymDiff),
       TopKRequest(names_[3], 3, TopKMetric::kKendall),
@@ -598,7 +583,7 @@ TEST_F(ShardedSchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics: sharded scrapes vs the single scheduler
+// Metrics: N-shard scrapes vs one shard
 // ---------------------------------------------------------------------------
 
 ServiceRequest MetricsRequest(const std::string& format = "kv") {
@@ -623,10 +608,9 @@ std::map<std::string, std::string> ComparableKv(const MetricsSnapshot& snap) {
 
 // With a *fixed* FakeClock every recorded duration is exactly 0, so the
 // scrape — counters, error counts, histogram counts and values — must be
-// value-identical between the single scheduler and any shard count: the
-// sharded front-end attributes each request to exactly one shard's
-// registry, and the merged scrape is what one scheduler would have
-// recorded.
+// value-identical between one shard and any shard count: the front end
+// attributes each request to exactly one shard's registry, and the merged
+// scrape is what one shard would have recorded.
 TEST_F(ShardedSchedulerTest, MetricsScrapeParityAcrossShardCounts) {
   FakeClock clock(1000);  // never advanced: all durations are 0
   SchedulerOptions options;
@@ -635,17 +619,15 @@ TEST_F(ShardedSchedulerTest, MetricsScrapeParityAcrossShardCounts) {
   std::vector<ServiceRequest> batch = DifferentialBatch(names_);
   batch.push_back(MetricsRequest());
 
-  Engine engine(ReferenceEngineOptions());
-  TreeCatalog catalog;
-  Seed(nullptr, &catalog);
-  QueryScheduler reference(&engine, &catalog, options);
+  ShardedScheduler reference(1, ReferenceEngineOptions(), options);
+  Seed(&reference);
   auto want_responses = reference.ExecuteBatch(batch);
   const auto want = ComparableKv(reference.MetricsSnapshotNow());
 
   for (int shards : {1, 2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ShardedScheduler sharded(shards, ReferenceEngineOptions(), options);
-    Seed(&sharded, nullptr);
+    Seed(&sharded);
     auto got_responses = sharded.ExecuteBatch(batch);
     // Aggregate stats counters match under an unbounded budget; the
     // scrape comparison below is the real point.
@@ -660,7 +642,7 @@ TEST_F(ShardedSchedulerTest, MetricsScrapeParityAcrossShardCounts) {
 // scrapes — in any merge order.
 TEST_F(ShardedSchedulerTest, MergedScrapeEqualsBucketwiseSumOfPerShard) {
   ShardedScheduler sharded(3, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
+  Seed(&sharded);
   auto results = sharded.ExecuteBatch(DifferentialBatch(names_));
   ASSERT_FALSE(results.empty());
 
@@ -732,29 +714,22 @@ TEST_F(ShardedSchedulerTest, WireBytesIdenticalAcrossMetricsTraceAndShards) {
     return lines;
   };
 
-  Engine engine(ReferenceEngineOptions());
-  TreeCatalog catalog;
-  Seed(nullptr, &catalog);
-  QueryScheduler reference(&engine, &catalog, SchedulerOptions());
+  ShardedScheduler reference(1, ReferenceEngineOptions());
+  Seed(&reference);
   const std::vector<std::string> want = render(reference.ExecuteBatch(batch));
 
   {
     SCOPED_TRACE("metrics off");
-    Engine off_engine(ReferenceEngineOptions());
-    TreeCatalog off_catalog;
-    Seed(nullptr, &off_catalog);
     SchedulerOptions off;
     off.enable_metrics = false;
-    QueryScheduler scheduler(&off_engine, &off_catalog, off);
+    ShardedScheduler scheduler(1, ReferenceEngineOptions(), off);
+    Seed(&scheduler);
     EXPECT_EQ(render(scheduler.ExecuteBatch(batch)), want);
   }
   {
     SCOPED_TRACE("trace on");
-    Engine traced_engine(ReferenceEngineOptions());
-    TreeCatalog traced_catalog;
-    Seed(nullptr, &traced_catalog);
-    QueryScheduler scheduler(&traced_engine, &traced_catalog,
-                             SchedulerOptions());
+    ShardedScheduler scheduler(1, ReferenceEngineOptions());
+    Seed(&scheduler);
     EXPECT_EQ(render(scheduler.ExecuteBatch(traced)), want);
   }
   for (int shards : {1, 2, 4}) {
@@ -762,20 +737,20 @@ TEST_F(ShardedSchedulerTest, WireBytesIdenticalAcrossMetricsTraceAndShards) {
     // Fresh front-ends per run: op=stats reports cumulative counters, so
     // a second batch on a warm instance would legitimately differ.
     ShardedScheduler sharded(shards, ReferenceEngineOptions());
-    Seed(&sharded, nullptr);
+    Seed(&sharded);
     EXPECT_EQ(render(sharded.ExecuteBatch(batch)), want);
     ShardedScheduler resharded(shards, ReferenceEngineOptions());
-    Seed(&resharded, nullptr);
+    Seed(&resharded);
     EXPECT_EQ(render(resharded.ExecuteBatch(traced)), want);
   }
 }
 
 // op=metrics speaks both formats through the sharded front-end, refuses
-// identically to the single scheduler when metrics are off, and the prom
+// identically at any shard count when metrics are off, and the prom
 // body renders the merged scrape.
 TEST_F(ShardedSchedulerTest, MetricsOpFormatsAndDisabledRefusal) {
   ShardedScheduler sharded(2, ReferenceEngineOptions());
-  Seed(&sharded, nullptr);
+  Seed(&sharded);
   auto kv = sharded.ExecuteOne(MetricsRequest("kv"));
   ASSERT_TRUE(kv.ok());
   EXPECT_EQ(kv->metrics_format, "kv");
@@ -794,9 +769,7 @@ TEST_F(ShardedSchedulerTest, MetricsOpFormatsAndDisabledRefusal) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 
-  Engine engine(ReferenceEngineOptions());
-  TreeCatalog catalog;
-  QueryScheduler single(&engine, &catalog, off);
+  ShardedScheduler single(1, ReferenceEngineOptions(), off);
   auto single_refused = single.ExecuteOne(MetricsRequest());
   ASSERT_FALSE(single_refused.ok());
   // Refusal parity is wire parity: same code, same message.
