@@ -13,9 +13,9 @@
 
 #include "common/rng.h"
 #include "model/flat_tree.h"
-#include "model/generating_function.h"
 #include "poly/poly1.h"
 #include "poly/poly_arena.h"
+#include "support/generating_function.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -60,10 +60,6 @@ class RankDistribution {
   int64_t ApproxBytes() const;
 
  private:
-  friend RankDistribution ComputeRankDistribution(const AndXorTree& tree,
-                                                  int k);
-  friend RankDistribution ComputeRankDistributionPointer(
-      const AndXorTree& tree, int k);
   friend class RankDistributionBuilder;
   int k_ = 0;
   std::vector<KeyId> keys_;
@@ -75,7 +71,7 @@ class RankDistribution {
 
 /// \brief Assembles a RankDistribution from externally computed
 /// Pr(r(key) = i) values (used by the fast block-independent algorithm in
-/// rank_distribution_fast.h and by the parallel engine's per-leaf merge).
+/// rank_distribution_fast.h and by MergeLeafRankContributions).
 /// Build() sorts keys and finalizes prefix sums in O(n (log n + k)).
 class RankDistributionBuilder {
  public:
@@ -102,20 +98,22 @@ class RankDistributionBuilder {
 /// key's alternatives yields Pr(r(key) = i). One evaluation costs O(L k)
 /// for L leaves; this is the unit of work the parallel engine distributes.
 ///
-/// This is the pointer-tree reference implementation, retained as the
-/// differential baseline for the flat overload below
-/// (tests/flat_tree_test.cc asserts bitwise equality).
-std::vector<double> LeafRankContribution(const AndXorTree& tree, NodeId target,
-                                         int k);
-
-/// \brief Flat-path LeafRankContribution: same value, bit for bit, computed
-/// over a compiled FlatTree. `target` indexes flat.leaves() (left-to-right
-/// DFS order == AndXorTree::LeafIds() order). Per-target leaf
-/// classification is a linear scan over the packed leaf table and all
-/// polynomial scratch lives in this thread's reusable arena, so repeated
-/// calls over one compiled tree allocate only the returned vector.
+/// `target` indexes flat.leaves() (left-to-right DFS order ==
+/// AndXorTree::LeafIds() order). Per-target leaf classification is a linear
+/// scan over the packed leaf table and all polynomial scratch lives in this
+/// thread's reusable arena, so repeated calls over one compiled tree
+/// allocate only the returned vector.
 std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
                                          int k);
+
+/// \brief Sums per-leaf LeafRankContribution vectors (`contributions[l]`
+/// for flat leaf l) into every key's rank distribution, in leaf-table
+/// order — the one accumulation order behind both ComputeRankDistribution
+/// and Engine::ComputeRankDistribution's parallel form, so the two agree
+/// bit for bit.
+RankDistribution MergeLeafRankContributions(
+    const FlatTree& flat, int k,
+    const std::vector<std::vector<double>>& contributions);
 
 /// \brief Computes the rank distribution of every key, truncated at rank k.
 ///
@@ -128,29 +126,20 @@ std::vector<double> LeafRankContribution(const FlatTree& flat, int target,
 ///
 /// Runs the flat fold: the tree is compiled once (FlatTree::Compile) and
 /// each leaf evaluation is a linear pass over the instruction stream with
-/// arena scratch. Bitwise identical to ComputeRankDistributionPointer.
+/// arena scratch.
 RankDistribution ComputeRankDistribution(const AndXorTree& tree, int k);
-
-/// \brief Pointer-tree reference for ComputeRankDistribution — the
-/// historical per-leaf EvalGeneratingFunction walk, kept as the
-/// differential baseline for the flat path.
-RankDistribution ComputeRankDistributionPointer(const AndXorTree& tree, int k);
 
 /// \brief Pr(r(t_u) < r(t_v)): the probability that key u ranks strictly
 /// ahead of key v (v absent counts as rank infinity, so u present with v
 /// absent qualifies). Used by Kendall-tau aggregation (Section 5.5).
 /// O(A_u L) for A_u alternatives of u over L leaves. Compiles the tree
-/// once and runs the flat fold per alternative; bitwise identical to
-/// PrRanksBeforePointer.
+/// once and runs the flat fold per alternative.
 double PrRanksBefore(const AndXorTree& tree, KeyId u, KeyId v);
 
 /// \brief Flat-path PrRanksBefore over an already compiled tree — the form
 /// the O(n^2) pairwise loops use so the compile cost is paid once per tree,
 /// not once per (u, v) cell.
 double PrRanksBefore(const FlatTree& flat, KeyId u, KeyId v);
-
-/// \brief Pointer-tree reference for PrRanksBefore (differential baseline).
-double PrRanksBeforePointer(const AndXorTree& tree, KeyId u, KeyId v);
 
 /// \brief All pairwise order probabilities among `keys`;
 /// result[i][j] = Pr(r(keys[i]) < r(keys[j])). Diagonal is 0. The tree is

@@ -29,6 +29,13 @@ std::vector<KeyId> TopKByExpectedScore(const AndXorTree& tree, int k);
 /// probabilities; O(L^2 * depth) for L leaves. Indexed like tree.Keys().
 std::vector<double> ExpectedRanks(const AndXorTree& tree);
 
+/// \brief One key's entry of ExpectedRanks, given `leaf_marginals` ==
+/// tree.LeafMarginals(): the per-key unit that ExpectedRanks loops over and
+/// Engine::ExpectedRanks fans across its pool, so both produce the same
+/// bits. O(L * A_key * depth) for A_key alternatives of `key`.
+double ExpectedRankOfKey(const AndXorTree& tree,
+                         const std::vector<double>& leaf_marginals, KeyId key);
+
 /// \brief The k keys with the smallest expected rank.
 std::vector<KeyId> TopKByExpectedRank(const AndXorTree& tree, int k);
 

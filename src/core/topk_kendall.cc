@@ -13,43 +13,19 @@
 
 #include "core/topk_footrule.h"
 #include "model/flat_tree.h"
-#include "model/generating_function.h"
-#include "poly/poly2.h"
 
 namespace cpdb {
 
-double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k) {
+double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k) {
   // Sum over alternatives b of u of
   //   Pr(b present, no higher-scoring alternative of t present, and at most
   //      k-1 higher-scoring tuples of other keys present).
-  // Higher-scoring alternatives of t are excluded by assigning them the zero
-  // polynomial (their worlds contribute no mass); higher-scoring leaves of
-  // other keys count toward the rank via variable x; b itself is tagged y.
-  double total = 0.0;
-  for (NodeId target : tree.LeafIds()) {
-    const TupleAlternative& alt = tree.node(target).leaf;
-    if (alt.key != u) continue;
-    auto leaf_poly = [&](NodeId id) {
-      if (id == target) return Poly2::Monomial(k, 1, 0, 1, 1.0);  // y
-      const TupleAlternative& other = tree.node(id).leaf;
-      if (other.score > alt.score) {
-        if (other.key == t) return Poly2::Constant(k, 1, 0.0);  // forbidden
-        if (other.key != u) return Poly2::Monomial(k, 1, 1, 0, 1.0);  // x
-      }
-      return Poly2::Constant(k, 1, 1.0);
-    };
-    auto make_const = [&](double c) { return Poly2::Constant(k, 1, c); };
-    Poly2 f = EvalGeneratingFunction<Poly2>(tree, leaf_poly, make_const);
-    for (int i = 0; i <= k - 1; ++i) total += f.Coeff(i, 1);
-  }
-  return total;
-}
-
-double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k) {
-  // Flat form of the fold above: rows have shape (k+1) × 2, row-major, so
-  // y = x^0 y^1 sits at index 1, x = x^1 y^0 at index 2 (guarded like
-  // Poly2::Monomial's truncation), and the forbidden leaves keep their
-  // zeroed row. Bitwise identical to the pointer reference.
+  // b itself is tagged y, higher-scoring leaves of other keys count toward
+  // the rank via x, and higher-scoring alternatives of t are excluded by
+  // the zero polynomial (their worlds contribute no mass). Rows have shape
+  // (k+1) × 2, row-major, so y = x^0 y^1 sits at index 1, x = x^1 y^0 at
+  // index 2 (guarded like a truncated monomial), and the forbidden leaves
+  // keep their zeroed row.
   double total = 0.0;
   const std::vector<FlatLeaf>& leaves = flat.leaves();
   std::vector<double> f(static_cast<size_t>(k + 1) * 2);

@@ -32,13 +32,8 @@
 namespace cpdb {
 
 /// \brief q(u, t) = Pr(r(u) <= k and r(u) < r(t)): u makes the Top-k and
-/// ranks ahead of t (t absent or ranked below both count). Pointer-tree
-/// reference implementation (differential baseline for the flat overload).
-double PrInTopKAndBefore(const AndXorTree& tree, KeyId u, KeyId t, int k);
-
-/// \brief Flat-path q(u, t) over an already compiled tree — the form the
-/// O(n^2) q-matrix loops use so the compile cost is paid once per tree.
-/// Bitwise identical to the pointer reference.
+/// ranks ahead of t (t absent or ranked below both count), over an already
+/// compiled tree — the O(n^2) q-matrix loops pay the compile once per tree.
 double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k);
 
 /// \brief Precomputes the pairwise q statistics for a key set and evaluates

@@ -9,6 +9,7 @@
 
 #include "core/jaccard.h"  // IsBlockIndependent
 #include "core/rank_distribution_fast.h"
+#include "core/ranking_baselines.h"
 #include "core/set_consensus.h"
 #include "core/topk_footrule.h"
 #include "core/topk_intersection.h"
@@ -99,19 +100,9 @@ RankDistribution Engine::ComputeRankDistribution(
     NoteArenaHighWater();
   });
 
-  // Merge in DFS leaf order (== flat leaf-table order) — the exact
-  // accumulation order of the sequential ComputeRankDistribution, hence
-  // bitwise-identical sums.
-  RankDistributionBuilder builder(k);
-  for (KeyId key : tree.Keys()) builder.EnsureKey(key);
-  for (int l = 0; l < num_leaves; ++l) {
-    KeyId key = flat.leaves()[static_cast<size_t>(l)].key;
-    for (int i = 1; i <= k; ++i) {
-      builder.Add(key, i, contributions[static_cast<size_t>(l)]
-                                       [static_cast<size_t>(i)]);
-    }
-  }
-  return std::move(builder).Build();
+  // The sequential form's merge, in the same leaf-table order: bitwise-
+  // identical sums.
+  return MergeLeafRankContributions(flat, k, contributions);
 }
 
 std::vector<std::vector<double>> Engine::PairwiseMatrix(
@@ -161,45 +152,14 @@ std::vector<double> Engine::LeafMarginals(const AndXorTree& tree,
 }
 
 std::vector<double> Engine::ExpectedRanks(const AndXorTree& tree) const {
-  // The sequential core ExpectedRanks is an independent per-key outer loop
-  // writing disjoint slots; each task below runs one key's body in the
-  // exact sequential accumulation order, so the vector is bitwise
-  // identical to the core form for any thread count. The shared marginal
-  // fold is computed once, up front, read-only across tasks.
-  const std::vector<NodeId>& leaves = tree.LeafIds();
+  // One task per key, each writing its own slot through the core per-key
+  // body; the shared marginal fold is computed once, read-only across tasks.
   const std::vector<double> marginal = tree.LeafMarginals();
   const std::vector<KeyId> keys = tree.Keys();
   std::vector<double> expected(keys.size(), 0.0);
   pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
-    const KeyId key = keys[static_cast<size_t>(t)];
-    double e = 0.0;
-    double p_present = 0.0;
-    // Present case: rank = 1 + #(higher-scoring other-key leaves present).
-    for (NodeId a : leaves) {
-      const TupleAlternative& alt = tree.node(a).leaf;
-      if (alt.key != key) continue;
-      double pa = marginal[static_cast<size_t>(a)];
-      p_present += pa;
-      e += pa;  // the "1 +" part
-      for (NodeId l : leaves) {
-        const TupleAlternative& other = tree.node(l).leaf;
-        if (other.key == key || other.score <= alt.score) continue;
-        e += tree.PairPresenceProbability(a, l);
-      }
-    }
-    // Absent case: rank = |pw| + 1, exactly as in the core form.
-    e += 1.0 - p_present;
-    for (NodeId l : leaves) {
-      const TupleAlternative& other = tree.node(l).leaf;
-      if (other.key == key) continue;
-      double p_l_and_key = 0.0;
-      for (NodeId a : leaves) {
-        if (tree.node(a).leaf.key != key) continue;
-        p_l_and_key += tree.PairPresenceProbability(l, a);
-      }
-      e += marginal[static_cast<size_t>(l)] - p_l_and_key;
-    }
-    expected[static_cast<size_t>(t)] = e;
+    expected[static_cast<size_t>(t)] =
+        ExpectedRankOfKey(tree, marginal, keys[static_cast<size_t>(t)]);
   });
   return expected;
 }
@@ -395,20 +355,6 @@ std::vector<Result<TopKResult>> Engine::EvaluateConsensusBatch(
         ConsensusTopK(*q.tree, q.k, q.metric, q.answer, q.program);
   });
   return results;
-}
-
-std::vector<NodeId> Engine::MeanWorldSymDiff(const AndXorTree& tree) const {
-  return MeanWorldSymDiffFromMarginals(tree, LeafMarginals(tree));
-}
-
-std::vector<NodeId> Engine::MedianWorldSymDiff(const AndXorTree& tree) const {
-  return MedianWorldSymDiffFromMarginals(tree, LeafMarginals(tree));
-}
-
-double Engine::ExpectedSymDiffDistance(
-    const AndXorTree& tree, const std::vector<NodeId>& world) const {
-  return ExpectedSymDiffDistanceFromMarginals(tree, LeafMarginals(tree),
-                                              world);
 }
 
 Result<Engine::WorldResult> Engine::ConsensusWorldWithMarginals(

@@ -18,13 +18,16 @@
 //     sequential first-improvement scan;
 //   * footrule / intersection assignment — one cost (profit) column per
 //     candidate tuple, fanned across the pool before the Hungarian solve;
-//   * set consensus — one marginal fold per leaf, with the O(N) filter / DP
-//     on the calling thread;
+//   * expected ranks — one unit per key (core ExpectedRankOfKey);
 //   * Monte-Carlo estimation — samples are drawn in fixed-size chunks, each
 //     chunk from its own Rng seeded by (seed, chunk index), and the
 //     per-chunk Welford statistics are combined in chunk order. The chunk
 //     size is an algorithm parameter (EngineOptions::mc_chunk_size), not a
 //     scheduling hint: changing it changes the sample stream.
+//
+// Set consensus is not a parallel path: the leaf marginals come off one
+// O(N) FlatTree::Compile pass (LeafMarginals), and the filter / min-cost DP
+// over them (ConsensusWorldWithMarginals) is O(N) on the calling thread.
 //
 // EvaluateConsensusBatch fans whole queries across the same pool (queries
 // nest their own ParallelFor calls; the pool is nest-safe), so callers with
@@ -143,7 +146,7 @@ class Engine {
   /// (each over its thread's arena scratch) are evaluated in parallel and
   /// merged in DFS leaf order. Bitwise identical for any thread count; on
   /// the general path this also means bitwise identity with the sequential
-  /// core function and with the retained pointer-tree fold. When the fast BID
+  /// core function and with the pointer-tree reference fold. When the fast BID
   /// path engages (options().use_fast_bid_path on a block-independent
   /// tree), the result is that of ComputeRankDistributionFast — sequential
   /// and deterministic, but a numerically different (equally correct)
@@ -242,23 +245,6 @@ class Engine {
 
   // -- Set consensus (Section 4.1) ----------------------------------------
 
-  /// \brief The mean world under symmetric difference (Theorem 2). The
-  /// per-leaf marginal folds run across the pool (one unit per leaf, like
-  /// the rank-distribution path); the O(L) filter runs on the calling
-  /// thread. Bitwise identical to the core function for any thread count.
-  std::vector<NodeId> MeanWorldSymDiff(const AndXorTree& tree) const;
-
-  /// \brief The median world under symmetric difference (Corollary 1);
-  /// parallel marginal folds feeding the sequential O(N) min-cost DP.
-  /// Bitwise identical to the core function for any thread count.
-  std::vector<NodeId> MedianWorldSymDiff(const AndXorTree& tree) const;
-
-  /// \brief E[d_Delta(world, pw)] for a fixed leaf set, with the marginal
-  /// folds run across the pool and the sum accumulated in DFS leaf order —
-  /// bitwise identical to the core ExpectedSymDiffDistance.
-  double ExpectedSymDiffDistance(const AndXorTree& tree,
-                                 const std::vector<NodeId>& world) const;
-
   /// \brief Leaf marginals (indexed by NodeId), read off one O(N)
   /// FlatTree::Compile pass (which carries the root-to-leaf XOR edge
   /// product in the same multiplication order as the per-leaf pointer
@@ -272,10 +258,10 @@ class Engine {
                                     const FlatTree* program = nullptr) const;
 
   /// \brief Parallel expected ranks (core/ranking_baselines.h
-  /// ExpectedRanks): one task per key, each accumulating its own expected
-  /// value in the sequential form's exact inner order and writing its own
-  /// disjoint slot — bitwise identical to the core function for any thread
-  /// count. Indexed like tree.Keys(). Serves op=baseline method=erank.
+  /// ExpectedRanks): one task per key, each running the core
+  /// ExpectedRankOfKey body into its own disjoint slot — bitwise identical
+  /// to the core function for any thread count. Indexed like tree.Keys().
+  /// Serves op=baseline method=erank.
   std::vector<double> ExpectedRanks(const AndXorTree& tree) const;
 
   /// \brief A set-consensus world answer: the chosen world's leaves and its
@@ -296,9 +282,9 @@ class Engine {
   /// contract, which is why the serving layer keys its MarginalsCache by
   /// the catalog's structural key. Everything downstream of the fold
   /// (filter, min-cost DP, distance sum) is sequential O(N), so the result
-  /// is bitwise identical to MeanWorldSymDiff / MedianWorldSymDiff plus
-  /// ExpectedSymDiffDistance, whether `marginals` was computed fresh or
-  /// served from a cache.
+  /// is bitwise identical to the core MeanWorldSymDiff / MedianWorldSymDiff
+  /// plus ExpectedSymDiffDistance, whether `marginals` was computed fresh
+  /// or served from a cache.
   Result<WorldResult> ConsensusWorldWithMarginals(
       const AndXorTree& tree, const std::vector<double>& marginals,
       bool median) const;

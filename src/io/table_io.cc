@@ -8,6 +8,8 @@
 #include <set>
 #include <sstream>
 
+#include "io/tree_text.h"
+
 namespace cpdb {
 
 Result<std::vector<Block>> ParseBidTable(const std::string& text) {
@@ -96,6 +98,18 @@ Result<std::string> ReadFileToString(const std::string& path) {
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
   std::fclose(f);
   return content;
+}
+
+Result<AndXorTree> LoadTreeFile(const std::string& path,
+                                const std::string& format) {
+  CPDB_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
+  if (format == "tree") return ParseTree(content);
+  if (format == "bid") {
+    CPDB_ASSIGN_OR_RETURN(std::vector<Block> blocks, ParseBidTable(content));
+    return MakeBlockIndependent(blocks);
+  }
+  return Status::InvalidArgument("unknown tree file format '" + format +
+                                 "' (expected tree or bid)");
 }
 
 Status WriteStringToFile(const std::string& path, const std::string& content) {

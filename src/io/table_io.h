@@ -36,6 +36,14 @@ std::string FormatBidTable(const std::vector<Block>& blocks);
 /// \brief Reads an entire file into a string.
 Result<std::string> ReadFileToString(const std::string& path);
 
+/// \brief Reads `path` and parses it as an and/xor tree: `format` "tree"
+/// is the s-expression text of io/tree_text.h, "bid" a BID table built with
+/// MakeBlockIndependent. The file is read first, so a missing file is
+/// NotFound whatever the format; any other format is InvalidArgument. The
+/// one tree-file loader behind the CLI's input and serve's op=load.
+Result<AndXorTree> LoadTreeFile(const std::string& path,
+                                const std::string& format);
+
 /// \brief Writes a string to a file (truncating).
 Status WriteStringToFile(const std::string& path, const std::string& content);
 

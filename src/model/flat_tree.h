@@ -10,12 +10,16 @@
 #include "model/types.h"
 #include "poly/poly_arena.h"
 
-// A flattened, cache-friendly compilation of a validated AndXorTree.
+// A flattened, cache-friendly compilation of a validated AndXorTree — the
+// library's one generating-function fold (Section 3.3, Theorem 1):
 //
-// The pointer-tree generating-function fold (EvalGeneratingFunction in
-// model/generating_function.h) re-walks parent/child pointers and allocates a
-// fresh coefficient vector per node on every evaluation. FlatTree::Compile
-// walks the tree ONCE and emits:
+//   * leaf v:        F_v = s(v)                  (the caller's leaf_init)
+//   * XOR node v:    F_v = (1 - sum_h p(v, v_h)) + sum_h p(v, v_h) F_{v_h}
+//   * AND node v:    F_v = prod_h F_{v_h}
+//
+// A pointer-tree fold re-walks parent/child pointers and allocates a fresh
+// coefficient vector per node on every evaluation. FlatTree::Compile walks
+// the tree ONCE and emits:
 //
 //   * an instruction stream of fixed-stride FlatOp records in evaluation
 //     (post-order) order — evaluating the fold becomes one linear pass over
@@ -31,13 +35,14 @@
 //     array, plus each leaf's precomputed marginal probability;
 //   * precomputed XOR leftover mass per node (stored on the kXorInit op).
 //
-// Bitwise contract: EvalGeneratingFunction here performs the same arithmetic
-// operations in the same order as the pointer fold — leaves combine into XOR
-// accumulators via AddScaledRow in child order, AND children combine
-// left-to-right via ConvolveRowsTruncated — so for identical leaf
-// polynomials the resulting coefficients are bit-identical. Only the memory
-// layout and allocation strategy change. The pointer fold is retained as the
-// differential reference (tests/flat_tree_test.cc).
+// Bitwise contract: EvalGeneratingFunction performs the same arithmetic
+// operations in the same order as the recursive definition above — leaves
+// combine into XOR accumulators via AddScaledRow in child order, AND
+// children combine left-to-right via ConvolveRowsTruncated — so for
+// identical leaf polynomials its coefficients are bit-identical to the
+// pointer-tree reference fold kept in the test-support library
+// (tests/support; pinned by tests/flat_tree_test.cc and
+// tests/reference_fold_test.cc).
 //
 // A compiled FlatTree is immutable and safe to share across threads; each
 // evaluating thread supplies its own PolyArena (see FlatFoldScratch()).

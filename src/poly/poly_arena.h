@@ -5,10 +5,10 @@
 #include <vector>
 
 // Arena scratch for the flattened generating-function fold, plus the shared
-// raw-row convolution kernels that Poly1/Poly2 multiplication and the flat
-// fold both compile down to.
+// raw-row convolution kernels that Poly1 multiplication, the flat fold and
+// the test-support Poly2 (tests/support) all compile down to.
 //
-// The pointer-tree fold heap-allocates one coefficient vector per tree node.
+// A pointer-tree fold heap-allocates one coefficient vector per tree node.
 // The flat fold instead works on a fixed number of equally sized coefficient
 // rows ("slots") whose lifetimes were computed when the tree was compiled
 // (see model/flat_tree.h): a child's row is recycled the moment its parent

@@ -592,7 +592,6 @@ OpRegistry::OpRegistry() {
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
     spec.fuse_consensus_batch = true;
-    spec.uses_rank_dist_cache = true;
     spec.parse = ParseTopK;
     spec.execute_tree = ExecuteTopKTree;
     spec.format = FormatTopK;
@@ -604,7 +603,6 @@ OpRegistry::OpRegistry() {
     spec.name = "world";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_marginals_cache = true;
     spec.parse = ParseWorld;
     spec.execute_tree = ExecuteWorldTree;
     spec.format = FormatWorld;
@@ -638,7 +636,6 @@ OpRegistry::OpRegistry() {
     spec.name = "marginals";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_marginals_cache = true;
     spec.parse = ParseMarginals;
     spec.execute_tree = ExecuteMarginalsTree;
     spec.format = FormatMarginals;
@@ -650,7 +647,6 @@ OpRegistry::OpRegistry() {
     spec.name = "aggregate";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_marginals_cache = true;
     spec.parse = ParseAggregate;
     spec.execute_tree = ExecuteAggregateTree;
     spec.format = FormatAggregate;
@@ -662,7 +658,6 @@ OpRegistry::OpRegistry() {
     spec.name = "baseline";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.uses_rank_dist_cache = true;  // method=global|prf
     spec.parse = ParseBaseline;
     spec.execute_tree = ExecuteBaselineTree;
     spec.format = FormatBaseline;

@@ -17,8 +17,6 @@
 //                       state (stats, metrics);
 //   * its batch phase — the position ExecuteBatch runs it in (loads
 //     before queries before stats before metrics);
-//   * its cache usage (which of the scheduler's memo caches the op routes
-//     its precompute through);
 //   * an execute hook against an abstract host (OpHost: one shard's
 //     Engine + caches; AdminHost: the merged front-end state), and
 //   * a deterministic response formatter.
@@ -137,11 +135,6 @@ struct OpSpec {
   /// Engine::EvaluateConsensusBatch submission (rank distribution via
   /// GatedDistFor, one shared fold span). Only kTopK sets it.
   bool fuse_consensus_batch = false;
-
-  /// Cache usage, declared for documentation, tests, and tooling: which of
-  /// the scheduler's memo caches the op's precompute routes through.
-  bool uses_rank_dist_cache = false;
-  bool uses_marginals_cache = false;
 
   /// Maps a tokenized protocol line (op field already matched to this
   /// spec; trace already parsed) onto `request`. Strict: unknown fields

@@ -9,8 +9,6 @@
 
 #include "common/hash.h"
 #include "io/table_io.h"
-#include "io/tree_text.h"
-#include "model/builders.h"
 #include "service/catalog_snapshot.h"
 #include "service/marginals_cache.h"
 #include "service/op_registry.h"
@@ -26,18 +24,6 @@ void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
   total->entries += part.entries;
   total->bytes += part.bytes;
   total->evictions += part.evictions;
-}
-
-// Reads and parses a kLoad request's file into a validated tree
-// (request.load_format selects the parser).
-Result<AndXorTree> LoadRequestTree(const ServiceRequest& request) {
-  CPDB_ASSIGN_OR_RETURN(std::string content,
-                        ReadFileToString(request.load_file));
-  if (request.load_format == "tree") {
-    return ParseTree(content);
-  }
-  CPDB_ASSIGN_OR_RETURN(std::vector<Block> blocks, ParseBidTable(content));
-  return MakeBlockIndependent(blocks);
 }
 
 // QueryScheduler — one shard's executor. It runs the tree-addressed
@@ -593,7 +579,8 @@ Result<ServiceResponse> ShardedScheduler::ExecuteLoad(
   int shard = 0;
   Result<ServiceResponse> response = [&]() -> Result<ServiceResponse> {
     Stopwatch parse_watch(clk);
-    Result<AndXorTree> tree = LoadRequestTree(request);
+    Result<AndXorTree> tree =
+        LoadTreeFile(request.load_file, request.load_format);
     AddSpan(&timing, "parse", parse_watch);
     if (!tree.ok()) return tree.status();
     Stopwatch catalog_watch(clk);

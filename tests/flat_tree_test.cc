@@ -22,8 +22,9 @@
 #include "core/rank_distribution.h"
 #include "core/topk_kendall.h"
 #include "engine/engine.h"
-#include "model/generating_function.h"
 #include "poly/poly1.h"
+#include "support/generating_function.h"
+#include "support/reference_folds.h"
 #include "workload/generators.h"
 
 namespace cpdb {

@@ -6,9 +6,9 @@
 
 #include "common/rng.h"
 #include "poly/poly1.h"
-#include "poly/poly2.h"
 #include "poly/poly_arena.h"
-#include "poly/sparse_poly.h"
+#include "support/poly2.h"
+#include "support/sparse_poly.h"
 
 namespace cpdb {
 namespace {

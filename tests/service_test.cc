@@ -450,7 +450,8 @@ TEST_F(SchedulerTest, WorldRequestsMatchEngineSetConsensus) {
   ASSERT_TRUE(results[1].ok());
 
   std::vector<double> marginal = engine.LeafMarginals(deep_);
-  std::vector<NodeId> mean_world = engine.MeanWorldSymDiff(deep_);
+  std::vector<NodeId> mean_world =
+      engine.ConsensusWorldWithMarginals(deep_, marginal, false)->leaf_ids;
   std::vector<KeyId> mean_keys;
   for (const TupleAlternative& t : WorldTuples(deep_, mean_world)) {
     mean_keys.push_back(t.key);
@@ -458,7 +459,8 @@ TEST_F(SchedulerTest, WorldRequestsMatchEngineSetConsensus) {
   EXPECT_EQ(results[0]->keys, mean_keys);
   EXPECT_EQ(results[0]->expected_distance,
             ExpectedSymDiffDistanceFromMarginals(deep_, marginal, mean_world));
-  std::vector<NodeId> median_world = engine.MedianWorldSymDiff(deep_);
+  std::vector<NodeId> median_world =
+      engine.ConsensusWorldWithMarginals(deep_, marginal, true)->leaf_ids;
   std::vector<KeyId> median_keys;
   for (const TupleAlternative& t : WorldTuples(deep_, median_world)) {
     median_keys.push_back(t.key);

@@ -1,14 +1,17 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// Dense bivariate polynomials with per-variable degree truncation. Used for
-// the two-variable generating functions of the paper:
+// Dense bivariate polynomials with per-variable degree truncation — the
+// test-support value type for the two-variable generating functions of the
+// paper, fed to the pointer-tree reference fold (generating_function.h):
 //  * rank distributions (Example 3): variables (x, y) truncated at (k, 1);
 //  * expected Jaccard distance (Lemma 1): variables (x, y) truncated at
 //    (|W|, n - |W|);
-//  * pairwise co-occurrence probabilities for Kendall tau and clustering.
+//  * pairwise order probabilities for Kendall tau.
+// The library folds the same polynomials as raw rows of this exact
+// row-major layout (FlatTree::EvalGeneratingFunction).
 
-#ifndef CPDB_POLY_POLY2_H_
-#define CPDB_POLY_POLY2_H_
+#ifndef CPDB_TESTS_SUPPORT_POLY2_H_
+#define CPDB_TESTS_SUPPORT_POLY2_H_
 
 #include <string>
 #include <vector>
@@ -72,4 +75,4 @@ class Poly2 {
 
 }  // namespace cpdb
 
-#endif  // CPDB_POLY_POLY2_H_
+#endif  // CPDB_TESTS_SUPPORT_POLY2_H_

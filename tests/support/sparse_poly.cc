@@ -1,6 +1,6 @@
 // Copyright 2026 The ConsensusDB Authors
 
-#include "poly/sparse_poly.h"
+#include "support/sparse_poly.h"
 
 #include <cassert>
 #include <cmath>

@@ -1,13 +1,13 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Sparse multivariate polynomials. The paper's generating-function theorem
-// (Theorem 1) is stated for an arbitrary number of variables; Poly1/Poly2
-// cover the hot paths, and SparsePoly provides the general case (used for
-// multi-set intersection queries and as the reference implementation in
-// tests).
+// (Theorem 1) is stated for an arbitrary number of variables; the dense
+// rows of the flat fold cover every query the library answers, and
+// SparsePoly is the general-case reference implementation the polynomial
+// tests check the dense kernels against.
 
-#ifndef CPDB_POLY_SPARSE_POLY_H_
-#define CPDB_POLY_SPARSE_POLY_H_
+#ifndef CPDB_TESTS_SUPPORT_SPARSE_POLY_H_
+#define CPDB_TESTS_SUPPORT_SPARSE_POLY_H_
 
 #include <cstdint>
 #include <map>
@@ -76,4 +76,4 @@ class SparsePoly {
 
 }  // namespace cpdb
 
-#endif  // CPDB_POLY_SPARSE_POLY_H_
+#endif  // CPDB_TESTS_SUPPORT_SPARSE_POLY_H_

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <optional>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -11,14 +12,11 @@
 #include "core/hardness.h"
 #include "core/jaccard.h"
 #include "core/ranking_baselines.h"
-#include "core/set_consensus.h"
 #include "core/topk_metrics.h"
 #include "core/topk_symdiff.h"
 #include "engine/engine.h"
 #include "io/request_protocol.h"
 #include "io/table_io.h"
-#include "io/tree_text.h"
-#include "model/builders.h"
 #include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "obs/clock.h"
@@ -273,21 +271,23 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   return opts;
 }
 
-Result<AndXorTree> LoadTree(const CliOptions& opts) {
-  if (opts.input_path.empty()) {
-    return Status::InvalidArgument("missing input file");
-  }
-  CPDB_ASSIGN_OR_RETURN(std::string content,
-                        ReadFileToString(opts.input_path));
-  if (opts.format == "tree") {
-    return ParseTree(content);
-  }
-  if (opts.format == "bid") {
-    CPDB_ASSIGN_OR_RETURN(std::vector<Block> blocks, ParseBidTable(content));
-    return MakeBlockIndependent(blocks);
-  }
-  return Status::InvalidArgument("unknown --format=" + opts.format +
-                                 " (expected tree or bid)");
+// Loads the command's input tree. On failure prints the status on `err`
+// (after `error_prefix`) and returns nullopt; the command then exits 1.
+std::optional<AndXorTree> LoadTree(const CliOptions& opts, std::FILE* err,
+                                   const char* error_prefix = "") {
+  Result<AndXorTree> tree = [&]() -> Result<AndXorTree> {
+    if (opts.input_path.empty()) {
+      return Status::InvalidArgument("missing input file");
+    }
+    if (opts.format != "tree" && opts.format != "bid") {
+      return Status::InvalidArgument("unknown --format=" + opts.format +
+                                     " (expected tree or bid)");
+    }
+    return LoadTreeFile(opts.input_path, opts.format);
+  }();
+  if (tree.ok()) return *std::move(tree);
+  std::fprintf(err, "%s%s\n", error_prefix, tree.status().ToString().c_str());
+  return std::nullopt;
 }
 
 void PrintWorld(const AndXorTree& tree, const std::vector<NodeId>& leaf_ids,
@@ -302,22 +302,16 @@ void PrintWorld(const AndXorTree& tree, const std::vector<NodeId>& leaf_ids,
 }
 
 int CmdValidate(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "INVALID: %s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err, "INVALID: ");
+  if (!tree) return 1;
   std::fprintf(out, "OK: %d leaves, %zu keys, %d nodes\n", tree->NumLeaves(),
                tree->Keys().size(), tree->NumNodes());
   return 0;
 }
 
 int CmdDumpFlat(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   // The compiled record table: op stream (kind, slots, originating node,
   // precomputed XOR weights) followed by the leaf table (key, score, node,
   // marginal). This is the exact program the hot fold executes, so the dump
@@ -328,11 +322,8 @@ int CmdDumpFlat(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdDumpCanon(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   // The two-level identity, exactly as the serving catalog derives it:
   // content_fp hashes the wire-normalized input orientation (the identity a
   // client sees on responses), struct_key hashes the canonical orientation
@@ -352,11 +343,8 @@ int CmdDumpCanon(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdMarginals(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   std::fprintf(out, "key presence_probability\n");
   // Shortest round-trip formatting (shared with the serve wire): strtod of
   // the printed value reproduces the computed double bitwise, where "%.6f"
@@ -369,11 +357,8 @@ int CmdMarginals(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdWorlds(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   auto worlds = EnumerateWorlds(*tree, opts.max_worlds);
   if (!worlds.ok()) {
     std::fprintf(err, "%s\n", worlds.status().ToString().c_str());
@@ -390,11 +375,8 @@ int CmdWorlds(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdSample(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   Rng rng(opts.seed);
   for (int i = 0; i < opts.count; ++i) {
     PrintWorld(*tree, SampleWorld(*tree, &rng), out);
@@ -404,11 +386,8 @@ int CmdSample(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   if (opts.threads < 0) {
     std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
     return 1;
@@ -416,15 +395,17 @@ int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::vector<NodeId> world;
   double expected = 0.0;
   if (opts.metric == "symdiff") {
-    // Through the engine: the per-leaf marginal folds honor --threads
-    // (results are thread-count independent, like every engine path). One
-    // marginal pass serves both the answer and its expected distance.
+    // The serve path's computation: one marginal pass serves both the
+    // answer and its expected distance.
     Engine engine = MakeEngine(opts);
-    std::vector<double> marginal = engine.LeafMarginals(*tree);
-    world = opts.answer == "median"
-                ? MedianWorldSymDiffFromMarginals(*tree, marginal)
-                : MeanWorldSymDiffFromMarginals(*tree, marginal);
-    expected = ExpectedSymDiffDistanceFromMarginals(*tree, marginal, world);
+    Result<Engine::WorldResult> result = engine.ConsensusWorldWithMarginals(
+        *tree, engine.LeafMarginals(*tree), opts.answer == "median");
+    if (!result.ok()) {
+      std::fprintf(err, "%s\n", result.status().ToString().c_str());
+      return 1;
+    }
+    world = std::move(result->leaf_ids);
+    expected = result->expected_distance;
   } else if (opts.metric == "jaccard") {
     Result<std::vector<NodeId>> result =
         opts.answer == "median" && IsBlockIndependent(*tree) &&
@@ -451,11 +432,8 @@ int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdTopK(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   if (opts.k < 1) {
     std::fprintf(err, "--k must be >= 1\n");
     return 1;
@@ -755,11 +733,8 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 }
 
 int CmdAggregate(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   // The group-by matrix build is shared with serve's op=aggregate
   // (core/aggregates.h), so both surfaces agree on the instance — and on
   // the missing-label error text, printed here without the status-code
@@ -792,11 +767,8 @@ int CmdAggregate(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 // same schedule-deterministic ComputeRankDistribution the serve cache
 // memoizes.
 int CmdBaseline(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   if (opts.k < 1) {
     std::fprintf(err, "--k must be >= 1\n");
     return 1;
@@ -829,11 +801,8 @@ int CmdBaseline(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 // the paper's tractability frontier, one `name value` line per field, names
 // matching the serve response fields byte for byte.
 int CmdHardness(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  auto tree = LoadTree(opts);
-  if (!tree.ok()) {
-    std::fprintf(err, "%s\n", tree.status().ToString().c_str());
-    return 1;
-  }
+  std::optional<AndXorTree> tree = LoadTree(opts, err);
+  if (!tree) return 1;
   TreeHardness h = ComputeTreeHardness(*tree);
   std::fprintf(out, "nodes %lld\n", static_cast<long long>(h.nodes));
   std::fprintf(out, "leaves %lld\n", static_cast<long long>(h.leaves));
