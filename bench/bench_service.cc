@@ -123,7 +123,6 @@ std::vector<ServiceRequest> HeavyTailBatch() {
 EngineOptions BenchEngineOptions(int threads) {
   EngineOptions engine_options;
   engine_options.num_threads = threads;
-  engine_options.use_fast_bid_path = false;
   return engine_options;
 }
 
@@ -296,7 +295,6 @@ void BM_ServeSharded(benchmark::State& state) {
   constexpr int kTrees = 32;
   EngineOptions engine_options;
   engine_options.num_threads = 1;
-  engine_options.use_fast_bid_path = false;
   SchedulerOptions options;
   options.use_cache = false;
   ShardedScheduler sharded(shards, engine_options, options);

@@ -39,9 +39,9 @@ Status ValidateGroupBy(const GroupByInstance& instance) {
 
 Result<GroupByInstance> GroupByInstanceFromTree(
     const AndXorTree& tree, const std::vector<double>& leaf_marginals) {
-  // Accumulate (key, label) marginal mass in DFS leaf order — the exact
-  // accumulation order the offline CLI historically used, so the instance
-  // (and everything downstream of it) is bitwise-stable.
+  // Accumulate (key, label) marginal mass in DFS leaf order — one fixed
+  // accumulation order, so the instance (and everything downstream of it)
+  // is bitwise-stable.
   std::map<KeyId, std::map<int32_t, double>> rows;
   int32_t max_label = -1;
   for (NodeId l : tree.LeafIds()) {

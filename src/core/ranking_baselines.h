@@ -76,8 +76,8 @@ std::vector<KeyId> TopKByPRF(const RankDistribution& dist,
 
 /// \brief The paper's Upsilon_H weight vector for cutoff k:
 /// w[i-1] = H_k - H_{i-1} with H_0 = 0, H_j = sum_{m=1..j} 1/m. Computed
-/// in one fixed accumulation order, so every caller (offline CLI, serve
-/// path) derives the bitwise-identical vector.
+/// in one fixed accumulation order, so every caller derives the
+/// bitwise-identical vector.
 std::vector<double> PrfUpsilonHWeights(int k);
 
 }  // namespace cpdb

@@ -79,7 +79,7 @@ int Engine::num_threads() const { return pool_.num_threads(); }
 
 RankDistribution Engine::ComputeRankDistribution(
     const AndXorTree& tree, int k, const FlatTree* program) const {
-  if (options_.use_fast_bid_path && IsBlockIndependent(tree)) {
+  if (IsBlockIndependent(tree)) {
     Result<RankDistribution> fast = ComputeRankDistributionFast(tree, k);
     if (fast.ok()) return std::move(fast).ValueOrDie();
     // Fall through to the general path on any fast-path failure.

@@ -89,10 +89,6 @@ struct EngineOptions {
   /// used is recorded in McEstimate::chunk_size either way, so any run can
   /// be reproduced bitwise by pinning that value here.
   int mc_chunk_size = 256;
-
-  /// Use the O(n k) block-independent fast path for rank distributions
-  /// when the tree qualifies (matches the CLI's historical behavior).
-  bool use_fast_bid_path = true;
 };
 
 /// \brief The chunk size EngineOptions::mc_chunk_size = 0 resolves to: a
@@ -146,11 +142,11 @@ class Engine {
   /// (each over its thread's arena scratch) are evaluated in parallel and
   /// merged in DFS leaf order. Bitwise identical for any thread count; on
   /// the general path this also means bitwise identity with the sequential
-  /// core function and with the pointer-tree reference fold. When the fast BID
-  /// path engages (options().use_fast_bid_path on a block-independent
-  /// tree), the result is that of ComputeRankDistributionFast — sequential
-  /// and deterministic, but a numerically different (equally correct)
-  /// algorithm than the general path, agreeing only to ~1e-9.
+  /// core function and with the pointer-tree reference fold. A
+  /// block-independent tree (IsBlockIndependent) takes the O(n k) fast BID
+  /// path instead: the result is that of ComputeRankDistributionFast —
+  /// sequential and deterministic, but a numerically different (equally
+  /// correct) algorithm than the general path, agreeing only to ~1e-9.
   ///
   /// `program`, when non-null, must be FlatTree::Compile(tree) (the
   /// serving catalog holds exactly that, one per distinct shape); the call

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "io/mmap_file.h"
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
@@ -454,11 +453,6 @@ Status WriteCatalogSnapshotFile(const std::string& path,
 Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path) {
   CPDB_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
   return DecodeCatalogSnapshot(bytes.data(), bytes.size());
-}
-
-Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path) {
-  CPDB_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-  return DecodeCatalogSnapshot(file.data(), file.size());
 }
 
 }  // namespace cpdb

@@ -135,15 +135,10 @@ Result<CatalogSnapshot> DecodeCatalogSnapshot(const void* data, size_t size);
 Status WriteCatalogSnapshotFile(const std::string& path,
                                 const CatalogSnapshot& snapshot);
 
-/// \brief The streaming-read load path: reads the whole file into memory,
-/// then decodes. A missing or unreadable path is an error (a warm restart
-/// must not silently fall back to a cold start).
+/// \brief The snapshot load path: reads the whole file into memory, then
+/// decodes. A missing or unreadable path is an error (a warm restart must
+/// not silently fall back to a cold start).
 Result<CatalogSnapshot> ReadCatalogSnapshotFile(const std::string& path);
-
-/// \brief The mmap load path: maps the file read-only (io/mmap_file.h) and
-/// decodes from the mapping — same validation, same typed errors, same
-/// resulting snapshot as the read path; only how the bytes arrive differs.
-Result<CatalogSnapshot> MmapCatalogSnapshotFile(const std::string& path);
 
 }  // namespace cpdb
 

@@ -382,9 +382,8 @@ Result<ServiceResponse> ExecuteMarginalsTree(OpHost& host,
       host.MarginalsFor(entry);
   AddSpan(timing, "cache", cache_watch);
   // Per-key marginal = the sum of the key's alternative-leaf marginals in
-  // DFS leaf order — exactly tree.KeyMarginal's accumulation, so the
-  // response bytes match the offline `marginals` command for canonical
-  // content while the fold itself is served by the cache. One pass over
+  // DFS leaf order — exactly tree.KeyMarginal's accumulation — while the
+  // fold itself is served by the cache. One pass over
   // the leaves: each key's contributions arrive in the same DFS order the
   // per-key fold would add them, so the sums are bitwise identical while
   // the scan is O(leaves), not O(keys * leaves).

@@ -30,8 +30,9 @@
 // Determinism contract: every execute hook computes through
 // schedule-deterministic Engine forms, so answers are bitwise identical
 // for any thread count, shard count, or cache budget — the differential
-// suite (tests/op_registry_test.cc) pins this, and pins the four
-// analytics ops against their offline CLI twins to the byte.
+// suite (tests/op_registry_test.cc) pins this. The offline CLI twins
+// (marginals, topk, aggregate, baseline, hardness) answer through this
+// table, so their bytes are the serve bytes for every input.
 
 #ifndef CPDB_SERVICE_OP_REGISTRY_H_
 #define CPDB_SERVICE_OP_REGISTRY_H_

@@ -332,7 +332,6 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   constexpr int kTrees = 6;
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.use_fast_bid_path = false;
   // One-shard front ends over the same trees.
   auto make_scheduler = [&](const SchedulerOptions& options) {
     auto scheduler =

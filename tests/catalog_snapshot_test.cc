@@ -14,9 +14,8 @@
 //     suite runs under ASan/UBSan in CI, so an out-of-bounds read in the
 //     decoder fails the build, not just the expectation.
 //
-//   * Round-trip fidelity: save -> load -> save is byte-identical, loaded
-//     trees fingerprint identically to the originals, and the mmap load
-//     path agrees with the streaming-read path bit for bit — over
+//   * Round-trip fidelity: save -> load -> save is byte-identical, and
+//     loaded trees fingerprint identically to the originals — over
 //     hand-written trees and the full random-generator families.
 
 #include "service/catalog_snapshot.h"
@@ -163,8 +162,8 @@ std::string Restamped(std::string bytes) {
 }
 
 // The full rejection contract for one corrupt byte string: DecodeCatalogSnapshot
-// returns the expected typed Status (both from memory and through both file
-// load paths, which must agree byte-for-byte on the error), and a catalog
+// returns the expected typed Status (both from memory and through the file
+// load path, which must agree byte-for-byte on the error), and a catalog
 // fed through the serve path's decode-then-install sequence is untouched.
 void ExpectRejected(const std::string& bytes, StatusCode code,
                     const std::string& needle, const std::string& label) {
@@ -179,12 +178,9 @@ void ExpectRejected(const std::string& bytes, StatusCode code,
   const std::string path = ::testing::TempDir() + "/corrupt.snap";
   ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
   Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path);
-  Result<CatalogSnapshot> mapped = MmapCatalogSnapshotFile(path);
   ASSERT_FALSE(read.ok());
-  ASSERT_FALSE(mapped.ok());
   EXPECT_EQ(read.status().code(), code);
   EXPECT_EQ(read.status().message(), decoded.status().message());
-  EXPECT_EQ(mapped.status().message(), decoded.status().message());
 
   // The serve path decodes before touching any catalog, so a pre-populated
   // catalog and a warm cache survive a corrupt file bit-for-bit.
@@ -234,11 +230,9 @@ TEST(CatalogSnapshotCorruptionTest, ZeroLengthAndTinyFilesAreRejected) {
   // An empty *file* through the read path reports the same typed error.
   const std::string path = ::testing::TempDir() + "/empty.snap";
   ASSERT_TRUE(WriteStringToFile(path, "").ok());
-  for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  }
+  Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
 TEST(CatalogSnapshotCorruptionTest, BadMagicIsRejected) {
@@ -442,11 +436,9 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
 // until traffic notices the latency).
 TEST(CatalogSnapshotCorruptionTest, MissingFileIsATypedError) {
   const std::string path = ::testing::TempDir() + "/does_not_exist.snap";
-  for (auto load : {ReadCatalogSnapshotFile, MmapCatalogSnapshotFile}) {
-    Result<CatalogSnapshot> loaded = load(path);
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
-  }
+  Result<CatalogSnapshot> loaded = ReadCatalogSnapshotFile(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------
@@ -505,7 +497,7 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     ASSERT_EQ(original.distributions.size(), 4u);
     const std::string bytes = EncodeCatalogSnapshot(original);
 
-    // load -> save: byte identity, from memory and through both file paths.
+    // load -> save: byte identity, from memory and through the file.
     Result<CatalogSnapshot> decoded =
         DecodeCatalogSnapshot(bytes.data(), bytes.size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -514,11 +506,8 @@ TEST(CatalogSnapshotRoundTripTest, GeneratedTreesSurviveSaveLoadSave) {
     const std::string path = ::testing::TempDir() + "/roundtrip.snap";
     ASSERT_TRUE(WriteCatalogSnapshotFile(path, original).ok());
     Result<CatalogSnapshot> read = ReadCatalogSnapshotFile(path);
-    Result<CatalogSnapshot> mapped = MmapCatalogSnapshotFile(path);
     ASSERT_TRUE(read.ok()) << read.status().ToString();
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_EQ(EncodeCatalogSnapshot(*read), bytes);
-    EXPECT_EQ(EncodeCatalogSnapshot(*mapped), bytes);
 
     // Every loaded tree re-fingerprints to the original value — the loaded
     // catalog's identity map is the cold catalog's by construction.

@@ -5,8 +5,7 @@
 // loaded the same trees line-by-line. The load-bearing comparisons are
 // byte-level — responses are rendered through the actual protocol
 // formatter and compared as strings — across every op (all four Top-k
-// metrics, both worlds, stats, error lines), shard counts {1, 2, 4}, and
-// both snapshot load paths (streaming read and mmap).
+// metrics, both worlds, stats, error lines) and shard counts {1, 2, 4}.
 //
 // Stats parity splits by snapshot flavor, by design:
 //   * trees-only snapshot: full byte parity *including* stats lines — both
@@ -148,7 +147,6 @@ void ExpectSameWire(const std::vector<Result<ServiceResponse>>& got,
 EngineOptions ReferenceEngineOptions(int threads = 2) {
   EngineOptions options;
   options.num_threads = threads;
-  options.use_fast_bid_path = false;
   return options;
 }
 
@@ -192,10 +190,9 @@ class CatalogWarmRestartTest : public ::testing::Test {
                     .ok());
   }
 
-  // Loads the snapshot through the selected path, as serve --catalog does.
-  Result<CatalogSnapshot> LoadSnapshot(bool mmap) const {
-    return mmap ? MmapCatalogSnapshotFile(snapshot_path_)
-                : ReadCatalogSnapshotFile(snapshot_path_);
+  // Loads the snapshot as serve --catalog does.
+  Result<CatalogSnapshot> LoadSnapshot() const {
+    return ReadCatalogSnapshotFile(snapshot_path_);
   }
 
   std::vector<AndXorTree> trees_;
@@ -209,8 +206,8 @@ class CatalogWarmRestartTest : public ::testing::Test {
 
 // A trees-only snapshot restores a service whose *entire wire transcript* —
 // answers, error lines, and stats lines — is byte-identical to a cold
-// service of the same shard count fed the same trees line-by-line, on both
-// load paths, cold and re-run warm; and answers match the one-shard
+// service of the same shard count fed the same trees line-by-line, cold
+// and re-run warm; and answers match the one-shard
 // reference at every shard count.
 TEST_F(CatalogWarmRestartTest, ShardedWarmStartMatchesColdAcrossShardCounts) {
   SaveTreesOnlySnapshot();
@@ -236,23 +233,20 @@ TEST_F(CatalogWarmRestartTest, ShardedWarmStartMatchesColdAcrossShardCounts) {
     ExpectSameWire(cold_first, want_first, /*compare_stats=*/false,
                    "cold shards=" + std::to_string(shards));
 
-    for (bool mmap : {false, true}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                (mmap ? " mmap" : " read");
-      Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      ShardedScheduler warm(shards, ReferenceEngineOptions());
-      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-      EXPECT_EQ(warm.ExecuteOne(StatsRequest())->catalog.names,
-                static_cast<int64_t>(trees_.size()))
-          << label;
-      // No distribution sections => the restored caches are exactly as
-      // cold as fresh ones, so even hit/miss counters match byte-for-byte.
-      ExpectSameWire(warm.ExecuteBatch(batch), cold_first,
-                     /*compare_stats=*/true, label + " first");
-      ExpectSameWire(warm.ExecuteBatch(batch), cold_second,
-                     /*compare_stats=*/true, label + " second");
-    }
+    const std::string label = "shards=" + std::to_string(shards);
+    Result<CatalogSnapshot> snapshot = LoadSnapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ShardedScheduler warm(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+    EXPECT_EQ(warm.ExecuteOne(StatsRequest())->catalog.names,
+              static_cast<int64_t>(trees_.size()))
+        << label;
+    // No distribution sections => the restored caches are exactly as
+    // cold as fresh ones, so even hit/miss counters match byte-for-byte.
+    ExpectSameWire(warm.ExecuteBatch(batch), cold_first,
+                   /*compare_stats=*/true, label + " first");
+    ExpectSameWire(warm.ExecuteBatch(batch), cold_second,
+                   /*compare_stats=*/true, label + " second");
   }
 }
 
@@ -278,14 +272,12 @@ TEST_F(CatalogWarmRestartTest, StreamingTranscriptMatchesColdStart) {
   SeedCold(&cold);
   auto want = stream_through(&cold);
 
-  for (bool mmap : {false, true}) {
-    Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-    ASSERT_TRUE(snapshot.ok());
-    ShardedScheduler warm(1, ReferenceEngineOptions());
-    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-    ExpectSameWire(stream_through(&warm), want, /*compare_stats=*/true,
-                   mmap ? "streaming mmap" : "streaming read");
-  }
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
+  ASSERT_TRUE(snapshot.ok());
+  ShardedScheduler warm(1, ReferenceEngineOptions());
+  ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+  ExpectSameWire(stream_through(&warm), want, /*compare_stats=*/true,
+                 "streaming");
 }
 
 // A snapshot saved at any shard count equals the one-shard snapshot, byte
@@ -331,34 +323,31 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
   ASSERT_GT(after_cold.misses, 0);
 
   for (int shards : {1, 2, 4}) {
-    for (bool mmap : {false, true}) {
-      const std::string label = "shards=" + std::to_string(shards) +
-                                (mmap ? " mmap" : " read");
-      Result<CatalogSnapshot> snapshot = LoadSnapshot(mmap);
-      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      ASSERT_EQ(snapshot->distributions.size(),
-                static_cast<size_t>(after_cold.entries));
+    const std::string label = "shards=" + std::to_string(shards);
+    Result<CatalogSnapshot> snapshot = LoadSnapshot();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_EQ(snapshot->distributions.size(),
+              static_cast<size_t>(after_cold.entries));
 
-      ShardedScheduler warm(shards, ReferenceEngineOptions());
-      ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
-      // Seeding provisions the cache without pretending to be traffic:
-      // entries and bytes are charged, counters stay zero.
-      EXPECT_EQ(warm.cache_stats().entries, after_cold.entries) << label;
-      EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes) << label;
-      EXPECT_EQ(warm.cache_stats().hits, 0) << label;
-      EXPECT_EQ(warm.cache_stats().misses, 0) << label;
-      std::vector<Result<ServiceResponse>> got = warm.ExecuteBatch(batch);
-      const CacheStats warm_stats = warm.cache_stats();
+    ShardedScheduler warm(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+    // Seeding provisions the cache without pretending to be traffic:
+    // entries and bytes are charged, counters stay zero.
+    EXPECT_EQ(warm.cache_stats().entries, after_cold.entries) << label;
+    EXPECT_EQ(warm.cache_stats().bytes, after_cold.bytes) << label;
+    EXPECT_EQ(warm.cache_stats().hits, 0) << label;
+    EXPECT_EQ(warm.cache_stats().misses, 0) << label;
+    std::vector<Result<ServiceResponse>> got = warm.ExecuteBatch(batch);
+    const CacheStats warm_stats = warm.cache_stats();
 
-      // Answers (and error lines) byte-identical; stats lines excluded —
-      // their difference is the feature under test, asserted directly:
-      ExpectSameWire(got, want_cold, /*compare_stats=*/false, label);
-      // ...the warm service's first batch re-folded nothing.
-      EXPECT_EQ(warm_stats.misses, 0) << label;
-      EXPECT_GT(warm_stats.hits, 0) << label;
-      EXPECT_EQ(warm_stats.entries, after_cold.entries) << label;
-      EXPECT_EQ(warm_stats.bytes, after_cold.bytes) << label;
-    }
+    // Answers (and error lines) byte-identical; stats lines excluded —
+    // their difference is the feature under test, asserted directly:
+    ExpectSameWire(got, want_cold, /*compare_stats=*/false, label);
+    // ...the warm service's first batch re-folded nothing.
+    EXPECT_EQ(warm_stats.misses, 0) << label;
+    EXPECT_GT(warm_stats.hits, 0) << label;
+    EXPECT_EQ(warm_stats.entries, after_cold.entries) << label;
+    EXPECT_EQ(warm_stats.bytes, after_cold.bytes) << label;
   }
 }
 
@@ -372,7 +361,7 @@ TEST_F(CatalogWarmRestartTest, SeedingRespectsTheCacheBudget) {
   auto want = cold.ExecuteBatch(batch);
   SaveSnapshotWithDistributions(cold);
 
-  Result<CatalogSnapshot> snapshot = LoadSnapshot(false);
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
   ASSERT_TRUE(snapshot.ok());
   for (int64_t budget : {int64_t{0}, int64_t{700}}) {
     SchedulerOptions options;
@@ -406,7 +395,7 @@ TEST_F(CatalogWarmRestartTest, QueriesDuringInstallSeeNotFoundOrExactAnswer) {
   for (const auto& slot : want) ASSERT_TRUE(slot.ok());
   const std::vector<std::string> want_lines = WireLines(want);
   SaveSnapshotWithDistributions(cold);
-  Result<CatalogSnapshot> snapshot = LoadSnapshot(true);
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
   ASSERT_TRUE(snapshot.ok());
 
   ShardedScheduler warm(3, ReferenceEngineOptions());

@@ -20,6 +20,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/builders.h"
+#include "model/canonical.h"
 #include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 
@@ -100,10 +101,11 @@ TEST_F(CliTest, MarginalsRoundTripTheComputedDoublesExactly) {
   // round-trip formatting as the serve wire, so strtod of every printed
   // probability reproduces the computed double bitwise ("%.6f" used to
   // truncate — and to round 0.8999999999999999 up to a tidy-looking
-  // 0.900000 that was not the answer).
+  // 0.900000 that was not the answer). The command folds the canonical
+  // orientation, as serve's op=marginals does, so that is the reference.
   CliResult r = RunCliArgs({"marginals", tree_path_});
   EXPECT_EQ(r.code, 0);
-  auto tree = ParseTree(*ReadFileToString(tree_path_));
+  auto tree = CanonicalizeTree(*ParseTree(*ReadFileToString(tree_path_)));
   ASSERT_TRUE(tree.ok());
   int matched = 0;
   for (KeyId key : tree->Keys()) {
@@ -272,10 +274,11 @@ TEST_F(CliTest, TopKAllMetricsBatchesEveryMetric) {
 // against the shortest-round-trip property itself (a truncated "%.6f" value
 // re-formats differently after strtod; a shortest form is a fixed point).
 TEST_F(CliTest, OfflineDistancesRoundTripEngineBitsExactly) {
-  // topk: the printed E[distance] must strtod back to the engine's bits.
+  // topk: the printed E[distance] must strtod back to the engine's bits
+  // over the canonical orientation, which the command folds (as serve does).
   auto blocks = ParseBidTable(*ReadFileToString(bid_path_));
   ASSERT_TRUE(blocks.ok());
-  auto tree = MakeBlockIndependent(*blocks);
+  auto tree = CanonicalizeTree(*MakeBlockIndependent(*blocks));
   ASSERT_TRUE(tree.ok());
   Engine engine;
   for (const char* metric :
@@ -416,6 +419,71 @@ ResponseLine FindResponse(const std::string& out,
   }
   ADD_FAILURE() << "no response line matching in:\n" << out;
   return ResponseLine{};
+}
+
+// --answer is strict, like serve's answer= field: an unknown value, or a
+// (metric, answer) pair the metric does not support, exits 1 instead of
+// quietly answering (and labelling) the mean. The unsupported-pair message
+// is the one serve reports in-band for the same request.
+TEST_F(CliTest, AnswerFlagIsStrict) {
+  struct Case {
+    std::vector<std::string> args;
+    std::string needle;
+  };
+  const std::vector<Case> kRejected = {
+      {{"topk", "--metric=kendall", "--answer=bogus"}, "unknown answer 'bogus'"},
+      {{"topk", "--metric=kendall", "--answer=median"}, "Not implemented"},
+      {{"topk", "--metric=footrule", "--answer=any-size"}, "Not implemented"},
+      {{"topk", "--metric=intersection", "--answer=median"},
+       "Not implemented"},
+      {{"topk", "--metric=symdiff", "--answer=approx"}, "Not implemented"},
+      {{"topk", "--metric=all", "--answer=median"},
+       "--metric=all supports only --answer=mean"},
+      {{"consensus-world", "--answer=bogus"}, "unknown answer 'bogus'"},
+      {{"consensus-world", "--answer=any-size"},
+       "unknown answer 'any-size' (expected mean or median)"},
+  };
+  for (const Case& c : kRejected) {
+    std::vector<std::string> args = {c.args[0], bid_path_, "--format=bid"};
+    if (c.args[0] == "topk") args.push_back("--k=2");
+    args.insert(args.end(), c.args.begin() + 1, c.args.end());
+    CliResult r = RunCliArgs(args);
+    EXPECT_EQ(r.code, 1) << ::testing::PrintToString(args) << "\n" << r.out;
+    EXPECT_EQ(r.out, "") << ::testing::PrintToString(args);
+    EXPECT_NE(r.err.find(c.needle), std::string::npos)
+        << ::testing::PrintToString(args) << ": " << r.err;
+  }
+
+  // The supported non-mean pairs answer under their own label.
+  for (const auto& [metric, answer] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"symdiff", "median"},
+           {"symdiff", "any-size"},
+           {"intersection", "approx"}}) {
+    CliResult r = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                              "--metric=" + metric, "--answer=" + answer});
+    EXPECT_EQ(r.code, 0) << r.err;
+    EXPECT_EQ(r.out.rfind("top-2 (" + metric + ", " + answer + "): [", 0), 0u)
+        << r.out;
+  }
+
+  // Same bytes as serve's in-band error for the same request.
+  const std::string requests_path =
+      ::testing::TempDir() + "/cli_answer_req.txt";
+  ASSERT_TRUE(WriteStringToFile(requests_path,
+                                "op=load name=b file=" + bid_path_ +
+                                    " format=bid\n"
+                                    "op=topk tree=b k=2 metric=kendall "
+                                    "answer=median\n")
+                  .ok());
+  CliResult serve = RunCliArgs({"serve", requests_path});
+  EXPECT_EQ(serve.code, 1);
+  CliResult cli = RunCliArgs({"topk", bid_path_, "--format=bid", "--k=2",
+                              "--metric=kendall", "--answer=median"});
+  auto error = ParseResponseLine(OutputLines(serve.out).back());
+  ASSERT_TRUE(error.ok());
+  ASSERT_NE(error->Find("msg"), nullptr);
+  EXPECT_EQ(*error->Find("msg") + "\n", cli.err);
 }
 
 // End-to-end serve mode: a batch mixing loads (both formats), all four
@@ -694,8 +762,8 @@ TEST_F(CliTest, ServeReportsRequestErrorsInBand) {
 }
 
 // serve --save-catalog / --catalog: a replica restored from a snapshot
-// answers the same requests with byte-identical stdout, on both load paths,
-// and the snapshot round-trips through a serve process byte-identically.
+// answers the same requests with byte-identical stdout, and the snapshot
+// round-trips through a serve process byte-identically.
 TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
   const std::string cold_path = ::testing::TempDir() + "/cli_snap_cold.txt";
   const std::string warm_path = ::testing::TempDir() + "/cli_snap_warm.txt";
@@ -723,14 +791,10 @@ TEST_F(CliTest, ServeSnapshotRoundTripServesIdenticalBytes) {
   queries_start = cold.out.find("\n", queries_start + 1);  // after load b
   const std::string want = cold.out.substr(queries_start + 1);
 
-  for (const char* extra : {"", "--mmap"}) {
-    std::vector<std::string> args = {"serve", warm_path, "--threads=2",
-                                     "--catalog=" + snap_path};
-    if (*extra != '\0') args.push_back(extra);
-    CliResult warm = RunCliArgs(args);
-    EXPECT_EQ(warm.code, 0) << warm.err;
-    EXPECT_EQ(warm.out, want) << "load path: " << (*extra ? extra : "read");
-  }
+  CliResult warm = RunCliArgs(
+      {"serve", warm_path, "--threads=2", "--catalog=" + snap_path});
+  EXPECT_EQ(warm.code, 0) << warm.err;
+  EXPECT_EQ(warm.out, want);
 
   // The snapshot carried the distributions the cold run computed: a warm
   // replica's first (and only) batch never misses the rank-dist cache.
@@ -761,20 +825,22 @@ TEST_F(CliTest, ServeSnapshotFlagHygiene) {
   // Value hygiene at parse time: exit 2 plus usage, before any serving.
   for (const std::vector<std::string>& args :
        {std::vector<std::string>{"serve", requests_path, "--catalog="},
-        std::vector<std::string>{"serve", requests_path, "--save-catalog="},
-        std::vector<std::string>{"serve", requests_path, "--mmap=on"},
-        std::vector<std::string>{"serve", requests_path, "--mmap"}}) {
+        std::vector<std::string>{"serve", requests_path, "--save-catalog="}}) {
     CliResult r = RunCliArgs(args);
     EXPECT_EQ(r.code, 2) << args.back();
     EXPECT_NE(r.err.find("usage"), std::string::npos) << args.back();
   }
-  // --mmap without --catalog is a contradiction, not a no-op.
-  CliResult orphan = RunCliArgs({"serve", requests_path, "--mmap"});
-  EXPECT_NE(orphan.err.find("--mmap requires --catalog"), std::string::npos);
+  // The snapshot has one load path: the removed flag that picked a second
+  // (memory-mapped) reader is now an unknown flag, not silently ignored.
+  const std::string removed_flag = std::string("--") + "mmap";
+  CliResult removed = RunCliArgs({"serve", requests_path, removed_flag});
+  EXPECT_EQ(removed.code, 2);
+  EXPECT_NE(removed.err.find("unknown flag " + removed_flag),
+            std::string::npos)
+      << removed.err;
 
   // Serve-only scope, like every other serve flag.
-  for (const char* flag : {"--catalog=/tmp/x", "--save-catalog=/tmp/x",
-                           "--mmap"}) {
+  for (const char* flag : {"--catalog=/tmp/x", "--save-catalog=/tmp/x"}) {
     CliResult scoped = RunCliArgs({"topk", tree_path_, "--k=2", flag});
     EXPECT_EQ(scoped.code, 2) << flag;
     EXPECT_NE(scoped.err.find("applies only to serve"), std::string::npos)
@@ -782,16 +848,12 @@ TEST_F(CliTest, ServeSnapshotFlagHygiene) {
   }
 
   // A missing snapshot is a startup error — never a silent cold start
-  // masquerading as a warm one — on both load paths.
-  for (const char* extra : {"", "--mmap"}) {
-    std::vector<std::string> args = {"serve", requests_path,
-                                     "--catalog=/does/not/exist.snap"};
-    if (*extra != '\0') args.push_back(extra);
-    CliResult r = RunCliArgs(args);
-    EXPECT_EQ(r.code, 1) << (*extra ? extra : "read");
-    EXPECT_NE(r.err.find("catalog error: cannot load"), std::string::npos)
-        << r.err;
-  }
+  // masquerading as a warm one.
+  CliResult missing = RunCliArgs(
+      {"serve", requests_path, "--catalog=/does/not/exist.snap"});
+  EXPECT_EQ(missing.code, 1);
+  EXPECT_NE(missing.err.find("catalog error: cannot load"), std::string::npos)
+      << missing.err;
 
   // A corrupt snapshot is rejected the same way.
   const std::string bad_path = ::testing::TempDir() + "/cli_snap_bad.snap";

@@ -173,7 +173,6 @@ TEST(EngineTest, ConsensusTopKMatchesDirectCoreCalls) {
   RankDistribution dist = ComputeRankDistribution(tree, k);
   EngineOptions opts;
   opts.num_threads = 4;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
 
   auto mean_sym = engine.ConsensusTopK(tree, k, TopKMetric::kSymDiff);
@@ -212,7 +211,6 @@ TEST(EngineTest, KendallConsensusMatchesSequentialEvaluator) {
   for (int threads : {1, 2, 4, 8}) {
     EngineOptions opts;
     opts.num_threads = threads;
-    opts.use_fast_bid_path = false;
     Engine engine(opts);
     auto got = engine.ConsensusTopK(tree, k, TopKMetric::kKendall);
     ASSERT_TRUE(got.ok());
@@ -234,7 +232,6 @@ TEST(EngineTest, MedianSymDiffBitwiseAcrossThreadCounts) {
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
       opts.num_threads = threads;
-      opts.use_fast_bid_path = false;
       Engine engine(opts);
       auto got = engine.ConsensusTopK(tree, k, TopKMetric::kSymDiff,
                                       TopKAnswer::kMedian);
@@ -261,7 +258,6 @@ TEST(EngineTest, AssignmentMetricsBitwiseAcrossThreadCounts) {
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
       opts.num_threads = threads;
-      opts.use_fast_bid_path = false;
       Engine engine(opts);
       auto foot = engine.ConsensusTopK(tree, k, TopKMetric::kFootrule);
       ASSERT_TRUE(foot.ok());
@@ -401,7 +397,6 @@ TEST(EngineTest, ConsensusTopKWithDistMatchesFreshComputation) {
   AndXorTree tree = RandomDeepTree(83);
   EngineOptions opts;
   opts.num_threads = 4;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
   RankDistribution dist = engine.ComputeRankDistribution(tree, k);
   for (TopKMetric metric :
@@ -423,7 +418,6 @@ TEST(EngineTest, ConsensusBatchHonorsSuppliedDistributions) {
   AndXorTree tree = RandomDeepTree(89);
   EngineOptions opts;
   opts.num_threads = 4;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
   RankDistribution dist = engine.ComputeRankDistribution(tree, k);
   std::vector<Engine::ConsensusQuery> queries = {
@@ -451,7 +445,6 @@ TEST(EngineTest, ConsensusTopKWithDistRejectsForeignDistribution) {
   AndXorTree tree = RandomDeepTree(91, 8);
   AndXorTree other = RandomDeepTree(93, 5);  // different key count
   EngineOptions opts;
-  opts.use_fast_bid_path = false;
   Engine engine(opts);
   RankDistribution foreign = engine.ComputeRankDistribution(other, 3);
   auto result =

@@ -20,6 +20,8 @@
 
 #include "common/rng.h"
 #include "core/rank_distribution.h"
+#include "core/jaccard.h"
+#include "core/rank_distribution_fast.h"
 #include "core/topk_kendall.h"
 #include "engine/engine.h"
 #include "poly/poly1.h"
@@ -158,7 +160,17 @@ TEST_P(FlatTreeDifferential, PairwiseOrderAndKendallBitwiseEqualPointerFold) {
 TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
   const int k = 4;
   for (const AndXorTree& tree : GeneratorTrees(GetParam())) {
-    const RankDistribution dist_ref = ComputeRankDistributionPointer(tree, k);
+    // The engine answers block-independent trees through the O(nk) fast
+    // path (a different algorithm with different bits), so that is their
+    // reference; every other tree takes the flat fold, pinned against the
+    // pointer fold.
+    const RankDistribution dist_ref = [&] {
+      if (IsBlockIndependent(tree)) {
+        Result<RankDistribution> fast = ComputeRankDistributionFast(tree, k);
+        if (fast.ok()) return *std::move(fast);
+      }
+      return ComputeRankDistributionPointer(tree, k);
+    }();
     const std::vector<KeyId> keys = tree.Keys();
     std::vector<std::vector<double>> pairwise_ref(
         keys.size(), std::vector<double>(keys.size(), 0.0));
@@ -173,9 +185,6 @@ TEST_P(FlatTreeDifferential, EnginePathsBitwiseEqualPointerFoldAcrossThreads) {
     for (int threads : {1, 2, 4, 8}) {
       EngineOptions opts;
       opts.num_threads = threads;
-      // Force the general (flat) path even on block-independent trees; the
-      // fast BID path is a different algorithm with different bits.
-      opts.use_fast_bid_path = false;
       Engine engine(opts);
 
       const RankDistribution dist = engine.ComputeRankDistribution(tree, k);

@@ -9,9 +9,9 @@
 //     and the unknown-op error enumerates the table;
 //   * strict parses — per-op field allow-lists and value sets reject
 //     garbage with pinned messages;
-//   * CLI twins — the four analytics ops (marginals, aggregate, baseline,
-//     hardness) answer byte-identically to their offline commands for
-//     canonical-content trees;
+//   * CLI twins — the topk op and the four analytics ops (marginals,
+//     aggregate, baseline, hardness) answer byte-identically to their
+//     offline commands, for canonical and non-canonical input alike;
 //   * transcript identity — one serve input produces byte-identical
 //     response transcripts across shard counts, thread counts, cache
 //     settings, budgets, metrics on/off, batch/stream, and warm restarts;
@@ -22,8 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -124,11 +128,11 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-// The CLI-vs-serve fixture. Input trees are written in their *canonical*
-// orientation: the serve caches fold over the canonical orientation (the
-// StructKey identity), so only canonical-content inputs make the offline
-// command and the serve response answer literally the same fold — the same
-// precondition the sharded differential suite documents.
+// The CLI-vs-serve fixture. The transcript trees are written in their
+// canonical orientation. The twin inputs add the two random trees in their
+// raw generator orientation, which is not canonical: the offline commands
+// fold the canonical orientation, as serve does, so the input's child order
+// must not move a byte of either answer.
 class OpPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -139,6 +143,18 @@ class OpPipelineTest : public ::testing::Test {
     for (size_t i = 0; i < trees_.size(); ++i) {
       paths_.push_back(::testing::TempDir() + "/opreg_" + names_[i] + ".sexp");
       ASSERT_TRUE(WriteStringToFile(paths_[i], FormatTree(trees_[i])).ok());
+    }
+    twin_names_ = names_;
+    twin_paths_ = paths_;
+    const std::vector<AndXorTree> raw = {RandomDeepTree(101),
+                                         RandomDeepTree(202, 14)};
+    for (size_t i = 0; i < raw.size(); ++i) {
+      ASSERT_NE(FormatTree(raw[i]), FormatTree(trees_[1 + i]))
+          << "raw tree " << i << " is already canonical";
+      twin_names_.push_back("r" + std::to_string(i));
+      twin_paths_.push_back(::testing::TempDir() + "/opreg_" +
+                            twin_names_.back() + ".sexp");
+      ASSERT_TRUE(WriteStringToFile(twin_paths_.back(), FormatTree(raw[i])).ok());
     }
     unlabeled_path_ = ::testing::TempDir() + "/opreg_unlabeled.sexp";
     ASSERT_TRUE(WriteStringToFile(
@@ -203,9 +219,32 @@ class OpPipelineTest : public ::testing::Test {
     return r.out;
   }
 
+  // One load line per twin input, then `per_tree(name)` for each of them;
+  // serves the batch and returns the response lines after the loads.
+  std::vector<std::string> ServeTwinRequests(
+      const std::string& file,
+      const std::function<std::string(const std::string&)>& per_tree) {
+    std::string requests;
+    for (size_t i = 0; i < twin_names_.size(); ++i) {
+      requests += "op=load name=" + twin_names_[i] + " file=" +
+                  twin_paths_[i] + "\n";
+    }
+    for (const std::string& name : twin_names_) requests += per_tree(name);
+    CliResult serve = RunCliArgs({"serve", WriteRequestFile(file, requests)});
+    EXPECT_EQ(serve.code, 0) << serve.err;
+    std::vector<std::string> lines = SplitLines(serve.out);
+    EXPECT_GE(lines.size(), twin_names_.size());
+    lines.erase(lines.begin(),
+                lines.begin() + std::min(lines.size(), twin_names_.size()));
+    return lines;
+  }
+
   std::vector<AndXorTree> trees_;
   std::vector<std::string> names_;
   std::vector<std::string> paths_;
+  // names_/paths_ plus the raw (non-canonical) random trees.
+  std::vector<std::string> twin_names_;
+  std::vector<std::string> twin_paths_;
   std::string unlabeled_path_;
 };
 
@@ -308,24 +347,17 @@ TEST(OpRegistryParseTest, NewOpsRejectGarbageStrictly) {
 // ---------------------------------------------------------------------------
 
 TEST_F(OpPipelineTest, MarginalsOpMatchesOfflineCommandByteForByte) {
-  std::string requests;
-  for (size_t i = 0; i < names_.size(); ++i) {
-    requests += "op=load name=" + names_[i] + " file=" + paths_[i] + "\n";
-  }
-  for (const std::string& name : names_) {
-    requests += "op=marginals tree=" + name + "\n";
-  }
-  std::string path = WriteRequestFile("opreg_marg.txt", requests);
-  CliResult serve = RunCliArgs({"serve", path});
-  ASSERT_EQ(serve.code, 0) << serve.err;
-  std::vector<std::string> lines = SplitLines(serve.out);
-  ASSERT_EQ(lines.size(), 6u);
-  for (size_t i = 0; i < names_.size(); ++i) {
-    SCOPED_TRACE(names_[i]);
-    const std::string& line = lines[3 + i];
+  std::vector<std::string> lines =
+      ServeTwinRequests("opreg_marg.txt", [](const std::string& name) {
+        return "op=marginals tree=" + name + "\n";
+      });
+  ASSERT_EQ(lines.size(), twin_names_.size());
+  for (size_t i = 0; i < twin_names_.size(); ++i) {
+    SCOPED_TRACE(twin_names_[i]);
+    const std::string& line = lines[i];
     // Rebuild the serve csvs from the offline command's rows: same keys,
     // same round-trip-formatted marginal bytes, same order.
-    CliResult cli = RunCliArgs({"marginals", paths_[i]});
+    CliResult cli = RunCliArgs({"marginals", twin_paths_[i]});
     ASSERT_EQ(cli.code, 0);
     std::vector<std::string> rows = SplitLines(cli.out);
     ASSERT_GE(rows.size(), 2u);
@@ -347,18 +379,15 @@ TEST_F(OpPipelineTest, MarginalsOpMatchesOfflineCommandByteForByte) {
 }
 
 TEST_F(OpPipelineTest, AggregateOpMatchesOfflineCommandByteForByte) {
-  std::string requests = "op=load name=lab file=" + paths_[0] +
-                         "\nop=load name=d0 file=" + paths_[1] +
-                         "\nop=aggregate tree=lab\nop=aggregate tree=d0\n";
-  std::string path = WriteRequestFile("opreg_agg.txt", requests);
-  CliResult serve = RunCliArgs({"serve", path});
-  ASSERT_EQ(serve.code, 0) << serve.err;
-  std::vector<std::string> lines = SplitLines(serve.out);
-  ASSERT_EQ(lines.size(), 4u);
-  for (size_t i = 0; i < 2; ++i) {
-    SCOPED_TRACE(names_[i]);
-    const std::string& line = lines[2 + i];
-    CliResult cli = RunCliArgs({"aggregate", paths_[i]});
+  std::vector<std::string> lines =
+      ServeTwinRequests("opreg_agg.txt", [](const std::string& name) {
+        return "op=aggregate tree=" + name + "\n";
+      });
+  ASSERT_EQ(lines.size(), twin_names_.size());
+  for (size_t i = 0; i < twin_names_.size(); ++i) {
+    SCOPED_TRACE(twin_names_[i]);
+    const std::string& line = lines[i];
+    CliResult cli = RunCliArgs({"aggregate", twin_paths_[i]});
     ASSERT_EQ(cli.code, 0) << cli.err;
     std::vector<std::string> rows = SplitLines(cli.out);
     ASSERT_GE(rows.size(), 2u);
@@ -404,28 +433,23 @@ TEST_F(OpPipelineTest, BaselineOpMatchesOfflineCommandForEveryMethod) {
   const std::vector<std::string> kMethods = {"escore", "erank", "global",
                                              "prf"};
   for (int k : {1, 3}) {
-    std::string requests;
-    for (size_t i = 0; i < names_.size(); ++i) {
-      requests += "op=load name=" + names_[i] + " file=" + paths_[i] + "\n";
-    }
-    for (const std::string& name : names_) {
+    std::vector<std::string> lines = ServeTwinRequests(
+        "opreg_base.txt", [&](const std::string& name) {
+          std::string requests;
+          for (const std::string& method : kMethods) {
+            requests += "op=baseline tree=" + name +
+                        " k=" + std::to_string(k) + " method=" + method + "\n";
+          }
+          return requests;
+        });
+    ASSERT_EQ(lines.size(), twin_names_.size() * kMethods.size());
+    size_t slot = 0;
+    for (size_t i = 0; i < twin_names_.size(); ++i) {
       for (const std::string& method : kMethods) {
-        requests += "op=baseline tree=" + name + " k=" + std::to_string(k) +
-                    " method=" + method + "\n";
-      }
-    }
-    std::string path = WriteRequestFile("opreg_base.txt", requests);
-    CliResult serve = RunCliArgs({"serve", path});
-    ASSERT_EQ(serve.code, 0) << serve.err;
-    std::vector<std::string> lines = SplitLines(serve.out);
-    ASSERT_EQ(lines.size(), names_.size() * (1 + kMethods.size()));
-    size_t slot = names_.size();
-    for (size_t i = 0; i < names_.size(); ++i) {
-      for (const std::string& method : kMethods) {
-        SCOPED_TRACE(names_[i] + " " + method + " k=" + std::to_string(k));
+        SCOPED_TRACE(twin_names_[i] + " " + method + " k=" + std::to_string(k));
         const std::string& line = lines[slot++];
         EXPECT_EQ(Field(line, "method"), method);
-        CliResult cli = RunCliArgs({"baseline", paths_[i],
+        CliResult cli = RunCliArgs({"baseline", twin_paths_[i],
                                     "--k=" + std::to_string(k),
                                     "--method=" + method, "--threads=2"});
         ASSERT_EQ(cli.code, 0) << cli.err;
@@ -441,22 +465,15 @@ TEST_F(OpPipelineTest, BaselineOpMatchesOfflineCommandForEveryMethod) {
 }
 
 TEST_F(OpPipelineTest, HardnessOpMatchesOfflineCommandByteForByte) {
-  std::string requests;
-  for (size_t i = 0; i < names_.size(); ++i) {
-    requests += "op=load name=" + names_[i] + " file=" + paths_[i] + "\n";
-  }
-  for (const std::string& name : names_) {
-    requests += "op=hardness tree=" + name + "\n";
-  }
-  std::string path = WriteRequestFile("opreg_hard.txt", requests);
-  CliResult serve = RunCliArgs({"serve", path});
-  ASSERT_EQ(serve.code, 0) << serve.err;
-  std::vector<std::string> lines = SplitLines(serve.out);
-  ASSERT_EQ(lines.size(), 6u);
-  for (size_t i = 0; i < names_.size(); ++i) {
-    SCOPED_TRACE(names_[i]);
-    const std::string& line = lines[3 + i];
-    CliResult cli = RunCliArgs({"hardness", paths_[i]});
+  std::vector<std::string> lines =
+      ServeTwinRequests("opreg_hard.txt", [](const std::string& name) {
+        return "op=hardness tree=" + name + "\n";
+      });
+  ASSERT_EQ(lines.size(), twin_names_.size());
+  for (size_t i = 0; i < twin_names_.size(); ++i) {
+    SCOPED_TRACE(twin_names_[i]);
+    const std::string& line = lines[i];
+    CliResult cli = RunCliArgs({"hardness", twin_paths_[i]});
     ASSERT_EQ(cli.code, 0);
     // The offline command prints "name value" lines whose names are the
     // serve response's field names; values must agree byte for byte.
@@ -469,6 +486,53 @@ TEST_F(OpPipelineTest, HardnessOpMatchesOfflineCommandByteForByte) {
       ++compared;
     }
     EXPECT_EQ(compared, 7);
+  }
+}
+
+TEST_F(OpPipelineTest, TopKOpMatchesOfflineCommandByteForByte) {
+  // Every metric's mean answer plus the non-mean answers each metric
+  // supports. The offline line is
+  // "top-<k> (<metric>, <answer>): [ k1 k2 ... ]  E[distance] = <x>".
+  const std::vector<std::pair<std::string, std::string>> kQueries = {
+      {"symdiff", "mean"},      {"intersection", "mean"},
+      {"footrule", "mean"},     {"kendall", "mean"},
+      {"symdiff", "median"},    {"symdiff", "any-size"},
+      {"intersection", "approx"},
+  };
+  const int k = 3;
+  std::vector<std::string> lines =
+      ServeTwinRequests("opreg_topk.txt", [&](const std::string& name) {
+        std::string requests;
+        for (const auto& [metric, answer] : kQueries) {
+          requests += "op=topk tree=" + name + " k=" + std::to_string(k) +
+                      " metric=" + metric + " answer=" + answer + "\n";
+        }
+        return requests;
+      });
+  ASSERT_EQ(lines.size(), twin_names_.size() * kQueries.size());
+  size_t slot = 0;
+  for (size_t i = 0; i < twin_names_.size(); ++i) {
+    for (const auto& [metric, answer] : kQueries) {
+      SCOPED_TRACE(twin_names_[i] + " " + metric + " " + answer);
+      const std::string& line = lines[slot++];
+      CliResult cli = RunCliArgs({"topk", twin_paths_[i],
+                                  "--k=" + std::to_string(k),
+                                  "--metric=" + metric, "--answer=" + answer});
+      ASSERT_EQ(cli.code, 0) << cli.err;
+      const std::string head = "top-" + std::to_string(k) + " (" + metric +
+                               ", " + answer + "): [";
+      ASSERT_EQ(cli.out.rfind(head, 0), 0u) << cli.out;
+      const size_t close = cli.out.find(" ]  E[distance] = ");
+      ASSERT_NE(close, std::string::npos) << cli.out;
+      std::string keys_csv = cli.out.substr(head.size(), close - head.size());
+      // " 4 1 7" -> "4,1,7"
+      if (!keys_csv.empty()) keys_csv.erase(0, 1);
+      std::replace(keys_csv.begin(), keys_csv.end(), ' ', ',');
+      const std::string expected =
+          cli.out.substr(close + std::strlen(" ]  E[distance] = "));
+      EXPECT_EQ(Field(line, "keys"), keys_csv);
+      EXPECT_EQ(Field(line, "expected") + "\n", expected);
+    }
   }
 }
 
@@ -524,7 +588,7 @@ TEST_F(OpPipelineTest, WarmRestartServesTheSameAnalyticsBytes) {
                                             {"--catalog=" + snapshot})),
             MaskLineNumbers(query_transcript));
   EXPECT_EQ(MaskLineNumbers(ServeTranscript(
-                query_path, {"--catalog=" + snapshot, "--mmap", "--shards=2"})),
+                query_path, {"--catalog=" + snapshot, "--shards=2"})),
             MaskLineNumbers(query_transcript));
 }
 

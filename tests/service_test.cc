@@ -356,7 +356,6 @@ TEST_F(SchedulerTest, CachedAndUncachedAnswersAreBitwiseIdentical) {
 
   EngineOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
 
   auto cached = MakeScheduler(engine_options);
@@ -412,7 +411,6 @@ TEST_F(SchedulerTest, BatchMatchesOneAtATimeEngineAnswers) {
   };
   EngineOptions engine_options;
   engine_options.num_threads = 4;
-  engine_options.use_fast_bid_path = false;
   Engine engine(engine_options);
   auto scheduler = MakeScheduler(engine_options);
   auto results = scheduler->ExecuteBatch(batch);
@@ -482,7 +480,6 @@ TEST_F(SchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 4, 8}) {
     EngineOptions engine_options;
     engine_options.num_threads = threads;
-    engine_options.use_fast_bid_path = false;
     auto results = MakeScheduler(engine_options)->ExecuteBatch(batch);
     if (threads == 1) {
       reference = std::move(results);
@@ -507,7 +504,6 @@ TEST_F(SchedulerTest, AnswersBitwiseIdenticalAcrossThreadCounts) {
 TEST_F(SchedulerTest, ConcurrentExecuteBatchCallsAgreeWithReference) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.use_fast_bid_path = false;
   auto scheduler = MakeScheduler(engine_options);
   const std::vector<ServiceRequest> batch = {
       TopKRequest("deep", 3, TopKMetric::kSymDiff),
@@ -687,7 +683,6 @@ TEST_F(SchedulerTest, StreamingEmitsEachResponseBeforeReadingNext) {
 TEST_F(SchedulerTest, StreamingAnswersMatchBatchBitwise) {
   EngineOptions engine_options;
   engine_options.num_threads = 2;
-  engine_options.use_fast_bid_path = false;
   ServiceRequest world;
   world.op = ServiceRequest::Op::kWorld;
   world.tree_name = "deep";

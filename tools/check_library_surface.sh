@@ -1,18 +1,22 @@
 #!/bin/sh
-# Library-surface lint: test-only references stay out of libcpdb.
+# Library-surface lint: one implementation per computation.
 #
 # The library has one generating-function fold, FlatTree (src/model/
 # flat_tree.h). The pointer-tree template, the Poly2 and SparsePoly value
 # types, and the pointer-tree reference folds (named *Pointer, plus the
 # AndXorTree overloads of the flat per-unit bodies) live in tests/support/,
-# which only tests and benchmarks link. This script fails when any file
-# under src/ or tools/
+# which only tests and benchmarks link. The serve op table (src/service/
+# op_registry.cc) owns the aggregate, baseline-ranking and hardness
+# computations; the offline CLI commands answer through it. This script
+# fails when any file under src/ or tools/
 #
 #   * includes one of the test-support headers (generating_function,
 #     poly2, sparse_poly), or
 #   * names a function ending in "Pointer" followed by an argument list,
 #
-# so a second implementation of a fold cannot creep back into the library.
+# or when any file under tools/ includes core/aggregates.h, core/hardness.h
+# or core/ranking_baselines.h, so neither a second fold nor an offline
+# re-implementation of an op can creep back in.
 #
 # Usage: tools/check_library_surface.sh [repo-root]
 
@@ -23,6 +27,7 @@ cd "$root"
 
 include_pattern='#[[:space:]]*include[[:space:]]*["<]([^">]*/)?(generating_function|poly2|sparse_poly)[.]h'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*[(]'
+op_core_pattern='#[[:space:]]*include[[:space:]]*["<]core/(aggregates|hardness|ranking_baselines)[.]h'
 
 violations=$(grep -RnE "$include_pattern|$pointer_pattern" src tools || true)
 
@@ -33,4 +38,14 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
-echo "library surface OK: src/ and tools/ use no tests/support references."
+op_violations=$(grep -RnE "$op_core_pattern" tools || true)
+
+if [ -n "$op_violations" ]; then
+  echo "library-surface lint FAILED: tools/ computes what the op table owns." >&2
+  echo "Answer through ShardedScheduler and the OpSpec hooks instead:" >&2
+  echo "$op_violations" >&2
+  exit 1
+fi
+
+echo "library surface OK: src/ and tools/ use no tests/support references;"
+echo "tools/ leaves the op table's computations to the op table."

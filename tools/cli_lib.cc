@@ -5,15 +5,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <optional>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/rng.h"
-#include "core/aggregates.h"
-#include "core/hardness.h"
 #include "core/jaccard.h"
-#include "core/ranking_baselines.h"
 #include "core/topk_metrics.h"
-#include "core/topk_symdiff.h"
 #include "engine/engine.h"
 #include "io/request_protocol.h"
 #include "io/table_io.h"
@@ -48,7 +45,6 @@ struct CliOptions {
   bool shards_set = false;  // --shards given (serve only)
   std::string catalog_path;       // serve: snapshot to load at startup
   std::string save_catalog_path;  // serve: snapshot to write at shutdown
-  bool mmap = false;  // serve: load --catalog via mmap instead of read
   bool metrics = true;      // serve: instruments + op=metrics on/off
   bool metrics_set = false;  // --metrics given (serve only)
   int64_t slow_query_ms = 0;      // serve: slow-query log threshold
@@ -56,15 +52,6 @@ struct CliOptions {
   std::string method = "escore";  // baseline: ranking semantics
   bool method_set = false;        // --method given (baseline only)
 };
-
-// The evaluation engine configured by --threads. Results are independent of
-// the thread count (see engine/engine.h), so parallelism is safe to expose
-// as a plain performance knob.
-Engine MakeEngine(const CliOptions& opts) {
-  EngineOptions eopts;
-  eopts.num_threads = opts.threads;
-  return Engine(eopts);
-}
 
 // Strict base-10 integer parse for --flag values; shares the single strict
 // parser with the serve protocol's integer fields (io/request_protocol.h):
@@ -181,13 +168,6 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
         return Status::InvalidArgument("--save-catalog requires a file path");
       }
       opts.save_catalog_path = value;
-    } else if (name == "mmap") {
-      // A boolean presence flag, same convention as --stream.
-      if (eq != std::string::npos) {
-        return Status::InvalidArgument("--mmap takes no value, got '" + value +
-                                       "'");
-      }
-      opts.mmap = true;
     } else if (name == "metrics") {
       // Strict enum parse, same convention as --cache.
       if (value == "on") {
@@ -226,35 +206,21 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
   // The serve-only flags configure the serve scheduler and nothing else;
   // accepting them elsewhere would be the silently-ignored-flag failure
   // mode the strict value parses exist to prevent.
-  if (opts.cache_set && opts.command != "serve") {
-    return Status::InvalidArgument("--cache applies only to serve");
-  }
-  if (opts.cache_budget_set && opts.command != "serve") {
-    return Status::InvalidArgument("--cache-budget applies only to serve");
-  }
-  if (opts.stream && opts.command != "serve") {
-    return Status::InvalidArgument("--stream applies only to serve");
-  }
-  if (opts.shards_set && opts.command != "serve") {
-    return Status::InvalidArgument("--shards applies only to serve");
-  }
-  if (!opts.catalog_path.empty() && opts.command != "serve") {
-    return Status::InvalidArgument("--catalog applies only to serve");
-  }
-  if (!opts.save_catalog_path.empty() && opts.command != "serve") {
-    return Status::InvalidArgument("--save-catalog applies only to serve");
-  }
-  if (opts.mmap && opts.command != "serve") {
-    return Status::InvalidArgument("--mmap applies only to serve");
-  }
-  if (opts.mmap && opts.catalog_path.empty()) {
-    return Status::InvalidArgument("--mmap requires --catalog");
-  }
-  if (opts.metrics_set && opts.command != "serve") {
-    return Status::InvalidArgument("--metrics applies only to serve");
-  }
-  if (opts.slow_query_set && opts.command != "serve") {
-    return Status::InvalidArgument("--slow-query-ms applies only to serve");
+  const std::pair<bool, const char*> serve_only_flags[] = {
+      {opts.cache_set, "--cache"},
+      {opts.cache_budget_set, "--cache-budget"},
+      {opts.stream, "--stream"},
+      {opts.shards_set, "--shards"},
+      {!opts.catalog_path.empty(), "--catalog"},
+      {!opts.save_catalog_path.empty(), "--save-catalog"},
+      {opts.metrics_set, "--metrics"},
+      {opts.slow_query_set, "--slow-query-ms"},
+  };
+  for (const auto& [given, flag] : serve_only_flags) {
+    if (given && opts.command != "serve") {
+      return Status::InvalidArgument(std::string(flag) +
+                                     " applies only to serve");
+    }
   }
   if (opts.slow_query_set && !opts.metrics) {
     // The slow-query log reads the per-request timings the instruments
@@ -288,6 +254,55 @@ std::optional<AndXorTree> LoadTree(const CliOptions& opts, std::FILE* err,
   if (tree.ok()) return *std::move(tree);
   std::fprintf(err, "%s%s\n", error_prefix, tree.status().ToString().c_str());
   return std::nullopt;
+}
+
+// The range checks of the engine-backed commands' flags: --k >= 1 for the
+// commands that take it, --threads >= 0. Prints the failure on `err`;
+// false means the command exits 1.
+bool EngineFlagsValid(const CliOptions& opts, bool uses_k, std::FILE* err) {
+  if (uses_k && opts.k < 1) {
+    std::fprintf(err, "--k must be >= 1\n");
+    return false;
+  }
+  if (opts.threads < 0) {
+    std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
+    return false;
+  }
+  return true;
+}
+
+// A request for `op` against the command's input tree; ExecuteOnInput
+// fills in the tree name.
+ServiceRequest OpRequest(ServiceRequest::Op op) {
+  ServiceRequest request;
+  request.op = op;
+  return request;
+}
+
+// The offline twins' one execution path. `tree` is inserted into a
+// one-shard ShardedScheduler (engine threads = --threads, caches on,
+// metrics off) and `requests` run against it through the serve op table
+// in one ExecuteBatch. The twins (marginals, aggregate, baseline, hardness,
+// topk) thus answer exactly what the matching serve op answers for the
+// same file: every fold runs over the canonical orientation, so the order
+// of commutative children in the input never changes a byte. results[i]
+// answers requests[i].
+std::vector<Result<ServiceResponse>> ExecuteOnInput(
+    const CliOptions& opts, AndXorTree tree,
+    std::vector<ServiceRequest> requests) {
+  const std::string kName = "input";
+  EngineOptions engine_options;
+  engine_options.num_threads = opts.threads;
+  SchedulerOptions scheduler_options;
+  scheduler_options.enable_metrics = false;
+  ShardedScheduler scheduler(1, engine_options, scheduler_options);
+  Result<CatalogEntry> inserted = scheduler.Insert(kName, std::move(tree));
+  if (!inserted.ok()) {
+    return std::vector<Result<ServiceResponse>>(requests.size(),
+                                                inserted.status());
+  }
+  for (ServiceRequest& request : requests) request.tree_name = kName;
+  return scheduler.ExecuteBatch(requests);
 }
 
 void PrintWorld(const AndXorTree& tree, const std::vector<NodeId>& leaf_ids,
@@ -345,13 +360,18 @@ int CmdDumpCanon(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdMarginals(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
+  Result<ServiceResponse> response = ExecuteOnInput(
+      opts, *std::move(tree), {OpRequest(ServiceRequest::Op::kMarginals)})[0];
+  if (!response.ok()) {
+    std::fprintf(err, "%s\n", response.status().ToString().c_str());
+    return 1;
+  }
   std::fprintf(out, "key presence_probability\n");
   // Shortest round-trip formatting (shared with the serve wire): strtod of
-  // the printed value reproduces the computed double bitwise, where "%.6f"
-  // silently truncated it.
-  for (KeyId key : tree->Keys()) {
-    std::fprintf(out, "%d %s\n", key,
-                 FormatRoundTripDouble(tree->KeyMarginal(key)).c_str());
+  // the printed value reproduces the computed double bitwise.
+  for (size_t i = 0; i < response->keys.size(); ++i) {
+    std::fprintf(out, "%d %s\n", response->keys[i],
+                 FormatRoundTripDouble(response->values[i]).c_str());
   }
   return 0;
 }
@@ -388,18 +408,27 @@ int CmdSample(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
-  if (opts.threads < 0) {
-    std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
+  if (!EngineFlagsValid(opts, /*uses_k=*/false, err)) return 1;
+  // Strict, with serve's op=world message: the set-consensus worlds come in
+  // mean and median forms only.
+  if (opts.answer != "mean" && opts.answer != "median") {
+    const Status bad = Status::InvalidArgument(
+        "unknown answer '" + opts.answer + "' (expected mean or median)");
+    std::fprintf(err, "%s\n", bad.ToString().c_str());
     return 1;
   }
+  const bool median = opts.answer == "median";
   std::vector<NodeId> world;
   double expected = 0.0;
   if (opts.metric == "symdiff") {
     // The serve path's computation: one marginal pass serves both the
-    // answer and its expected distance.
-    Engine engine = MakeEngine(opts);
+    // answer and its expected distance. Results are independent of the
+    // --threads count (see engine/engine.h).
+    EngineOptions engine_options;
+    engine_options.num_threads = opts.threads;
+    Engine engine(engine_options);
     Result<Engine::WorldResult> result = engine.ConsensusWorldWithMarginals(
-        *tree, engine.LeafMarginals(*tree), opts.answer == "median");
+        *tree, engine.LeafMarginals(*tree), median);
     if (!result.ok()) {
       std::fprintf(err, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -408,7 +437,7 @@ int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
     expected = result->expected_distance;
   } else if (opts.metric == "jaccard") {
     Result<std::vector<NodeId>> result =
-        opts.answer == "median" && IsBlockIndependent(*tree) &&
+        median && IsBlockIndependent(*tree) &&
                 !IsTupleIndependent(*tree)
             ? MedianWorldJaccardBid(*tree)
             : MeanWorldJaccard(*tree);
@@ -434,75 +463,63 @@ int CmdConsensusWorld(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdTopK(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
-  if (opts.k < 1) {
-    std::fprintf(err, "--k must be >= 1\n");
-    return 1;
-  }
-  if (opts.threads < 0) {
-    std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
-    return 1;
-  }
-  if (opts.metric == "all") {
-    // All four metrics (mean answers) over the same tree, submitted as one
-    // Engine::EvaluateConsensusBatch call: the rank distribution, strata,
-    // columns, and q-matrix units of all queries share the pool.
-    const TopKMetric kMetrics[] = {
-        TopKMetric::kSymDiff,
-        TopKMetric::kIntersection,
-        TopKMetric::kFootrule,
-        TopKMetric::kKendall,
-    };
-    Engine engine = MakeEngine(opts);
-    std::vector<Engine::ConsensusQuery> queries;
-    for (TopKMetric m : kMetrics) {
-      queries.push_back({&*tree, opts.k, m, TopKAnswer::kMean});
+  if (!EngineFlagsValid(opts, /*uses_k=*/true, err)) return 1;
+  // --metric=all asks for all four metrics' mean answers over the same
+  // tree; the four requests fuse into one Engine::EvaluateConsensusBatch
+  // submission, so the rank distribution, strata, columns, and q-matrix
+  // units of all queries share the pool.
+  const bool all = opts.metric == "all";
+  std::vector<TopKMetric> metrics = {TopKMetric::kSymDiff,
+                                     TopKMetric::kIntersection,
+                                     TopKMetric::kFootrule,
+                                     TopKMetric::kKendall};
+  if (!all) {
+    Result<TopKMetric> metric = ParseTopKMetricName(opts.metric);
+    if (!metric.ok()) {
+      std::fprintf(err,
+                   "unknown --metric=%s (expected symdiff, intersection, "
+                   "footrule or kendall)\n",
+                   opts.metric.c_str());
+      return 1;
     }
-    std::vector<Result<TopKResult>> results =
-        engine.EvaluateConsensusBatch(queries);
-    for (size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].ok()) {
-        std::fprintf(err, "%s: %s\n", TopKMetricName(kMetrics[i]),
-                     results[i].status().ToString().c_str());
-        return 1;
-      }
-      std::fprintf(out, "top-%d (%s, mean): [", opts.k,
-                   TopKMetricName(kMetrics[i]));
-      for (KeyId key : results[i]->keys) std::fprintf(out, " %d", key);
-      std::fprintf(out, " ]  E[distance] = %s\n",
-                   FormatRoundTripDouble(results[i]->expected_distance).c_str());
+    metrics = {*metric};
+  }
+  // Strict, like serve's answer= field: an unknown answer is an error, and
+  // a (metric, answer) pair the metric does not support fails in the engine
+  // with serve's message instead of quietly answering the mean.
+  Result<TopKAnswer> answer = ParseTopKAnswerName(opts.answer);
+  if (!answer.ok()) {
+    std::fprintf(err, "%s\n", answer.status().ToString().c_str());
+    return 1;
+  }
+  if (all && *answer != TopKAnswer::kMean) {
+    std::fprintf(err, "--metric=all supports only --answer=mean, got '%s'\n",
+                 opts.answer.c_str());
+    return 1;
+  }
+  std::vector<ServiceRequest> requests;
+  for (TopKMetric metric : metrics) {
+    ServiceRequest request = OpRequest(ServiceRequest::Op::kTopK);
+    request.k = opts.k;
+    request.metric = metric;
+    request.answer = *answer;
+    requests.push_back(request);
+  }
+  std::vector<Result<ServiceResponse>> results =
+      ExecuteOnInput(opts, *std::move(tree), requests);
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      std::fprintf(err, "%s%s%s\n", all ? TopKMetricName(metrics[i]) : "",
+                   all ? ": " : "", results[i].status().ToString().c_str());
+      return 1;
     }
-    return 0;
+    const ServiceResponse& response = *results[i];
+    std::fprintf(out, "top-%d (%s, %s): [", response.k,
+                 response.metric.c_str(), response.answer.c_str());
+    for (KeyId key : response.keys) std::fprintf(out, " %d", key);
+    std::fprintf(out, " ]  E[distance] = %s\n",
+                 FormatRoundTripDouble(response.expected_distance).c_str());
   }
-  Result<TopKMetric> metric = ParseTopKMetricName(opts.metric);
-  if (!metric.ok()) {
-    std::fprintf(err,
-                 "unknown --metric=%s (expected symdiff, intersection, "
-                 "footrule or kendall)\n",
-                 opts.metric.c_str());
-    return 1;
-  }
-  // Historical flag behavior: --answer values that don't apply to the
-  // chosen metric fall back to the mean answer rather than erroring.
-  TopKAnswer answer = TopKAnswer::kMean;
-  if (opts.answer == "median" && opts.metric == "symdiff") {
-    answer = TopKAnswer::kMedian;
-  } else if (opts.answer == "any-size" && opts.metric == "symdiff") {
-    answer = TopKAnswer::kMeanUnrestricted;
-  } else if (opts.answer == "approx" && opts.metric == "intersection") {
-    answer = TopKAnswer::kMeanApprox;
-  }
-  Engine engine = MakeEngine(opts);
-  Result<TopKResult> result = engine.ConsensusTopK(*tree, opts.k, *metric,
-                                                   answer);
-  if (!result.ok()) {
-    std::fprintf(err, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  std::fprintf(out, "top-%d (%s, %s): [", opts.k, opts.metric.c_str(),
-               opts.answer.c_str());
-  for (KeyId key : result->keys) std::fprintf(out, " %d", key);
-  std::fprintf(out, " ]  E[distance] = %s\n",
-               FormatRoundTripDouble(result->expected_distance).c_str());
   return 0;
 }
 
@@ -540,10 +557,7 @@ bool ReadLine(std::FILE* in, std::string* line) {
 // In both modes request-level garbage produces an in-band error line for
 // that request only; the command keeps serving the rest.
 int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
-  if (opts.threads < 0) {
-    std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
-    return 1;
-  }
+  if (!EngineFlagsValid(opts, /*uses_k=*/false, err)) return 1;
   std::FILE* in = stdin;
   std::FILE* owned_in = nullptr;
   if (!opts.input_path.empty() && opts.input_path != "-") {
@@ -573,8 +587,7 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   // silently-misread failure mode the strict flag parses exist to prevent.
   if (!opts.catalog_path.empty()) {
     Result<CatalogSnapshot> snapshot =
-        opts.mmap ? MmapCatalogSnapshotFile(opts.catalog_path)
-                  : ReadCatalogSnapshotFile(opts.catalog_path);
+        ReadCatalogSnapshotFile(opts.catalog_path);
     Status installed = snapshot.ok() ? scheduler.InstallSnapshot(*snapshot)
                                      : snapshot.status();
     if (!installed.ok()) {
@@ -735,84 +748,70 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdAggregate(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
-  // The group-by matrix build is shared with serve's op=aggregate
-  // (core/aggregates.h), so both surfaces agree on the instance — and on
-  // the missing-label error text, printed here without the status-code
-  // prefix the pre-refactor inline build never had.
-  auto instance = GroupByInstanceFromTree(*tree, tree->LeafMarginals());
-  if (!instance.ok()) {
-    std::fprintf(err, "%s\n", instance.status().message().c_str());
-    return 1;
-  }
-  std::vector<double> mean = MeanAggregate(*instance);
-  auto median = ClosestPossibleAggregate(*instance);
-  if (!median.ok()) {
-    std::fprintf(err, "%s\n", median.status().ToString().c_str());
+  Result<ServiceResponse> response = ExecuteOnInput(
+      opts, *std::move(tree), {OpRequest(ServiceRequest::Op::kAggregate)})[0];
+  if (!response.ok()) {
+    // The group-by build's InvalidArgument errors (a missing label) print
+    // as the bare message; the median search's errors keep their code.
+    const Status& status = response.status();
+    std::fprintf(err, "%s\n",
+                 status.code() == StatusCode::kInvalidArgument
+                     ? status.message().c_str()
+                     : status.ToString().c_str());
     return 1;
   }
   std::fprintf(out, "group mean_count median_count\n");
-  for (size_t j = 0; j < mean.size(); ++j) {
-    std::fprintf(out, "%zu %s %lld\n", j, FormatRoundTripDouble(mean[j]).c_str(),
-                 static_cast<long long>((*median)[j]));
+  for (size_t j = 0; j < response->values.size(); ++j) {
+    std::fprintf(out, "%zu %s %lld\n", j,
+                 FormatRoundTripDouble(response->values[j]).c_str(),
+                 static_cast<long long>(response->group_counts[j]));
   }
   return 0;
 }
 
 // The offline twin of serve's op=baseline: the four heuristic ranking
-// semantics of core/ranking_baselines.h over one tree. The printed keys csv
-// is byte-identical to the serve response's keys field for the same
-// canonical-content tree: escore is a deterministic fold, erank's serve-side
-// parallel Engine::ExpectedRanks is bitwise identical to the sequential core
-// form used here, and the distribution-backed methods (global, prf) read the
-// same schedule-deterministic ComputeRankDistribution the serve cache
-// memoizes.
+// semantics of core/ranking_baselines.h over one tree; the printed keys csv
+// is the serve response's keys field.
 int CmdBaseline(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
-  if (opts.k < 1) {
-    std::fprintf(err, "--k must be >= 1\n");
+  if (!EngineFlagsValid(opts, /*uses_k=*/true, err)) return 1;
+  ServiceRequest request = OpRequest(ServiceRequest::Op::kBaseline);
+  request.k = opts.k;
+  request.baseline_method = opts.method;
+  Result<ServiceResponse> response =
+      ExecuteOnInput(opts, *std::move(tree), {request})[0];
+  if (!response.ok()) {
+    std::fprintf(err, "%s\n", response.status().ToString().c_str());
     return 1;
   }
-  if (opts.threads < 0) {
-    std::fprintf(err, "--threads must be >= 0 (0 = all hardware cores)\n");
-    return 1;
-  }
-  std::vector<KeyId> keys;
-  if (opts.method == "escore") {
-    keys = TopKByExpectedScore(*tree, opts.k);
-  } else if (opts.method == "erank") {
-    keys = TopKByExpectedRank(*tree, opts.k);
-  } else {
-    Engine engine = MakeEngine(opts);
-    RankDistribution dist = engine.ComputeRankDistribution(*tree, opts.k);
-    keys = opts.method == "global"
-               ? GlobalTopK(dist)
-               : TopKByPRF(dist, PrfUpsilonHWeights(opts.k));
-  }
-  std::fprintf(out, "baseline %s k=%d keys=", opts.method.c_str(), opts.k);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    std::fprintf(out, "%s%d", i == 0 ? "" : ",", keys[i]);
+  std::fprintf(out, "baseline %s k=%d keys=", response->method.c_str(),
+               response->k);
+  for (size_t i = 0; i < response->keys.size(); ++i) {
+    std::fprintf(out, "%s%d", i == 0 ? "" : ",", response->keys[i]);
   }
   std::fprintf(out, "\n");
   return 0;
 }
 
 // The offline twin of serve's op=hardness: the structural statistics behind
-// the paper's tractability frontier, one `name value` line per field, names
-// matching the serve response fields byte for byte.
+// the paper's tractability frontier, one `name value` line per answer field
+// of the serve response (rendered by the op's own formatter).
 int CmdHardness(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
-  TreeHardness h = ComputeTreeHardness(*tree);
-  std::fprintf(out, "nodes %lld\n", static_cast<long long>(h.nodes));
-  std::fprintf(out, "leaves %lld\n", static_cast<long long>(h.leaves));
-  std::fprintf(out, "keys %lld\n", static_cast<long long>(h.keys));
-  std::fprintf(out, "dup_keys %lld\n",
-               static_cast<long long>(h.duplicated_keys));
-  std::fprintf(out, "max_leaves_per_key %lld\n",
-               static_cast<long long>(h.max_leaves_per_key));
-  std::fprintf(out, "tuple_independent %d\n", h.tuple_independent ? 1 : 0);
-  std::fprintf(out, "block_independent %d\n", h.block_independent ? 1 : 0);
+  Result<ServiceResponse> response = ExecuteOnInput(
+      opts, *std::move(tree), {OpRequest(ServiceRequest::Op::kHardness)})[0];
+  if (!response.ok()) {
+    std::fprintf(err, "%s\n", response.status().ToString().c_str());
+    return 1;
+  }
+  // Skips the leading op= and tree= fields.
+  const std::vector<RequestField> fields = ResponseToFields(*response);
+  for (size_t i = 2; i < fields.size(); ++i) {
+    std::fprintf(out, "%s %s\n", fields[i].name.c_str(),
+                 fields[i].value.c_str());
+  }
   return 0;
 }
 
@@ -838,7 +837,10 @@ std::string CliUsage() {
       "  topk             --k=K --metric=symdiff|intersection|footrule|kendall\n"
       "                   (--metric=all batches every metric's mean answer\n"
       "                   through the engine in one submission)\n"
-      "                   --answer=mean|median|approx|any-size\n"
+      "                   --answer=mean|median|approx|any-size (median and\n"
+      "                   any-size: symdiff only; approx: intersection\n"
+      "                   only; --metric=all: mean only; an unsupported\n"
+      "                   pair is an error)\n"
       "  aggregate        consensus group-by COUNT over the label attribute\n"
       "  baseline         --k=K --method=escore|erank|global|prf: the\n"
       "                   heuristic ranking semantics the consensus answers\n"
@@ -875,6 +877,10 @@ std::string CliUsage() {
       "                   Exits 0 when every request succeeded, 1 otherwise\n"
       "                   (failures are reported in-band as error lines).\n"
       "  help             print this message\n"
+      "\n"
+      "marginals, topk, aggregate, baseline and hardness answer through the\n"
+      "serve op table: their output is what the matching op=... request\n"
+      "answers for the same file, folded over the canonical orientation.\n"
       "\n"
       "flags:\n"
       "  --format=tree|bid   input format (default tree: s-expression;\n"
@@ -919,9 +925,6 @@ std::string CliUsage() {
       "                      write the catalog (and the retained rank\n"
       "                      distributions, so the next process's first\n"
       "                      batch hits warm) as a checksummed snapshot\n"
-      "  --mmap              serve only, requires --catalog: map the\n"
-      "                      snapshot read-only instead of streaming it\n"
-      "                      into memory; same validation, same answers\n"
       "  --metrics=on|off    serve only: the metrics registry behind\n"
       "                      op=metrics (default on; off disables all\n"
       "                      timing reads and makes op=metrics an error;\n"
