@@ -1,8 +1,8 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// Scaling of the parallel evaluation engine: rank distributions and chunked
-// Monte-Carlo estimation at 1/2/4/8 threads, against the sequential core
-// functions as the 1-thread baseline. Because every engine path is
+// Scaling of the parallel evaluation engine: rank distributions at
+// 1/2/4/8 threads, against the sequential core function as the 1-thread
+// baseline. Because every engine path is
 // schedule-deterministic, these runs also double as a determinism smoke
 // check: all thread counts produce the same answers, only the wall-clock
 // changes (on multi-core hosts; a 1-core container shows flat curves).
@@ -10,10 +10,8 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "core/monte_carlo.h"
 #include "core/rank_distribution.h"
 #include "engine/engine.h"
-#include "model/possible_worlds.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -58,53 +56,6 @@ BENCHMARK(BM_EngineRankDist)
     ->Args({80, 2})
     ->Args({80, 4})
     ->Args({80, 8});
-
-void BM_CoreMonteCarlo(benchmark::State& state) {
-  AndXorTree tree = MakeTree(60);
-  const int samples = static_cast<int>(state.range(0));
-  Rng rng(5);
-  for (auto _ : state) {
-    McEstimate e = EstimateOverWorlds(
-        tree, samples, &rng, [](const std::vector<NodeId>& world) {
-          return static_cast<double>(world.size());
-        });
-    benchmark::DoNotOptimize(e);
-  }
-}
-BENCHMARK(BM_CoreMonteCarlo)->Arg(10000);
-
-void BM_EngineMonteCarlo(benchmark::State& state) {
-  AndXorTree tree = MakeTree(60);
-  const int samples = static_cast<int>(state.range(0));
-  EngineOptions opts;
-  opts.num_threads = static_cast<int>(state.range(1));
-  Engine engine(opts);
-  for (auto _ : state) {
-    McEstimate e = engine.EstimateOverWorlds(
-        tree, samples, 5, [](const std::vector<NodeId>& world) {
-          return static_cast<double>(world.size());
-        });
-    benchmark::DoNotOptimize(e);
-  }
-}
-BENCHMARK(BM_EngineMonteCarlo)
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 4})
-    ->Args({10000, 8});
-
-void BM_EnginePairwiseOrder(benchmark::State& state) {
-  AndXorTree tree = MakeTree(24);
-  std::vector<KeyId> keys = tree.Keys();
-  EngineOptions opts;
-  opts.num_threads = static_cast<int>(state.range(0));
-  Engine engine(opts);
-  for (auto _ : state) {
-    auto p = engine.PairwiseOrderProbabilities(tree, keys);
-    benchmark::DoNotOptimize(p);
-  }
-}
-BENCHMARK(BM_EnginePairwiseOrder)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace cpdb

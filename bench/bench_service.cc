@@ -47,7 +47,7 @@
 //       catalog of 8·D names holding commutative shuffles of 8 shapes.
 //       Structural keys collapse the duplicates to one compiled fold and
 //       one retained distribution per shape, so throughput stays flat as
-//       D grows (BENCH_serve_dedup.json).
+//       D grows.
 
 #include <benchmark/benchmark.h>
 
@@ -453,10 +453,9 @@ BENCHMARK(BM_ServeWarmRestart)
 // Args: {metrics, trace}. (0,0) is the uninstrumented baseline (zero clock
 // reads on the serve path); (1,0) is production serving with the registry
 // recording every request; (1,1) additionally asks for trace=on output on
-// every request. The contract (BENCH_serve_trace.json): instruments cost
-// under 2% of per-request throughput — recording is a handful of relaxed
-// atomics and two steady-clock reads per span, nothing allocated, nothing
-// locked.
+// every request. Recording is a handful of relaxed atomics and two
+// steady-clock reads per span, nothing allocated, nothing locked, so the
+// (1,0) run should stay close to (0,0).
 std::vector<ServiceRequest> MixedTrace(int num_trees, bool traced) {
   std::vector<ServiceRequest> trace;
   constexpr TopKMetric kMetricCycle[] = {TopKMetric::kSymDiff,
@@ -630,8 +629,8 @@ AndXorTree ShuffledCopy(const AndXorTree& tree, Rng* rng) {
 // over all 8·D names. Structural canonicalization keys every fold, cache
 // line, and compiled FlatTree by *shape*, so the counters pin the dedup
 // (shapes=8 and fold_compiles=8 at every D) and per-request throughput
-// stays flat as duplicates multiply: D=4 serves 32 names for the cost of 8
-// (BENCH_serve_dedup.json). Without the structural level every duplicate
+// stays flat as duplicates multiply: D=4 serves 32 names for the cost of 8.
+// Without the structural level every duplicate
 // would pay its own fold and its own retained distribution.
 void BM_ServeDedupedCatalog(benchmark::State& state) {
   const int dups = static_cast<int>(state.range(0));

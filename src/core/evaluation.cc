@@ -22,16 +22,29 @@ Result<double> EnumExpectedTopKDistance(const AndXorTree& tree,
   return expected;
 }
 
-double SampleExpectedTopKDistance(const AndXorTree& tree,
-                                  const std::vector<KeyId>& answer, int k,
-                                  TopKMetric metric, int num_samples,
-                                  Rng* rng) {
-  double total = 0.0;
-  for (int s = 0; s < num_samples; ++s) {
-    std::vector<NodeId> world = SampleWorld(tree, rng);
-    total += TopKListDistance(answer, TopKOfWorld(tree, world, k), k, metric);
+double SetDistance(const std::vector<NodeId>& a, const std::vector<NodeId>& b,
+                   SetMetric metric) {
+  switch (metric) {
+    case SetMetric::kSymDiff: {
+      // |A Δ B| over sorted id vectors.
+      size_t i = 0, j = 0, inter = 0;
+      while (i < a.size() && j < b.size()) {
+        if (a[i] == b[j]) {
+          ++inter;
+          ++i;
+          ++j;
+        } else if (a[i] < b[j]) {
+          ++i;
+        } else {
+          ++j;
+        }
+      }
+      return static_cast<double>(a.size() + b.size() - 2 * inter);
+    }
+    case SetMetric::kJaccard:
+      return JaccardDistance(a, b);
   }
-  return total / num_samples;
+  return 0.0;
 }
 
 Result<double> EnumExpectedSetDistance(const AndXorTree& tree,
@@ -41,30 +54,7 @@ Result<double> EnumExpectedSetDistance(const AndXorTree& tree,
                         EnumerateWorlds(tree, max_worlds));
   double expected = 0.0;
   for (const World& w : worlds) {
-    double d = 0.0;
-    switch (metric) {
-      case SetMetric::kSymDiff: {
-        // |A Δ B| over sorted id vectors.
-        size_t i = 0, j = 0, inter = 0;
-        while (i < world.size() && j < w.leaf_ids.size()) {
-          if (world[i] == w.leaf_ids[j]) {
-            ++inter;
-            ++i;
-            ++j;
-          } else if (world[i] < w.leaf_ids[j]) {
-            ++i;
-          } else {
-            ++j;
-          }
-        }
-        d = static_cast<double>(world.size() + w.leaf_ids.size() - 2 * inter);
-        break;
-      }
-      case SetMetric::kJaccard:
-        d = JaccardDistance(world, w.leaf_ids);
-        break;
-    }
-    expected += w.prob * d;
+    expected += w.prob * SetDistance(world, w.leaf_ids, metric);
   }
   return expected;
 }

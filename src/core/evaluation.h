@@ -1,10 +1,10 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Ground-truth evaluation of expected distances by exhaustive possible-world
-// enumeration (exact on small instances) and Monte-Carlo sampling (unbiased
-// on any instance). Every closed-form expectation in the library is
-// cross-validated against these in the test suite, and the benchmark harness
-// uses them to measure approximation ratios.
+// enumeration (exact on small instances; core/monte_carlo.h samples the
+// same objectives on any instance). Every closed-form expectation in the
+// library is cross-validated against these in the test suite, and the
+// benchmark harness uses them to measure approximation ratios.
 
 #ifndef CPDB_CORE_EVALUATION_H_
 #define CPDB_CORE_EVALUATION_H_
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "core/clustering.h"
 #include "core/topk_metrics.h"  // TopKMetric and the distance dispatch
 #include "model/and_xor_tree.h"
@@ -26,14 +25,14 @@ Result<double> EnumExpectedTopKDistance(const AndXorTree& tree,
                                         int k, TopKMetric metric,
                                         size_t max_worlds = 1 << 20);
 
-/// \brief Unbiased Monte-Carlo estimate of E[d(answer, topk(pw))].
-double SampleExpectedTopKDistance(const AndXorTree& tree,
-                                  const std::vector<KeyId>& answer, int k,
-                                  TopKMetric metric, int num_samples,
-                                  Rng* rng);
-
 /// \brief Set-level metrics over leaf-id sets.
 enum class SetMetric { kSymDiff, kJaccard };
+
+/// \brief d(a, b) under `metric` for two sorted leaf-id sets — the
+/// per-world set distance both the enumerator and the sampler average
+/// (the set-level companion of TopKListDistance).
+double SetDistance(const std::vector<NodeId>& a, const std::vector<NodeId>& b,
+                   SetMetric metric);
 
 /// \brief E[d(world, pw)] by exhaustive enumeration; `world` holds sorted
 /// leaf NodeIds.

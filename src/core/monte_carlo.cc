@@ -3,12 +3,28 @@
 #include "core/monte_carlo.h"
 
 #include <cmath>
+#include <cstdint>
 
-#include "core/jaccard.h"
 #include "core/topk_metrics.h"
 #include "model/possible_worlds.h"
 
 namespace cpdb {
+
+namespace {
+
+// Welford's numerically stable running mean and sum of squared deviations.
+struct Welford {
+  int64_t n = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+
+  void Add(double x) {
+    ++n;
+    double delta = x - mean;
+    mean += delta / static_cast<double>(n);
+    m2 += delta * (x - mean);
+  }
+};
 
 McEstimate FinishEstimate(const Welford& acc) {
   McEstimate e;
@@ -21,27 +37,14 @@ McEstimate FinishEstimate(const Welford& acc) {
   return e;
 }
 
+}  // namespace
+
 McEstimate EstimateOverWorlds(
     const AndXorTree& tree, int num_samples, Rng* rng,
     const std::function<double(const std::vector<NodeId>&)>& f) {
   Welford acc;
   for (int s = 0; s < num_samples; ++s) {
     acc.Add(f(SampleWorld(tree, rng)));
-  }
-  return FinishEstimate(acc);
-}
-
-McEstimate EstimateOverWorldsAdaptive(
-    const AndXorTree& tree, double target_std_error, int max_samples,
-    Rng* rng, const std::function<double(const std::vector<NodeId>&)>& f,
-    int batch) {
-  Welford acc;
-  while (acc.n < max_samples) {
-    for (int s = 0; s < batch && acc.n < max_samples; ++s) {
-      acc.Add(f(SampleWorld(tree, rng)));
-    }
-    McEstimate current = FinishEstimate(acc);
-    if (acc.n >= 2 * batch && current.std_error <= target_std_error) break;
   }
   return FinishEstimate(acc);
 }
@@ -62,38 +65,7 @@ McEstimate McExpectedSetDistance(const AndXorTree& tree,
                                  SetMetric metric, int num_samples, Rng* rng) {
   return EstimateOverWorlds(
       tree, num_samples, rng, [&](const std::vector<NodeId>& sampled) {
-        switch (metric) {
-          case SetMetric::kSymDiff: {
-            size_t i = 0, j = 0, inter = 0;
-            while (i < world.size() && j < sampled.size()) {
-              if (world[i] == sampled[j]) {
-                ++inter;
-                ++i;
-                ++j;
-              } else if (world[i] < sampled[j]) {
-                ++i;
-              } else {
-                ++j;
-              }
-            }
-            return static_cast<double>(world.size() + sampled.size() -
-                                       2 * inter);
-          }
-          case SetMetric::kJaccard:
-            return JaccardDistance(world, sampled);
-        }
-        return 0.0;
-      });
-}
-
-McEstimate McExpectedClusteringDistance(const AndXorTree& tree,
-                                        const ClusteringAnswer& answer,
-                                        int num_samples, Rng* rng) {
-  std::vector<KeyId> keys = tree.Keys();
-  return EstimateOverWorlds(
-      tree, num_samples, rng, [&](const std::vector<NodeId>& world) {
-        return ClusteringDistance(answer,
-                                  ClusteringOfWorld(tree, keys, world));
+        return SetDistance(world, sampled, metric);
       });
 }
 

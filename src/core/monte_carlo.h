@@ -4,16 +4,17 @@
 // errors and normal-approximation confidence intervals. Enumeration
 // (core/evaluation.h) is exact but exponential; the estimators here scale to
 // arbitrary instances and are used by tests as an independent ground truth
-// and by users when a quick unbiased estimate suffices.
+// and by users when a quick unbiased estimate suffices. Each estimator
+// threads one Rng through all of its samples, so a run is reproducible from
+// the Rng's seed alone.
 
 #ifndef CPDB_CORE_MONTE_CARLO_H_
 #define CPDB_CORE_MONTE_CARLO_H_
 
 #include <functional>
+#include <vector>
 
 #include "common/rng.h"
-#include "common/welford.h"
-#include "core/clustering.h"
 #include "core/evaluation.h"
 #include "model/and_xor_tree.h"
 
@@ -24,12 +25,6 @@ struct McEstimate {
   double mean = 0.0;
   double std_error = 0.0;
   int samples = 0;
-  /// The chunk size the producing estimator decomposed the sample stream
-  /// into — the engine's chunked-parallel paths record the value they used
-  /// (fixed or adaptively resolved), so any run is reproducible bitwise by
-  /// pinning EngineOptions::mc_chunk_size to it. 0 for the sequential
-  /// estimators in this header, whose single Rng stream has no chunks.
-  int chunk_size = 0;
 
   double ci95_low() const { return mean - 1.96 * std_error; }
   double ci95_high() const { return mean + 1.96 * std_error; }
@@ -41,24 +36,12 @@ struct McEstimate {
   }
 };
 
-/// \brief Converts an accumulated Welford state into an McEstimate
-/// (std_error = sqrt(m2 / ((n - 1) n)); 0 for fewer than two samples).
-/// The single home of the uncertainty math, shared with the engine's
-/// chunked parallel estimators.
-McEstimate FinishEstimate(const Welford& acc);
-
 /// \brief Estimates E[f(pw)] by sampling worlds; `f` maps a sampled world's
-/// sorted leaf ids to a real value. Uses Welford's online variance.
+/// sorted leaf ids to a real value. Uses Welford's online variance;
+/// std_error is 0 for fewer than two samples.
 McEstimate EstimateOverWorlds(
     const AndXorTree& tree, int num_samples, Rng* rng,
     const std::function<double(const std::vector<NodeId>&)>& f);
-
-/// \brief Adaptive variant: samples in batches of `batch` until the standard
-/// error drops below `target_std_error` or `max_samples` is reached.
-McEstimate EstimateOverWorldsAdaptive(
-    const AndXorTree& tree, double target_std_error, int max_samples,
-    Rng* rng, const std::function<double(const std::vector<NodeId>&)>& f,
-    int batch = 256);
 
 /// \brief E[d(answer, topk(pw))] with uncertainty.
 McEstimate McExpectedTopKDistance(const AndXorTree& tree,
@@ -70,11 +53,6 @@ McEstimate McExpectedTopKDistance(const AndXorTree& tree,
 McEstimate McExpectedSetDistance(const AndXorTree& tree,
                                  const std::vector<NodeId>& world,
                                  SetMetric metric, int num_samples, Rng* rng);
-
-/// \brief E[d(answer, clustering(pw))] with uncertainty.
-McEstimate McExpectedClusteringDistance(const AndXorTree& tree,
-                                        const ClusteringAnswer& answer,
-                                        int num_samples, Rng* rng);
 
 }  // namespace cpdb
 

@@ -143,10 +143,7 @@ double PrRanksBefore(const FlatTree& flat, KeyId u, KeyId v);
 
 /// \brief All pairwise order probabilities among `keys`;
 /// result[i][j] = Pr(r(keys[i]) < r(keys[j])). Diagonal is 0. The tree is
-/// compiled to a FlatTree once and reused across all n^2 cells — the
-/// quadratic precomputation behind every Kendall consensus answer
-/// (Engine::PairwiseOrderProbabilities runs the same cells in parallel,
-/// sharing one compiled tree across tasks).
+/// compiled to a FlatTree once and reused across all n^2 cells.
 std::vector<std::vector<double>> PairwiseOrderProbabilities(
     const AndXorTree& tree, const std::vector<KeyId>& keys);
 

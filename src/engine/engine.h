@@ -2,8 +2,8 @@
 //
 // cpdb::Engine — the parallel evaluation facade over the Section 4-5
 // consensus algorithms. One Engine owns one ThreadPool and routes
-// rank-distribution, consensus Top-k, set-consensus, and Monte-Carlo
-// queries through it. Every parallel path is *schedule-deterministic*: the
+// rank-distribution, consensus Top-k and set-consensus queries through
+// it. Every parallel path is *schedule-deterministic*: the
 // result is bitwise identical for any thread count (including 1), because
 // work is split into fixed units whose partial results are merged in a
 // fixed order on the calling thread:
@@ -11,19 +11,14 @@
 //   * rank distributions — one unit per leaf (LeafRankContribution), merged
 //     in DFS leaf order, which is exactly the accumulation order of the
 //     sequential ComputeRankDistribution;
-//   * pairwise matrices (order probabilities, Kendall q statistics) — one
-//     unit per ordered key pair, each writing its own matrix cell;
+//   * the Kendall q matrix — one unit per ordered key pair, each writing
+//     its own matrix cell;
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
 //     sequential first-improvement scan;
 //   * footrule / intersection assignment — one cost (profit) column per
 //     candidate tuple, fanned across the pool before the Hungarian solve;
-//   * expected ranks — one unit per key (core ExpectedRankOfKey);
-//   * Monte-Carlo estimation — samples are drawn in fixed-size chunks, each
-//     chunk from its own Rng seeded by (seed, chunk index), and the
-//     per-chunk Welford statistics are combined in chunk order. The chunk
-//     size is an algorithm parameter (EngineOptions::mc_chunk_size), not a
-//     scheduling hint: changing it changes the sample stream.
+//   * expected ranks — one unit per key (core ExpectedRankOfKey).
 //
 // Set consensus is not a parallel path: the leaf marginals come off one
 // O(N) FlatTree::Compile pass (LeafMarginals), and the filter / min-cost DP
@@ -43,13 +38,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "core/evaluation.h"
-#include "core/monte_carlo.h"
 #include "core/rank_distribution.h"
+#include "core/topk_metrics.h"
 #include "core/topk_symdiff.h"
 #include "model/and_xor_tree.h"
 
@@ -80,27 +75,7 @@ struct EngineOptions {
   /// Threads used for query evaluation, counting the calling thread;
   /// values < 1 use the hardware concurrency. 1 means fully sequential.
   int num_threads = 0;
-
-  /// Samples per Monte-Carlo chunk. Part of the sampling algorithm (it
-  /// seeds one Rng per chunk): two engines agree bitwise only if their
-  /// chunk sizes agree. The default balances scheduling granularity
-  /// against per-chunk Rng setup. 0 selects the chunk size adaptively via
-  /// AdaptiveMcChunkSize(num_samples, num_threads()); the size actually
-  /// used is recorded in McEstimate::chunk_size either way, so any run can
-  /// be reproduced bitwise by pinning that value here.
-  int mc_chunk_size = 256;
 };
-
-/// \brief The chunk size EngineOptions::mc_chunk_size = 0 resolves to: a
-/// pure function of the workload size and the thread count that targets a
-/// handful of chunks per thread (enough slack for dynamic load balancing)
-/// while clamping to [32, 4096] so tiny workloads keep per-chunk Rng setup
-/// amortized and huge ones keep the chunk table small. Because the chunk
-/// size defines the sample stream, an adaptive run is reproduced bitwise by
-/// pinning the returned value (reported in McEstimate::chunk_size) — which
-/// is also why the estimate depends on the thread count *only* through this
-/// resolution, never through scheduling.
-int AdaptiveMcChunkSize(int num_samples, int num_threads);
 
 /// \brief Monotonic counters describing an engine's fold machinery — the
 /// observability surface the serving layer's `op=metrics` scrape re-exports
@@ -157,14 +132,6 @@ class Engine {
   /// path, which never compiles.
   RankDistribution ComputeRankDistribution(
       const AndXorTree& tree, int k, const FlatTree* program = nullptr) const;
-
-  /// \brief Parallel PairwiseOrderProbabilities: one task per ordered pair,
-  /// all sharing a single compiled FlatTree (the compile — or the supplied
-  /// `program` — is shared across cells, never paid per cell).
-  /// result[i][j] = Pr(r(keys[i]) < r(keys[j])); diagonal is 0.
-  std::vector<std::vector<double>> PairwiseOrderProbabilities(
-      const AndXorTree& tree, const std::vector<KeyId>& keys,
-      const FlatTree* program = nullptr) const;
 
   // -- Consensus Top-k (Section 5) ----------------------------------------
 
@@ -285,29 +252,6 @@ class Engine {
       const AndXorTree& tree, const std::vector<double>& marginals,
       bool median) const;
 
-  // -- Monte-Carlo estimation ---------------------------------------------
-
-  /// \brief Chunked-parallel E[f(pw)] estimate: deterministic in `seed` and
-  /// the resolved chunk size, which is recorded in the returned
-  /// McEstimate::chunk_size. With an explicit options().mc_chunk_size the
-  /// result is independent of the thread count; with the adaptive setting
-  /// (mc_chunk_size = 0) the chunk size — and hence the sample stream — is
-  /// a pure function of (num_samples, num_threads()), so runs reproduce
-  /// bitwise for a fixed configuration and can be replayed on any
-  /// configuration by pinning the recorded value. The sample stream differs
-  /// from the sequential core EstimateOverWorlds (which threads one Rng
-  /// through all samples) but is an equally valid draw. `f` may be called
-  /// concurrently and must be thread-safe.
-  McEstimate EstimateOverWorlds(
-      const AndXorTree& tree, int num_samples, uint64_t seed,
-      const std::function<double(const std::vector<NodeId>&)>& f) const;
-
-  /// \brief Chunked-parallel E[d(answer, topk(pw))] estimate.
-  McEstimate McExpectedTopKDistance(const AndXorTree& tree,
-                                    const std::vector<KeyId>& answer, int k,
-                                    TopKMetric metric, int num_samples,
-                                    uint64_t seed) const;
-
   // -- Observability -------------------------------------------------------
 
   /// \brief Snapshot of the fold-machinery counters (see EngineObsCounters).
@@ -321,12 +265,6 @@ class Engine {
   }
 
  private:
-  /// n x n matrix with cell(i, j) evaluated across the pool (diagonal left
-  /// 0): the shared flat-index pairwise pattern behind
-  /// PairwiseOrderProbabilities and the Kendall q precompute.
-  std::vector<std::vector<double>> PairwiseMatrix(
-      size_t n, const std::function<double(size_t, size_t)>& cell) const;
-
   /// One `column(dist, key)` evaluation per key of `dist`, fanned across
   /// the pool — the per-candidate unit of the assignment-based metrics.
   std::vector<std::vector<double>> PerKeyColumns(

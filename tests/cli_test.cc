@@ -373,11 +373,16 @@ TEST_F(CliTest, IntegerFlagsParseStrictly) {
     EXPECT_EQ(r.code, 2) << flag << " was accepted";
     EXPECT_NE(r.err.find("out of range"), std::string::npos) << flag;
   }
-  // consensus-world validates --threads like topk does.
-  CliResult bad_threads = RunCliArgs(
-      {"consensus-world", tree_path_, "--threads=-1"});
-  EXPECT_EQ(bad_threads.code, 1);
-  EXPECT_NE(bad_threads.err.find("--threads must be >= 0"), std::string::npos);
+  // Every engine-backed command validates --threads like topk does (the
+  // fixture tree is labelled, so aggregate would otherwise succeed).
+  for (const char* command :
+       {"consensus-world", "marginals", "aggregate", "hardness"}) {
+    CliResult bad_threads = RunCliArgs({command, tree_path_, "--threads=-5"});
+    EXPECT_EQ(bad_threads.code, 1) << command;
+    EXPECT_NE(bad_threads.err.find("--threads must be >= 0"),
+              std::string::npos)
+        << command;
+  }
 
   // Accepts: plain decimal integers, including signs and leading zeros.
   EXPECT_EQ(RunCliArgs({"sample", tree_path_, "--count=3", "--seed=09"}).code,

@@ -360,6 +360,7 @@ int CmdDumpCanon(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdMarginals(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
+  if (!EngineFlagsValid(opts, /*uses_k=*/false, err)) return 1;
   Result<ServiceResponse> response = ExecuteOnInput(
       opts, *std::move(tree), {OpRequest(ServiceRequest::Op::kMarginals)})[0];
   if (!response.ok()) {
@@ -748,6 +749,7 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdAggregate(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
+  if (!EngineFlagsValid(opts, /*uses_k=*/false, err)) return 1;
   Result<ServiceResponse> response = ExecuteOnInput(
       opts, *std::move(tree), {OpRequest(ServiceRequest::Op::kAggregate)})[0];
   if (!response.ok()) {
@@ -800,6 +802,7 @@ int CmdBaseline(const CliOptions& opts, std::FILE* out, std::FILE* err) {
 int CmdHardness(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   std::optional<AndXorTree> tree = LoadTree(opts, err);
   if (!tree) return 1;
+  if (!EngineFlagsValid(opts, /*uses_k=*/false, err)) return 1;
   Result<ServiceResponse> response = ExecuteOnInput(
       opts, *std::move(tree), {OpRequest(ServiceRequest::Op::kHardness)})[0];
   if (!response.ok()) {
