@@ -15,21 +15,6 @@
 // Answers are bitwise identical in all three modes (tests/service_test.cc);
 // only the fold count changes.
 //
-// Plus the long-lived-server scenarios the eviction PR added:
-//
-//   BM_ServeChurnBudgeted — a churn workload (requests cycling through many
-//       distinct (tree, k) keys) against a byte budget, from tiny to
-//       unbounded. The cache_bytes counter reports the retained footprint:
-//       bounded by the budget under churn (tests/cache_eviction_test.cc
-//       pins bytes <= budget in *every* snapshot, and warm-hit answers
-//       bitwise identical to uncached), while the unbounded arm shows the
-//       memory an immortal cache would accrete. evictions counts the churn.
-//   BM_ServeStreamingChurn — the same request stream through
-//       ExecuteStreaming (the serve --stream execution path): per-request
-//       emission, caches still shared across the stream. The first
-//       response is emitted before the second request is even pulled —
-//       streaming latency is per-request, not per-input.
-//
 // And the sharding PR's scaling scenario:
 //
 //   BM_ServeSharded — a shard-disjoint batch (32 distinct trees, so the
@@ -109,17 +94,6 @@ std::vector<ServiceRequest> SharedBatch() {
   };
 }
 
-// The same 8 plus a kendall mean and a symdiff median: those two carry
-// per-query tails (the O(n^2) q-matrix folds, the per-score stratum DPs)
-// that no rank-distribution cache can elide, so the speedup shrinks toward
-// the tail cost. Kept as the honest upper-bound-of-traffic contrast.
-std::vector<ServiceRequest> HeavyTailBatch() {
-  std::vector<ServiceRequest> batch = SharedBatch();
-  batch.push_back(TopKRequest(TopKMetric::kKendall));
-  batch.push_back(TopKRequest(TopKMetric::kSymDiff, TopKAnswer::kMedian));
-  return batch;
-}
-
 EngineOptions BenchEngineOptions(int threads) {
   EngineOptions engine_options;
   engine_options.num_threads = threads;
@@ -188,105 +162,6 @@ void BM_ServeBatchWarmCache(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeBatchWarmCache)->Args({40, 1})->Args({40, 4})->Args({80, 4});
 
-// A catalog of many distinct small trees plus a request stream that cycles
-// through (tree, k) combinations — the key-churn traffic shape a long-lived
-// server sees, where an immortal cache grows without bound.
-struct ChurnFixture {
-  static constexpr int kTrees = 24;
-
-  // A one-shard scheduler serving the churn catalog.
-  static std::unique_ptr<ShardedScheduler> MakeScheduler(
-      int threads, const SchedulerOptions& options) {
-    auto scheduler = std::make_unique<ShardedScheduler>(
-        1, BenchEngineOptions(threads), options);
-    Rng rng(97);
-    for (int i = 0; i < kTrees; ++i) {
-      RandomTreeOptions opts;
-      opts.num_keys = 24;
-      opts.max_depth = 3;
-      opts.max_alternatives = 2;
-      scheduler
-          ->Insert("churn" + std::to_string(i), *RandomAndXorTree(opts, &rng))
-          .ValueOrDie();
-    }
-    return scheduler;
-  }
-
-  static std::vector<ServiceRequest> Stream() {
-    std::vector<ServiceRequest> requests;
-    // 48 distinct (tree, k) keys over 72 requests: every key recurs a round
-    // later, so a cache large enough to span a round's working set turns
-    // the third round warm, while a tiny budget keeps evicting the keys it
-    // is about to need — the honest worst case for LRU under churn.
-    for (int round = 0; round < 3; ++round) {
-      for (int i = 0; i < kTrees; ++i) {
-        ServiceRequest request;
-        request.op = ServiceRequest::Op::kTopK;
-        request.tree_name = "churn" + std::to_string(i);
-        request.k = 3 + (i + round) % 2;
-        request.metric = TopKMetric::kSymDiff;
-        requests.push_back(request);
-      }
-    }
-    return requests;
-  }
-};
-
-void BM_ServeChurnBudgeted(benchmark::State& state) {
-  SchedulerOptions options;
-  options.cache_budget_bytes = state.range(0);
-  auto scheduler = ChurnFixture::MakeScheduler(/*threads=*/4, options);
-  std::vector<ServiceRequest> stream = ChurnFixture::Stream();
-  for (auto _ : state) {
-    auto results = scheduler->ExecuteBatch(stream);
-    benchmark::DoNotOptimize(results);
-  }
-  CacheStats stats = scheduler->cache_stats();
-  state.counters["cache_bytes"] =
-      static_cast<double>(stats.bytes + scheduler->marginals_stats().bytes);
-  state.counters["evictions"] = static_cast<double>(stats.evictions);
-  state.counters["hit_rate"] =
-      stats.hits + stats.misses == 0
-          ? 0.0
-          : static_cast<double>(stats.hits) /
-                static_cast<double>(stats.hits + stats.misses);
-}
-// 16 KiB holds a handful of the ~2 KiB entries (heavy eviction); 256 KiB
-// holds the whole working set (eviction-free steady state); -1 is the
-// immortal-cache contrast.
-BENCHMARK(BM_ServeChurnBudgeted)
-    ->Arg(16 << 10)
-    ->Arg(256 << 10)
-    ->Arg(kUnboundedCacheBytes);
-
-void BM_ServeStreamingChurn(benchmark::State& state) {
-  SchedulerOptions options;
-  options.cache_budget_bytes = state.range(0);
-  auto scheduler = ChurnFixture::MakeScheduler(/*threads=*/4, options);
-  std::vector<ServiceRequest> stream = ChurnFixture::Stream();
-  int64_t emitted = 0;
-  for (auto _ : state) {
-    size_t cursor = 0;
-    scheduler->ExecuteStreaming(
-        [&](ServiceRequest* request) {
-          if (cursor == stream.size()) return false;
-          *request = stream[cursor++];
-          return true;
-        },
-        [&](const Result<ServiceResponse>& response) {
-          ++emitted;
-          benchmark::DoNotOptimize(response);
-        });
-  }
-  // Per-iteration, not accumulated: the value must describe the workload
-  // (72 responses per stream) regardless of how many iterations ran.
-  state.counters["responses"] = benchmark::Counter(
-      static_cast<double>(emitted), benchmark::Counter::kAvgIterations);
-  state.counters["cache_bytes"] =
-      static_cast<double>(scheduler->cache_stats().bytes);
-}
-BENCHMARK(BM_ServeStreamingChurn)->Arg(16 << 10)->Arg(kUnboundedCacheBytes);
-
 // Shard scaling on shard-disjoint traffic: one Top-k request per distinct
 // tree, caches disabled so each iteration measures fold throughput, one
 // thread per shard engine so parallelism comes only from the shard fan-out.
@@ -329,33 +204,6 @@ void BM_ServeSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime()->MeasureProcessCPUTime();
-
-void BM_ServeHeavyTailUncached(benchmark::State& state) {
-  ServiceFixture fixture(static_cast<int>(state.range(0)),
-                         static_cast<int>(state.range(1)));
-  SchedulerOptions options;
-  options.use_cache = false;
-  auto scheduler = fixture.MakeScheduler(options);
-  std::vector<ServiceRequest> batch = HeavyTailBatch();
-  for (auto _ : state) {
-    auto results = scheduler->ExecuteBatch(batch);
-    benchmark::DoNotOptimize(results);
-  }
-}
-BENCHMARK(BM_ServeHeavyTailUncached)->Args({40, 4});
-
-void BM_ServeHeavyTailWarmCache(benchmark::State& state) {
-  ServiceFixture fixture(static_cast<int>(state.range(0)),
-                         static_cast<int>(state.range(1)));
-  auto scheduler = fixture.MakeScheduler();
-  std::vector<ServiceRequest> batch = HeavyTailBatch();
-  scheduler->ExecuteBatch(batch);
-  for (auto _ : state) {
-    auto results = scheduler->ExecuteBatch(batch);
-    benchmark::DoNotOptimize(results);
-  }
-}
-BENCHMARK(BM_ServeHeavyTailWarmCache)->Args({40, 4});
 
 // Warm restart (the snapshot PR's trajectory): how fast a restarted
 // replica reaches its first served response, three ways.

@@ -26,19 +26,6 @@ Status MetricsDisabledError() {
       "op=metrics requires metrics enabled (serve without --metrics=off)");
 }
 
-ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
-                                      const TopKResult& result) {
-  ServiceResponse response;
-  response.op = ServiceRequest::Op::kTopK;
-  response.tree_name = request.tree_name;
-  response.k = request.k;
-  response.metric = TopKMetricName(request.metric);
-  response.answer = TopKAnswerName(request.answer);
-  response.keys = result.keys;
-  response.expected_distance = result.expected_distance;
-  return response;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -167,31 +154,6 @@ Status ParseTopK(const RequestLine& line, ServiceRequest* request) {
     CPDB_ASSIGN_OR_RETURN(request->answer, ParseTopKAnswerName(*answer));
   }
   return Status::OK();
-}
-
-Result<ServiceResponse> ExecuteTopKTree(OpHost& host, const CatalogEntry& entry,
-                                        const ServiceRequest& request,
-                                        const Clock* clk,
-                                        ResponseTiming* timing) {
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const RankDistribution> dist =
-      host.GatedDistFor(entry, request);
-  AddSpan(timing, "cache", cache_watch);
-  // With a cached (or freshly computed and now shared) distribution the
-  // engine runs only the metric tail; without one it runs the full query.
-  // Both paths are the bitwise-identical code ExecuteBatch submits per
-  // fused slot.
-  Stopwatch fold_watch(clk);
-  Result<TopKResult> result =
-      dist != nullptr
-          ? host.engine()->ConsensusTopKWithDist(*entry.tree, *dist,
-                                                 request.metric, request.answer,
-                                                 entry.program.get())
-          : host.engine()->ConsensusTopK(*entry.tree, request.k, request.metric,
-                                         request.answer, entry.program.get());
-  AddSpan(timing, "fold", fold_watch);
-  if (!result.ok()) return result.status();
-  return ConsensusTopKResponse(request, *result);
 }
 
 void FormatTopK(const ServiceResponse& response,
@@ -592,7 +554,6 @@ OpRegistry::OpRegistry() {
     spec.batch_phase = kQueryPhase;
     spec.fuse_consensus_batch = true;
     spec.parse = ParseTopK;
-    spec.execute_tree = ExecuteTopKTree;
     spec.format = FormatTopK;
     add(spec);
   }

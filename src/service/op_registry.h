@@ -17,14 +17,15 @@
 //                       state (stats, metrics);
 //   * its batch phase — the position ExecuteBatch runs it in (loads
 //     before queries before stats before metrics);
-//   * an execute hook against an abstract host (OpHost: one shard's
-//     Engine + caches; AdminHost: the merged front-end state), and
+//   * how it executes: an execute hook against an abstract host (OpHost:
+//     one shard's Engine + caches; AdminHost: the merged front-end
+//     state), or — topk only — a slot in the per-shard executor's fused
+//     consensus batch, and
 //   * a deterministic response formatter.
 //
-// ShardedScheduler::ExecuteBatch/ExecuteOne and the per-shard executor
-// behind them are generic walks of this table: adding an op
-// means adding one row here (plus its core/engine computation), not
-// editing six dispatch sites. The wire error for an unknown op enumerates
+// ShardedScheduler::ExecuteBatch and the per-shard executor behind it are
+// generic walks of this table: adding an op means adding one row here
+// (plus its core/engine computation), not editing six dispatch sites. The wire error for an unknown op enumerates
 // the valid names from the table, so the message can never go stale.
 //
 // Determinism contract: every execute hook computes through
@@ -53,7 +54,8 @@ namespace cpdb {
 /// an OpSpec provides).
 enum class OpRouting {
   /// Addressed to one catalog tree by name: routed to the shard owning the
-  /// tree's StructKey and executed there through `execute_tree`.
+  /// tree's StructKey and executed there — through `execute_tree`, or as a
+  /// slot of the fused consensus batch (`fuse_consensus_batch`).
   kTreeAddressed,
   /// Touches the catalog as a whole: executed on the front-end thread,
   /// which computes the identity and inserts into the owning shard.
@@ -83,13 +85,6 @@ class OpHost {
 
   /// The engine tree-addressed hooks evaluate against.
   virtual const Engine* engine() const = 0;
-
-  /// The rank distribution for a *valid* consensus request, through the
-  /// RankDistCache when enabled: nullptr when caching is off or the request
-  /// can only fail (the engine rejects it before paying the fold, and the
-  /// cache must not be populated for it).
-  virtual std::shared_ptr<const RankDistribution> GatedDistFor(
-      const CatalogEntry& entry, const ServiceRequest& request) = 0;
 
   /// The rank distribution at cutoff k unconditionally — through the
   /// RankDistCache when enabled, computed fresh otherwise. The baseline
@@ -131,10 +126,11 @@ struct OpSpec {
   OpRouting routing = OpRouting::kTreeAddressed;
   int batch_phase = kQueryPhase;
 
-  /// Query-phase trait: the slot carries a consensus Top-k query that
-  /// ExecuteBatch folds into its single fused
-  /// Engine::EvaluateConsensusBatch submission (rank distribution via
-  /// GatedDistFor, one shared fold span). Only kTopK sets it.
+  /// Query-phase trait: the slot carries a consensus Top-k query that the
+  /// per-shard executor folds into its single fused
+  /// Engine::EvaluateConsensusBatch submission (rank distribution through
+  /// the cache, one shared fold span). A fused row has no `execute_tree`:
+  /// the batch is its only execution form. Only kTopK sets it.
   bool fuse_consensus_batch = false;
 
   /// Maps a tokenized protocol line (op field already matched to this
@@ -145,7 +141,7 @@ struct OpSpec {
 
   /// Executes a kTreeAddressed op against its resolved catalog entry,
   /// recording cache/fold spans on `timing` (clk null = inert watches).
-  /// Null for non-tree ops.
+  /// Null for non-tree ops and for the fused row.
   Result<ServiceResponse> (*execute_tree)(OpHost& host,
                                           const CatalogEntry& entry,
                                           const ServiceRequest& request,
@@ -202,12 +198,6 @@ class OpRegistry {
 /// was live, so untimed requests accumulate nothing.
 void AddSpan(ResponseTiming* timing, const char* stage,
              const Stopwatch& stopwatch);
-
-/// \brief Builds the kTopK ok response for a finished consensus result —
-/// shared by the fused batch finalizer and the one-at-a-time execute hook,
-/// so the two paths' answer fields cannot drift.
-ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
-                                      const TopKResult& result);
 
 /// \brief The in-band refusal op=metrics answers when metrics are
 /// disabled.

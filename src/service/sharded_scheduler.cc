@@ -26,14 +26,78 @@ void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
   total->evictions += part.evictions;
 }
 
+// The timing source for a unit of work — a front-end batch or one shard's
+// sub-batch: `clock` when the unit must be timed (metrics on, or any of its
+// requests asked for trace=on), nullptr otherwise, which makes every
+// Stopwatch inert (zero clock reads). Instrumentation never touches answer
+// bytes either way.
+const Clock* TimingClock(const Clock* clock, bool metrics_on,
+                         const std::vector<ServiceRequest>& requests) {
+  if (metrics_on) return clock;
+  for (const ServiceRequest& request : requests) {
+    if (request.trace) return clock;
+  }
+  return nullptr;
+}
+
+// Counts one request as received; no-op when metrics are off. A shard's
+// sub-batch and the admin ops count before executing (so a metrics scrape
+// counts itself); a load counts when it finishes, because only then is its
+// owning shard known.
+void CountRequest(ServeInstruments* instruments,
+                  const ServiceRequest& request) {
+  if (instruments == nullptr) return;
+  instruments->requests_total->Increment();
+  instruments->op_counter(request.op)->Increment();
+}
+
+// Closes one finished request — the last step of every execution path.
+// Sums the spans into total_ns (on top of the whole-op measurement an
+// admin op brings, which has no spans), records the op latency, the stage
+// histograms and any error into `instruments` (null when metrics are off;
+// on means the unit was timed), and attaches the timing to an ok response.
+// Attaching is wire-neutral: the transport's slow-query log reads total_ns
+// off the response, while ResponseToFields renders trace_* fields only
+// when the request said trace=on.
+void FinishRequest(ServeInstruments* instruments, const ServiceRequest& request,
+                   ResponseTiming timing, Result<ServiceResponse>* response) {
+  for (const auto& [stage, nanos] : timing.spans) timing.total_ns += nanos;
+  if (instruments != nullptr) {
+    instruments->op_latency(request.op)->Record(timing.total_ns);
+    for (const auto& [stage, nanos] : timing.spans) {
+      if (LatencyHistogram* hist = instruments->stage(stage)) {
+        hist->Record(nanos);
+      }
+    }
+    if (!response->ok()) instruments->request_errors_total->Increment();
+  }
+  if (response->ok()) {
+    timing.trace = request.trace;
+    (*response)->timing = std::move(timing);
+  }
+}
+
+// The kTopK ok response for a finished consensus result.
+ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
+                                      const TopKResult& result) {
+  ServiceResponse response;
+  response.op = ServiceRequest::Op::kTopK;
+  response.tree_name = request.tree_name;
+  response.k = request.k;
+  response.metric = TopKMetricName(request.metric);
+  response.answer = TopKAnswerName(request.answer);
+  response.keys = result.keys;
+  response.expected_distance = result.expected_distance;
+  return response;
+}
+
 // QueryScheduler — one shard's executor. It runs the tree-addressed
 // requests the front end routes to its shard against the shard's engine
 // and catalog, owning the shard's RankDistCache and MarginalsCache and its
 // instruments. It is the OpHost the registry's tree hooks execute against.
 //
-// Thread-compatible: concurrent ExecuteBatch / ExecuteOne calls are safe —
-// catalog and caches are internally locked; the engine is stateless per
-// query.
+// Thread-compatible: concurrent ExecuteBatch calls are safe — catalog and
+// caches are internally locked; the engine is stateless per query.
 class QueryScheduler : public OpHost {
  public:
   // Neither pointer is owned; both must outlive the scheduler.
@@ -50,13 +114,11 @@ class QueryScheduler : public OpHost {
         cache_(options.cache_budget_bytes),
         marginals_cache_(options.cache_budget_bytes) {}
 
-  // Executes a sub-batch of tree-addressed requests; results[i] answers
-  // requests[i], per-request failures landing in their slot.
+  // Executes a sub-batch of tree-addressed requests — the shard's only
+  // execution path; results[i] answers requests[i], per-request failures
+  // landing in their slot.
   std::vector<Result<ServiceResponse>> ExecuteBatch(
       const std::vector<ServiceRequest>& requests);
-
-  // Executes one tree-addressed request immediately.
-  Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
 
   // Seeds the rank-distribution cache with a precomputed entry — the
   // warm-restart seam. No-op when caching is disabled or the entry is not
@@ -87,27 +149,12 @@ class QueryScheduler : public OpHost {
 
   // OpHost.
   const Engine* engine() const override { return engine_; }
-  std::shared_ptr<const RankDistribution> GatedDistFor(
-      const CatalogEntry& entry, const ServiceRequest& request) override;
   std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
                                                       int k) override;
   std::shared_ptr<const std::vector<double>> MarginalsFor(
       const CatalogEntry& entry) override;
 
  private:
-  // The timing source for a unit of work: the injected clock when this
-  // request must be timed (metrics on, or the request said trace=on),
-  // nullptr — which makes every Stopwatch inert — otherwise.
-  const Clock* TimingClock(bool any_trace) const {
-    return (instruments_ != nullptr || any_trace) ? clock_ : nullptr;
-  }
-
-  // Sums a finished request's spans into total_ns, records the op and
-  // stage histograms (when metrics are on), and attaches trace output to
-  // an ok response when the request asked for it.
-  void FinishTiming(const ServiceRequest& request, ResponseTiming* timing,
-                    Result<ServiceResponse>* response);
-
   const Engine* engine_;
   TreeCatalog* catalog_;
   SchedulerOptions options_;
@@ -116,19 +163,6 @@ class QueryScheduler : public OpHost {
   RankDistCache cache_;
   MarginalsCache marginals_cache_;
 };
-
-std::shared_ptr<const RankDistribution> QueryScheduler::GatedDistFor(
-    const CatalogEntry& entry, const ServiceRequest& request) {
-  // A request that can only fail (bad k, unsupported metric/answer pair)
-  // must not populate the cache: the engine rejects such queries *before*
-  // paying the fold, and the scheduler keeps that property. The engine
-  // call downstream reports the actual error.
-  if (!options_.use_cache || request.k < 1 ||
-      !Engine::ValidateConsensusRequest(request.metric, request.answer).ok()) {
-    return nullptr;
-  }
-  return RankDistFor(entry, request.k);
-}
 
 std::shared_ptr<const RankDistribution> QueryScheduler::RankDistFor(
     const CatalogEntry& entry, int k) {
@@ -207,60 +241,24 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   return snapshot;
 }
 
-void QueryScheduler::FinishTiming(const ServiceRequest& request,
-                                  ResponseTiming* timing,
-                                  Result<ServiceResponse>* response) {
-  timing->total_ns = 0;
-  for (const auto& [stage, nanos] : timing->spans) timing->total_ns += nanos;
-  if (instruments_ != nullptr && !timing->spans.empty()) {
-    instruments_->op_latency(request.op)->Record(timing->total_ns);
-    for (const auto& [stage, nanos] : timing->spans) {
-      if (LatencyHistogram* hist = instruments_->stage(stage)) {
-        hist->Record(nanos);
-      }
-    }
-  }
-  // Attach timing to every timed ok response — not just traced ones: the
-  // transport's slow-query log reads total_ns off the response. The wire
-  // is unaffected because ResponseToFields only renders trace_* fields
-  // when timing.trace (the request said trace=on) is set.
-  if (response->ok() && !timing->spans.empty()) {
-    timing->trace = request.trace;
-    (*response)->timing = std::move(*timing);
-  }
-}
-
 std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
     const std::vector<ServiceRequest>& requests) {
   std::vector<Result<ServiceResponse>> responses(
       requests.size(),
       Result<ServiceResponse>(Status::Internal("request not executed")));
   const OpRegistry& ops = OpRegistry::Get();
-
-  // Timing is live when metrics are on or any request asked for a trace;
-  // otherwise `clk` is null and every Stopwatch below is inert (zero clock
-  // reads). Instrumentation never touches answer bytes either way.
-  bool any_trace = false;
-  for (const ServiceRequest& request : requests) any_trace |= request.trace;
-  const Clock* clk = TimingClock(any_trace);
   ServeInstruments* instruments = instruments_.get();
-  if (instruments != nullptr) {
-    instruments->requests_total->Increment(
-        static_cast<int64_t>(requests.size()));
-    for (const ServiceRequest& request : requests) {
-      instruments->op_counter(request.op)->Increment();
-    }
+  const Clock* clk = TimingClock(clock_, instruments != nullptr, requests);
+  for (const ServiceRequest& request : requests) {
+    CountRequest(instruments, request);
   }
   std::vector<ResponseTiming> timings(requests.size());
 
   // Resolve every slot's tree; a name unbound here (the shard catalog can
   // only lag the front end's directory, never lead it) fails its slot
-  // only. Slots whose spec fuses into the consensus batch are split from
-  // the ones executing their own hook.
+  // only, and its entry stays empty.
+  std::vector<CatalogEntry> entries(requests.size());
   std::vector<size_t> fused_slots;
-  std::vector<CatalogEntry> fused_entries;
-  std::vector<size_t> direct_slots;
-  std::vector<CatalogEntry> direct_entries;
   for (size_t i = 0; i < requests.size(); ++i) {
     Stopwatch catalog_watch(clk);
     Result<CatalogEntry> entry = catalog_->Lookup(requests[i].tree_name);
@@ -269,98 +267,79 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
       responses[i] = entry.status();
       continue;
     }
-    if (ops.spec(requests[i].op).fuse_consensus_batch) {
-      fused_slots.push_back(i);
-      fused_entries.push_back(*std::move(entry));
-    } else {
-      direct_slots.push_back(i);
-      direct_entries.push_back(*std::move(entry));
+    entries[i] = *std::move(entry);
+    if (ops.spec(requests[i].op).fuse_consensus_batch) fused_slots.push_back(i);
+  }
+  // The fused consensus pass — topk's only execution form, skipped when
+  // no slot takes it.
+  if (!fused_slots.empty()) {
+    // The deduplication step: route every Top-k query's rank-distribution
+    // precompute through the (StructKey, k) cache, in slot order, so the
+    // first query of each pair computes the fold and the rest hit — within
+    // this batch and across batches alike. The handles keep cached
+    // entries alive for the duration of the engine call even if entries
+    // are evicted concurrently. A request that can only fail (bad k,
+    // unsupported metric/answer pair) gets no distribution and populates
+    // nothing: the engine rejects such queries *before* paying the fold,
+    // and reports the error. With caching off no slot gets one, so the
+    // engine folds.
+    std::vector<std::shared_ptr<const RankDistribution>> dists(
+        fused_slots.size());
+    std::vector<Engine::ConsensusQuery> queries(fused_slots.size());
+    for (size_t j = 0; j < fused_slots.size(); ++j) {
+      const size_t slot = fused_slots[j];
+      const ServiceRequest& request = requests[slot];
+      Stopwatch cache_watch(clk);
+      if (options_.use_cache && request.k >= 1 &&
+          Engine::ValidateConsensusRequest(request.metric, request.answer)
+              .ok()) {
+        dists[j] = RankDistFor(entries[slot], request.k);
+      }
+      AddSpan(&timings[slot], "cache", cache_watch);
+      queries[j] = {entries[slot].tree.get(), request.k, request.metric,
+                    request.answer, dists[j].get(),
+                    entries[slot].program.get()};
+    }
+
+    // One engine submission for all fused slots: whole queries fan across
+    // the pool, cached distributions are shared read-only.
+    Stopwatch fold_watch(clk);
+    std::vector<Result<TopKResult>> results =
+        engine_->EvaluateConsensusBatch(queries);
+    // The whole submission is one engine call, so every fused slot
+    // records the same fold duration — per-slot attribution inside a
+    // fused batch would be fiction. The count (one fold span per slot) is
+    // what the sharded-parity tests rely on; values are side-band by
+    // contract.
+    const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
+    for (size_t j = 0; j < fused_slots.size(); ++j) {
+      const size_t slot = fused_slots[j];
+      if (fold_watch.enabled()) {
+        timings[slot].spans.emplace_back("fold", batch_fold_nanos);
+      }
+      if (!results[j].ok()) {
+        responses[slot] = results[j].status();
+        continue;
+      }
+      responses[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
     }
   }
 
-  // The deduplication step: route every Top-k query's rank-distribution
-  // precompute through the (StructKey, k) cache, in slot order, so the
-  // first query of each pair computes the fold and the rest hit — within
-  // this batch and across batches alike. The handles keep cached entries
-  // alive for the duration of the engine call even if entries are evicted
-  // concurrently.
-  std::vector<std::shared_ptr<const RankDistribution>> dists(
-      fused_slots.size());
-  for (size_t j = 0; j < fused_slots.size(); ++j) {
-    Stopwatch cache_watch(clk);
-    dists[j] = GatedDistFor(fused_entries[j], requests[fused_slots[j]]);
-    AddSpan(&timings[fused_slots[j]], "cache", cache_watch);
-  }
-
-  // One engine submission for all fused slots: whole queries fan across
-  // the pool, cached distributions are shared read-only.
-  std::vector<Engine::ConsensusQuery> queries(fused_slots.size());
-  for (size_t j = 0; j < fused_slots.size(); ++j) {
-    const ServiceRequest& request = requests[fused_slots[j]];
-    queries[j] = {fused_entries[j].tree.get(), request.k, request.metric,
-                  request.answer, dists[j].get(),
-                  fused_entries[j].program.get()};
-  }
-  Stopwatch fold_watch(clk);
-  std::vector<Result<TopKResult>> results =
-      engine_->EvaluateConsensusBatch(queries);
-  // The whole submission is one engine call, so every fused slot records
-  // the same fold duration — per-slot attribution inside a fused batch
-  // would be fiction. The count (one fold span per slot) is what the
-  // sharded-parity tests rely on; values are side-band by contract.
-  const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
-  for (size_t j = 0; j < fused_slots.size(); ++j) {
-    const size_t slot = fused_slots[j];
-    if (fold_watch.enabled()) {
-      timings[slot].spans.emplace_back("fold", batch_fold_nanos);
-    }
-    if (!results[j].ok()) {
-      responses[slot] = results[j].status();
-      continue;
-    }
-    responses[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
-  }
-
-  // The direct slots (worlds, the analytics ops) run their own execute
-  // hooks after the fused finalize, in slot order — each routes its
-  // precompute through the caches inside the hook.
-  for (size_t j = 0; j < direct_slots.size(); ++j) {
-    const size_t slot = direct_slots[j];
-    responses[slot] = ops.spec(requests[slot].op)
-                          .execute_tree(*this, direct_entries[j],
-                                        requests[slot], clk, &timings[slot]);
+  // The other resolved slots (worlds, the analytics ops) run their own
+  // execute hooks after the fused finalize, in slot order — each routes
+  // its precompute through the caches inside the hook.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const OpSpec& spec = ops.spec(requests[i].op);
+    if (entries[i].tree == nullptr || spec.fuse_consensus_batch) continue;
+    responses[i] =
+        spec.execute_tree(*this, entries[i], requests[i], clk, &timings[i]);
   }
 
   for (size_t i = 0; i < requests.size(); ++i) {
-    FinishTiming(requests[i], &timings[i], &responses[i]);
-    if (instruments != nullptr && !responses[i].ok()) {
-      instruments->request_errors_total->Increment();
-    }
+    FinishRequest(instruments, requests[i], std::move(timings[i]),
+                  &responses[i]);
   }
   return responses;
-}
-
-Result<ServiceResponse> QueryScheduler::ExecuteOne(
-    const ServiceRequest& request) {
-  const Clock* clk = TimingClock(request.trace);
-  ServeInstruments* instruments = instruments_.get();
-  if (instruments != nullptr) {
-    instruments->requests_total->Increment();
-    instruments->op_counter(request.op)->Increment();
-  }
-  ResponseTiming timing;
-  Stopwatch catalog_watch(clk);
-  Result<CatalogEntry> entry = catalog_->Lookup(request.tree_name);
-  AddSpan(&timing, "catalog", catalog_watch);
-  Result<ServiceResponse> response =
-      entry.ok() ? OpRegistry::Get().spec(request.op).execute_tree(
-                       *this, *entry, request, clk, &timing)
-                 : Result<ServiceResponse>(entry.status());
-  FinishTiming(request, &timing, &response);
-  if (instruments != nullptr && !response.ok()) {
-    instruments->request_errors_total->Increment();
-  }
-  return response;
 }
 
 }  // namespace
@@ -548,26 +527,15 @@ CatalogSnapshot ShardedScheduler::BuildSnapshot(
   return snapshot;
 }
 
-Result<int> ShardedScheduler::RouteTree(const ServiceRequest& request,
-                                        const Clock* clk) const {
-  Stopwatch catalog_watch(clk);
+Result<int> ShardedScheduler::RouteTree(const std::string& tree_name) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = directory_.find(request.tree_name);
+    auto it = directory_.find(tree_name);
     if (it != directory_.end()) return it->second;
   }
-  // The owning shard's executor does its own counting and timing, so a
-  // routed request records nothing here — one request, one set of
-  // records. A miss never reaches a shard: its trail lands on shard 0.
-  ResponseTiming timing;
-  if (catalog_watch.enabled()) {
-    timing.total_ns = catalog_watch.ElapsedNanos();
-    timing.spans.emplace_back("catalog", timing.total_ns);
-  }
-  RecordFrontend(0, request, timing, /*ok=*/false);
   // The shared formatter keeps the error line byte-identical to a catalog
   // Lookup's.
-  return TreeCatalog::UnknownTreeError(request.tree_name);
+  return TreeCatalog::UnknownTreeError(tree_name);
 }
 
 Result<ServiceResponse> ShardedScheduler::ExecuteLoad(
@@ -594,29 +562,10 @@ Result<ServiceResponse> ShardedScheduler::ExecuteLoad(
     loaded.fingerprint = entry->content_fp;
     return loaded;
   }();
-  for (const auto& [stage, nanos] : timing.spans) timing.total_ns += nanos;
-  RecordFrontend(static_cast<size_t>(shard), request, timing, response.ok());
-  if (response.ok() && !timing.spans.empty()) {
-    timing.trace = request.trace;
-    response->timing = std::move(timing);
-  }
+  ServeInstruments* instruments = ShardInstruments(static_cast<size_t>(shard));
+  CountRequest(instruments, request);
+  FinishRequest(instruments, request, std::move(timing), &response);
   return response;
-}
-
-void ShardedScheduler::RecordFrontend(size_t s, const ServiceRequest& request,
-                                      const ResponseTiming& timing,
-                                      bool ok) const {
-  ServeInstruments* instruments = ShardInstruments(s);
-  if (instruments == nullptr) return;
-  instruments->requests_total->Increment();
-  instruments->op_counter(request.op)->Increment();
-  instruments->op_latency(request.op)->Record(timing.total_ns);
-  for (const auto& [stage, nanos] : timing.spans) {
-    if (LatencyHistogram* hist = instruments->stage(stage)) {
-      hist->Record(nanos);
-    }
-  }
-  if (!ok) instruments->request_errors_total->Increment();
 }
 
 ServiceResponse ShardedScheduler::StatsResponse() const {
@@ -644,18 +593,19 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
       requests.size(),
       Result<ServiceResponse>(Status::Internal("request not executed")));
 
-  // The front-end timing gate mirrors the per-shard executors': live when
-  // metrics are on or the batch asked for a trace, inert otherwise.
-  bool any_trace = false;
-  for (const ServiceRequest& request : requests) any_trace |= request.trace;
-  const Clock* clk = TimingClock(any_trace);
+  // The front end gates its own timing by the same rule as the per-shard
+  // executors: live when metrics are on or the batch asked for a trace.
+  ServeInstruments* frontend = ShardInstruments(0);
+  const Clock* clk = TimingClock(clock_, frontend != nullptr, requests);
 
   const OpRegistry& ops = OpRegistry::Get();
 
   // Admin probes count at batch entry, like every executor sub-batch, so
   // a metrics scrape counts every probe of its batch — itself included.
   for (const ServiceRequest& request : requests) {
-    if (ops.spec(request.op).routing == OpRouting::kAdmin) CountAdmin(request);
+    if (ops.spec(request.op).routing == OpRouting::kAdmin) {
+      CountRequest(frontend, request);
+    }
   }
 
   // Loads first, in request order — the batch contract. Loads stay on the
@@ -670,15 +620,23 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   // Partition queries by owning shard, preserving slot order within each
   // sub-batch — per-key request order is what keeps each shard's cache
   // counters independent of the shard count. Unknown names fail their
-  // slot here.
+  // slot here. The owning shard's executor does its own counting and
+  // timing, so a routed request records nothing here — one request, one
+  // set of records; a miss never reaches a shard, so its trail (a catalog
+  // span, an op latency, an error count) lands on shard 0.
   std::vector<std::vector<ServiceRequest>> sub_batches(shards_.size());
   std::vector<std::vector<size_t>> sub_slots(shards_.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     const ServiceRequest& request = requests[i];
     if (ops.spec(request.op).routing != OpRouting::kTreeAddressed) continue;
-    Result<int> shard = RouteTree(request, clk);
+    Stopwatch catalog_watch(clk);
+    Result<int> shard = RouteTree(request.tree_name);
     if (!shard.ok()) {
+      ResponseTiming timing;
+      AddSpan(&timing, "catalog", catalog_watch);
       responses[i] = shard.status();
+      CountRequest(frontend, request);
+      FinishRequest(frontend, request, std::move(timing), &responses[i]);
       continue;
     }
     sub_batches[static_cast<size_t>(*shard)].push_back(request);
@@ -784,34 +742,18 @@ class ShardedAdminHost : public AdminHost {
   ShardedScheduler* sharded_;
 };
 
-void ShardedScheduler::CountAdmin(const ServiceRequest& request) const {
-  if (ServeInstruments* instruments = ShardInstruments(0)) {
-    instruments->requests_total->Increment();
-    instruments->op_counter(request.op)->Increment();
-  }
-}
-
 Result<ServiceResponse> ShardedScheduler::ExecuteAdminOne(
     const ServiceRequest& request, const Clock* clk) {
-  const OpSpec& spec = OpRegistry::Get().spec(request.op);
   ShardedAdminHost host(this);
-  ServeInstruments* instruments = ShardInstruments(0);
-  // The caller has counted the request (CountAdmin); record the latency
-  // after the hook — a scrape describes the work before it, never itself.
-  // A refused op (metrics while disabled) records no latency, only the
-  // error count.
+  // The caller has counted the request; the latency is recorded after the
+  // hook — a scrape describes the work before it, never itself. The one
+  // refusal (metrics while disabled) has no instruments to record into.
+  ResponseTiming timing;
   Stopwatch watch(clk);
-  Result<ServiceResponse> response = spec.execute_admin(host, request);
-  if (watch.enabled() && response.ok()) {
-    response->timing.total_ns = watch.ElapsedNanos();
-    response->timing.trace = request.trace;
-    if (instruments != nullptr) {
-      instruments->op_latency(request.op)->Record(response->timing.total_ns);
-    }
-  }
-  if (instruments != nullptr && !response.ok()) {
-    instruments->request_errors_total->Increment();
-  }
+  Result<ServiceResponse> response =
+      OpRegistry::Get().spec(request.op).execute_admin(host, request);
+  if (watch.enabled()) timing.total_ns = watch.ElapsedNanos();
+  FinishRequest(ShardInstruments(0), request, std::move(timing), &response);
   return response;
 }
 
@@ -835,23 +777,7 @@ std::vector<MetricsSnapshot> ShardedScheduler::PerShardMetricsSnapshots()
 
 Result<ServiceResponse> ShardedScheduler::ExecuteOne(
     const ServiceRequest& request) {
-  const Clock* clk = TimingClock(request.trace);
-  // Dispatch is by the registry's routing trait — three shapes of
-  // execution, not one branch per op. Adding an op touches the registry
-  // table, never this switch.
-  switch (OpRegistry::Get().spec(request.op).routing) {
-    case OpRouting::kCatalogGlobal:
-      return ExecuteLoad(request, clk);
-    case OpRouting::kAdmin:
-      CountAdmin(request);
-      return ExecuteAdminOne(request, clk);
-    case OpRouting::kTreeAddressed: {
-      CPDB_ASSIGN_OR_RETURN(int shard, RouteTree(request, clk));
-      return shards_[static_cast<size_t>(shard)]->scheduler.ExecuteOne(
-          request);
-    }
-  }
-  return Status::Internal("unknown request op");
+  return std::move(ExecuteBatch({request}).front());
 }
 
 void ShardedScheduler::ExecuteStreaming(

@@ -152,15 +152,16 @@ class ShardedScheduler {
   /// unreadable file, unsupported metric/answer combination) land in their
   /// slot only, kStats reports the post-batch counters, and kMetrics
   /// describes everything the batch did. Shard sub-batches run
-  /// concurrently.
+  /// concurrently; a throw inside one fails that shard's slots with an
+  /// in-band Internal error instead of ending the process.
   std::vector<Result<ServiceResponse>> ExecuteBatch(
       const std::vector<ServiceRequest>& requests);
 
   /// \brief Executes one request immediately — the unit of the streaming
-  /// path. Same cache routing and bitwise-identical answers as a
-  /// single-request ExecuteBatch, with the two order-sensitive differences
-  /// streaming implies: a query sees only trees loaded before this call,
-  /// and kStats reports the counters as of now.
+  /// path, and exactly a batch of one: ExecuteBatch is the only executor.
+  /// A one-request batch has the order-sensitive semantics streaming
+  /// implies — a query sees only trees loaded by earlier calls, and kStats
+  /// reports the counters as of now.
   Result<ServiceResponse> ExecuteOne(const ServiceRequest& request);
 
   /// \brief The incremental serve loop (serve --stream): repeatedly pulls
@@ -237,21 +238,16 @@ class ShardedScheduler {
                                             const TreeIdentity& identity,
                                             int* out_shard = nullptr);
 
-  /// The shard bound to the request's tree, or NotFound with the message
-  /// TreeCatalog::Lookup reports — routing must not change error lines. A
-  /// miss leaves its metrics trail (a catalog span, an op-latency record,
-  /// an error count) on shard 0, which fields every ownerless request.
-  Result<int> RouteTree(const ServiceRequest& request, const Clock* clk) const;
+  /// The shard bound to `tree_name`, or NotFound with the message
+  /// TreeCatalog::Lookup reports — routing must not change error lines.
+  Result<int> RouteTree(const std::string& tree_name) const;
 
   ServiceResponse StatsResponse() const;
 
-  /// Counts one kAdmin request against shard 0 — always *before* its hook
-  /// runs, so a metrics scrape includes its own count.
-  void CountAdmin(const ServiceRequest& request) const;
-
-  /// Executes one counted kAdmin registry row (stats, metrics) against the
-  /// merged front-end state; its latency is recorded after the hook — a
-  /// scrape describes the work before it, never itself.
+  /// Executes one kAdmin registry row (stats, metrics), counted by the
+  /// caller before any hook ran, against the merged front-end state; its
+  /// latency is recorded after the hook — a scrape describes the work
+  /// before it, never itself.
   Result<ServiceResponse> ExecuteAdminOne(const ServiceRequest& request,
                                           const Clock* clk);
 
@@ -259,17 +255,6 @@ class ShardedScheduler {
   /// work — loads, routing failures, stats/metrics ops — is recorded here
   /// against its owning shard (shard 0 when no shard owns it).
   ServeInstruments* ShardInstruments(size_t s) const;
-
-  /// Counts one front-end request (and its optional error/latency/stage
-  /// records) into shard `s`'s registry; no-op when metrics are off.
-  void RecordFrontend(size_t s, const ServiceRequest& request,
-                      const ResponseTiming& timing, bool ok) const;
-
-  /// The front-end timing gate, same rule as the per-shard executors: live
-  /// when metrics are on or this batch asked for a trace.
-  const Clock* TimingClock(bool any_trace) const {
-    return (ShardInstruments(0) != nullptr || any_trace) ? clock_ : nullptr;
-  }
 
   std::vector<std::unique_ptr<Shard>> shards_;
   const Clock* clock_;

@@ -79,6 +79,29 @@ TEST_F(CliTest, HelpPrintsUsage) {
   EXPECT_NE(r.out.find("consensus-world"), std::string::npos);
 }
 
+// The --threads help names every command that range-checks the flag —
+// the set is found by running each command with --threads=-5, so a newly
+// guarded command cannot go unlisted.
+TEST_F(CliTest, ThreadsHelpNamesEveryCommandThatTakesIt) {
+  const std::string usage = CliUsage();
+  const size_t start = usage.find("  --threads=N");
+  ASSERT_NE(start, std::string::npos);
+  const size_t end = usage.find("\n  --", start + 1);
+  const std::string threads_help = usage.substr(start, end - start);
+  std::vector<std::string> guarded;
+  for (const char* command :
+       {"validate", "dump-flat", "dump-canon", "marginals", "worlds", "sample",
+        "consensus-world", "topk", "serve", "aggregate", "baseline",
+        "hardness"}) {
+    CliResult r = RunCliArgs({command, tree_path_, "--threads=-5", "--k=2"});
+    if (r.err.find("--threads must be >= 0") == std::string::npos) continue;
+    guarded.push_back(command);
+    EXPECT_NE(threads_help.find(command), std::string::npos)
+        << command << " is missing from: " << threads_help;
+  }
+  EXPECT_EQ(guarded.size(), 7u);
+}
+
 TEST_F(CliTest, ValidateBothFormats) {
   EXPECT_EQ(RunCliArgs({"validate", tree_path_}).code, 0);
   CliResult r = RunCliArgs({"validate", bid_path_, "--format=bid"});

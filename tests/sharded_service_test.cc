@@ -776,5 +776,63 @@ TEST_F(ShardedSchedulerTest, MetricsOpFormatsAndDisabledRefusal) {
   EXPECT_EQ(single_refused.status().message(), refused.status().message());
 }
 
+// A streamed request is a batch of one. Replayed on fresh front ends
+// through ExecuteStreaming and through one-request ExecuteBatch calls, the
+// differential workload renders the same bytes — trace fields included,
+// timed by an auto-advancing FakeClock — and the closing op=metrics scrape
+// is the same too. One-thread shard engines keep every fold on the calling
+// thread, so even the arena high-water gauge (a per-thread peak) agrees.
+TEST_F(ShardedSchedulerTest, StreamedRequestIsABatchOfOne) {
+  std::vector<ServiceRequest> requests = DifferentialBatch(names_);
+  for (size_t i = 1; i < requests.size(); i += 2) requests[i].trace = true;
+  requests.push_back(MetricsRequest("kv"));
+
+  auto render = [](const Result<ServiceResponse>& response, size_t line) {
+    return response.ok() ? FormatResponseLine(ResponseToFields(*response))
+                         : FormatErrorLine(line, response.status());
+  };
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto replay = [&](bool streamed) {
+      FakeClock clock(1000);
+      clock.set_auto_advance(7);
+      SchedulerOptions options;
+      options.clock = &clock;
+      ShardedScheduler front(shards, ReferenceEngineOptions(1), options);
+      Seed(&front);
+      std::vector<std::string> lines;
+      if (streamed) {
+        size_t cursor = 0;
+        front.ExecuteStreaming(
+            [&](ServiceRequest* out) {
+              if (cursor == requests.size()) return false;
+              *out = requests[cursor++];
+              return true;
+            },
+            [&](const Result<ServiceResponse>& response) {
+              lines.push_back(render(response, lines.size() + 1));
+            });
+      } else {
+        for (const ServiceRequest& request : requests) {
+          std::vector<Result<ServiceResponse>> results =
+              front.ExecuteBatch({request});
+          EXPECT_EQ(results.size(), 1u);
+          lines.push_back(render(results.front(), lines.size() + 1));
+        }
+      }
+      return lines;
+    };
+    const std::vector<std::string> streamed = replay(true);
+    const std::vector<std::string> batched = replay(false);
+    ASSERT_EQ(streamed.size(), requests.size());
+    EXPECT_EQ(streamed, batched);
+    // Not vacuous: traced slots carry timing, and the scrape counted the
+    // whole replay.
+    EXPECT_NE(streamed[1].find("\ttrace_total_ns="), std::string::npos);
+    EXPECT_NE(streamed.back().find("\tcpdb_requests_total="),
+              std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace cpdb

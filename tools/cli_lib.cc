@@ -890,8 +890,9 @@ std::string CliUsage() {
       "                      bid: 'key prob score [label]' lines)\n"
       "  --max-worlds=N      enumeration guard for `worlds` (default 4096)\n"
       "  (integer flags are parsed strictly: '--k=1o' is an error, not 1)\n"
-      "  --threads=N         evaluation threads for topk, consensus-world,\n"
-      "                      baseline and serve (default 1; 0 = all\n"
+      "  --threads=N         evaluation threads for marginals,\n"
+      "                      consensus-world, topk, aggregate, baseline,\n"
+      "                      hardness and serve (default 1; 0 = all\n"
       "                      hardware cores; results are independent of N)\n"
       "  --method=M          baseline only: escore (expected score), erank\n"
       "                      (expected rank), global (global top-k) or prf\n"
