@@ -66,17 +66,24 @@ BENCHMARK(BM_EngineFootrule)
     ->Args({60, 4})
     ->Args({60, 8});
 
-// Pairwise q matrix + footrule columns + d_K re-score.
+// Footrule columns + the answer's q columns ((n-1)·k cells) + d_K
+// re-score. Args: keys n, k, threads; the two (n, k) shapes show the
+// cells growing with n·k rather than n^2.
 void BM_EngineKendall(benchmark::State& state) {
-  AndXorTree tree = MakeDeepTree(20);
-  Engine engine = MakeEngine(static_cast<int>(state.range(0)));
-  const int k = 5;
+  AndXorTree tree = MakeDeepTree(static_cast<int>(state.range(0)));
+  const int k = static_cast<int>(state.range(1));
+  Engine engine = MakeEngine(static_cast<int>(state.range(2)));
   for (auto _ : state) {
     auto result = engine.ConsensusTopK(tree, k, TopKMetric::kKendall);
     benchmark::DoNotOptimize(result);
   }
+  state.counters["q_cells"] = benchmark::Counter(
+      static_cast<double>(engine.obs_counters().kendall_q_cells),
+      benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_EngineKendall)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_EngineKendall)
+    ->ArgsProduct({{20}, {5}, {1, 2, 4, 8}})
+    ->ArgsProduct({{100}, {10}, {1, 2, 4, 8}});
 
 // The marginal pass (one FlatTree::Compile) feeding the sequential
 // min-cost DP and the expected-distance sum. Not a parallel path: the

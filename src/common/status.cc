@@ -32,21 +32,8 @@ const char* StatusCodeToString(StatusCode code) {
 
 Status::Status(StatusCode code, std::string msg) {
   if (code != StatusCode::kOk) {
-    rep_ = std::make_unique<Rep>(Rep{code, std::move(msg)});
+    rep_ = std::make_shared<const Rep>(Rep{code, std::move(msg)});
   }
-}
-
-Status::Status(const Status& other) {
-  if (other.rep_ != nullptr) {
-    rep_ = std::make_unique<Rep>(*other.rep_);
-  }
-}
-
-Status& Status::operator=(const Status& other) {
-  if (this != &other) {
-    rep_ = other.rep_ == nullptr ? nullptr : std::make_unique<Rep>(*other.rep_);
-  }
-  return *this;
 }
 
 const std::string& Status::message() const {

@@ -34,8 +34,10 @@ const char* StatusCodeToString(StatusCode code);
 
 /// \brief Outcome of a fallible operation: either OK or a code plus message.
 ///
-/// The OK state carries no allocation; error states carry a heap-allocated
-/// message so that Status stays one pointer wide (the RocksDB layout).
+/// The OK state carries no allocation; error states carry a heap-allocated,
+/// immutable code-and-message record that copies share, so copying an error
+/// (a Result::status() read, a batch pre-filled with one placeholder error)
+/// is a reference-count bump, never an allocation.
 class Status {
  public:
   /// Constructs an OK status.
@@ -43,8 +45,8 @@ class Status {
 
   Status(StatusCode code, std::string msg);
 
-  Status(const Status& other);
-  Status& operator=(const Status& other);
+  Status(const Status& other) = default;
+  Status& operator=(const Status& other) = default;
   Status(Status&& other) noexcept = default;
   Status& operator=(Status&& other) noexcept = default;
 
@@ -99,7 +101,7 @@ class Status {
     StatusCode code;
     std::string message;
   };
-  std::unique_ptr<Rep> rep_;  // nullptr <=> OK
+  std::shared_ptr<const Rep> rep_;  // nullptr <=> OK
 };
 
 }  // namespace cpdb

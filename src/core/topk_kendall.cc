@@ -55,41 +55,54 @@ double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k) {
   return total;
 }
 
-KendallEvaluator::KendallEvaluator(const AndXorTree& tree, int k)
-    : k_(k), keys_(tree.Keys()) {
+KendallEvaluator::KendallEvaluator(int k, std::vector<KeyId> keys)
+    : k_(k), keys_(std::move(keys)) {
   BuildKeyIndex();
-  q_.assign(keys_.size(), std::vector<double>(keys_.size(), 0.0));
-  // One compile shared by all n^2 q cells (the engine fans the same cells
-  // across its pool; this is the sequential form).
+  column_of_.assign(keys_.size(), -1);
+}
+
+KendallEvaluator::KendallEvaluator(const AndXorTree& tree, int k)
+    : KendallEvaluator(k, tree.Keys()) {
+  const size_t n = keys_.size();
+  columns_.assign(n, std::vector<double>(n, 0.0));
+  // One compile shared by all n^2 cells.
   const FlatTree flat = FlatTree::Compile(tree);
-  for (size_t iu = 0; iu < keys_.size(); ++iu) {
-    for (size_t it = 0; it < keys_.size(); ++it) {
+  for (size_t it = 0; it < n; ++it) {
+    column_of_[it] = static_cast<int>(it);
+    for (size_t iu = 0; iu < n; ++iu) {
       if (iu == it) continue;
-      q_[iu][it] = PrInTopKAndBefore(flat, keys_[iu], keys_[it], k_);
+      columns_[it][iu] = PrInTopKAndBefore(flat, keys_[iu], keys_[it], k_);
     }
   }
 }
 
 Result<KendallEvaluator> KendallEvaluator::Create(
-    const AndXorTree& tree, int k, std::vector<std::vector<double>> q) {
-  std::vector<KeyId> keys = tree.Keys();
-  // A mis-shaped matrix (built over a different key list) must be rejected:
-  // padding it out would silently produce wrong Kendall expectations.
-  bool shape_ok = q.size() == keys.size();
-  for (const auto& row : q) shape_ok = shape_ok && row.size() == keys.size();
+    const AndXorTree& tree, int k, const std::vector<KeyId>& answer,
+    std::vector<std::vector<double>> columns) {
+  KendallEvaluator evaluator(k, tree.Keys());
+  const size_t n = evaluator.keys_.size();
+  // Mis-shaped columns (built over a different key list or answer) must be
+  // rejected: padding them out would silently produce wrong expectations.
+  bool shape_ok = columns.size() == answer.size();
+  for (const auto& column : columns) shape_ok = shape_ok && column.size() == n;
   if (!shape_ok) {
     return Status::InvalidArgument(
-        "KendallEvaluator: q matrix shape does not match " +
-        std::to_string(keys.size()) + " keys");
+        "KendallEvaluator: q columns do not match " +
+        std::to_string(answer.size()) + " answer keys over " +
+        std::to_string(n) + " keys");
   }
-  return KendallEvaluator(k, std::move(keys), std::move(q));
-}
-
-KendallEvaluator::KendallEvaluator(int k, std::vector<KeyId> keys,
-                                   std::vector<std::vector<double>> q)
-    : k_(k), keys_(std::move(keys)), q_(std::move(q)) {
-  BuildKeyIndex();
-  for (size_t i = 0; i < keys_.size(); ++i) q_[i][i] = 0.0;
+  for (size_t p = 0; p < answer.size(); ++p) {
+    const int it = evaluator.IndexOf(answer[p]);
+    if (it < 0 || evaluator.column_of_[static_cast<size_t>(it)] >= 0) {
+      return Status::InvalidArgument(
+          "KendallEvaluator: answer key " + std::to_string(answer[p]) +
+          " is repeated or not a key of the tree");
+    }
+    evaluator.column_of_[static_cast<size_t>(it)] = static_cast<int>(p);
+    columns[p][static_cast<size_t>(it)] = 0.0;
+  }
+  evaluator.columns_ = std::move(columns);
+  return evaluator;
 }
 
 void KendallEvaluator::BuildKeyIndex() {
@@ -110,7 +123,9 @@ double KendallEvaluator::Q(KeyId u, KeyId t) const {
   int iu = IndexOf(u);
   int it = IndexOf(t);
   if (iu < 0 || it < 0) return 0.0;
-  return q_[static_cast<size_t>(iu)][static_cast<size_t>(it)];
+  const int column = column_of_[static_cast<size_t>(it)];
+  if (column < 0) return std::numeric_limits<double>::quiet_NaN();
+  return columns_[static_cast<size_t>(column)][static_cast<size_t>(iu)];
 }
 
 double KendallEvaluator::Expected(const std::vector<KeyId>& answer) const {

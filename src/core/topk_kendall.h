@@ -33,32 +33,41 @@ namespace cpdb {
 
 /// \brief q(u, t) = Pr(r(u) <= k and r(u) < r(t)): u makes the Top-k and
 /// ranks ahead of t (t absent or ranked below both count), over an already
-/// compiled tree — the O(n^2) q-matrix loops pay the compile once per tree.
+/// compiled tree — callers folding many cells pay the compile once per tree.
 double PrInTopKAndBefore(const FlatTree& flat, KeyId u, KeyId t, int k);
 
-/// \brief Precomputes the pairwise q statistics for a key set and evaluates
-/// E[d_K(answer, topk(pw))] for arbitrary candidate answers.
+/// \brief Holds pairwise q statistics as columns — column t stores q(u, t)
+/// for every key u of the tree — and evaluates E[d_K(answer, topk(pw))] for
+/// candidate answers. The expectation reads only the columns of the
+/// answer's own keys, so an evaluator holds either every column (the
+/// constructor) or exactly one answer's (Create).
 class KendallEvaluator {
  public:
-  /// Precomputation costs O(|keys|^2) generating-function folds.
+  /// All |keys| columns: O(|keys|^2) cells, each one flat fold per
+  /// alternative of u. What the exact and pivot searches need, since they
+  /// score many answers.
   KendallEvaluator(const AndXorTree& tree, int k);
 
-  /// \brief Builds an evaluator from an externally computed q matrix with
-  /// q[i][j] = q(keys[i], keys[j]) over keys = tree.Keys() (diagonal
-  /// ignored). Lets callers parallelize the quadratic precompute — the
-  /// engine fans one PrInTopKAndBefore fold per ordered pair across its
-  /// thread pool — while this class stays thread-free. A matrix whose
-  /// shape does not match tree.Keys() (built over a different key list)
-  /// would yield silently wrong expectations, so it returns
-  /// InvalidArgument instead of an evaluator. O(|keys|^2) to adopt the
-  /// matrix.
-  static Result<KendallEvaluator> Create(const AndXorTree& tree, int k,
-                                         std::vector<std::vector<double>> q);
+  /// \brief Adopts the q columns of one answer:
+  /// columns[p][i] = q(keys[i], answer[p]) over keys = tree.Keys() (the
+  /// cell with keys[i] == answer[p] is ignored). That is the (n-1)·|answer|
+  /// cells Expected(answer) reads, out of n(n-1); callers fold them in
+  /// parallel — the engine fans one PrInTopKAndBefore per cell across its
+  /// pool — while this class stays thread-free. Q(u, t) for a key t of
+  /// the tree outside `answer` is NaN, so an expectation that would read a
+  /// missing column comes out NaN rather than silently wrong. Mis-shaped
+  /// input (not one column per answer key, a column not of length |keys|,
+  /// an answer key that is repeated or not a key of the tree) is
+  /// InvalidArgument.
+  static Result<KendallEvaluator> Create(
+      const AndXorTree& tree, int k, const std::vector<KeyId>& answer,
+      std::vector<std::vector<double>> columns);
 
   int k() const { return k_; }
   const std::vector<KeyId>& keys() const { return keys_; }
 
-  /// \brief q(u, t) for keys of the tree.
+  /// \brief q(u, t) for keys of the tree; 0 when u or t is not a key, NaN
+  /// when this evaluator holds no column for t.
   double Q(KeyId u, KeyId t) const;
 
   /// \brief E[d_K(answer, topk(pw))] for an ordered candidate answer of
@@ -66,14 +75,14 @@ class KendallEvaluator {
   double Expected(const std::vector<KeyId>& answer) const;
 
  private:
-  // Adopts a shape-checked matrix; reached only through Create.
-  KendallEvaluator(int k, std::vector<KeyId> keys,
-                   std::vector<std::vector<double>> q);
+  // The key index with no column held; both public forms start here.
+  KendallEvaluator(int k, std::vector<KeyId> keys);
 
   int k_;
   std::vector<KeyId> keys_;
-  std::vector<std::vector<double>> q_;  // q_[u_idx][t_idx]
-  std::vector<int> index_of_key_;       // dense map; keys are validated ids
+  std::vector<std::vector<double>> columns_;  // columns_[c][u_idx]
+  std::vector<int> column_of_;    // by key index; -1 = no column held
+  std::vector<int> index_of_key_;  // dense map; keys are validated ids
   void BuildKeyIndex();
   int IndexOf(KeyId key) const;
 };

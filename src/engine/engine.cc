@@ -86,7 +86,6 @@ std::vector<std::vector<double>> Engine::PerKeyColumns(
   pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
     columns[static_cast<size_t>(t)] =
         column(dist, keys[static_cast<size_t>(t)]);
-    NoteArenaHighWater();
   });
   return columns;
 }
@@ -182,7 +181,7 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
   if (!valid.ok()) return valid;
   // A distribution computed for a different tree would make the metric
   // heads optimize over one key set while the tree-folding tails (kendall
-  // q matrix, median strata) use another — a silently wrong answer. The
+  // q columns, median strata) use another — a silently wrong answer. The
   // O(n) key compare is noise next to the O(L^2 k) fold being skipped; it
   // cannot catch a stale dist from different *content* over the same keys,
   // which is the caller's contract (see the header).
@@ -240,30 +239,38 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
       return MeanTopKFootruleFromColumns(
           dist, PerKeyColumns(dist, FootruleCostColumn));
     case TopKMetric::kKendall: {
-      // The evaluator's O(n^2) q-statistics dominate the query; compile the
-      // flat tree once and fan one flat fold per ordered pair across the
-      // pool (each writes its own cell, so the matrix is
-      // schedule-deterministic), then build the footrule answer from
-      // parallel cost columns and re-score it under d_K.
-      const std::vector<KeyId> keys = tree.Keys();
-      std::optional<FlatTree> owned;
-      if (program == nullptr) owned.emplace(CompileCounted(tree));
-      const FlatTree& flat = program != nullptr ? *program : *owned;
-      const size_t n = keys.size();
-      std::vector<std::vector<double>> q(n, std::vector<double>(n, 0.0));
-      pool_.ParallelFor(static_cast<int64_t>(n * n), [&](int64_t cell) {
-        const size_t iu = static_cast<size_t>(cell) / n;
-        const size_t it = static_cast<size_t>(cell) % n;
-        if (iu == it) return;
-        q[iu][it] = PrInTopKAndBefore(flat, keys[iu], keys[it], k);
-        NoteArenaHighWater();
-      });
-      CPDB_ASSIGN_OR_RETURN(KendallEvaluator evaluator,
-                            KendallEvaluator::Create(tree, k, std::move(q)));
+      // E[d_K] reads q(u, t) only for t in the answer (Sec. 5.5), so the
+      // footrule answer comes first, from parallel cost columns — a k > n
+      // rejection returns here, before any fold. Then one flat fold per
+      // cell with t in the answer, (n-1)·k of the n(n-1), fans across the
+      // pool (each writes its own cell, so the columns are
+      // schedule-deterministic), and the answer is re-scored under d_K.
       CPDB_ASSIGN_OR_RETURN(
           TopKResult footrule,
           MeanTopKFootruleFromColumns(dist,
                                       PerKeyColumns(dist, FootruleCostColumn)));
+      const std::vector<KeyId>& keys = dist.keys();
+      const std::vector<KeyId>& answer = footrule.keys;
+      std::optional<FlatTree> owned;
+      if (program == nullptr) owned.emplace(CompileCounted(tree));
+      const FlatTree& flat = program != nullptr ? *program : *owned;
+      const size_t n = keys.size();
+      std::vector<std::vector<double>> columns(answer.size(),
+                                               std::vector<double>(n, 0.0));
+      pool_.ParallelFor(
+          static_cast<int64_t>(answer.size() * n), [&](int64_t cell) {
+            const size_t p = static_cast<size_t>(cell) / n;
+            const size_t iu = static_cast<size_t>(cell) % n;
+            if (keys[iu] == answer[p]) return;
+            columns[p][iu] = PrInTopKAndBefore(flat, keys[iu], answer[p], k);
+            NoteArenaHighWater();
+          });
+      kendall_q_cells_.fetch_add(
+          static_cast<int64_t>(answer.size() * (n - 1)),
+          std::memory_order_relaxed);
+      CPDB_ASSIGN_OR_RETURN(
+          KendallEvaluator evaluator,
+          KendallEvaluator::Create(tree, k, answer, std::move(columns)));
       return RescoreUnderKendall(evaluator, std::move(footrule));
     }
   }
@@ -331,10 +338,15 @@ FlatTree Engine::CompileCounted(const AndXorTree& tree) const {
 }
 
 void Engine::NoteArenaHighWater() const {
-  // Reads the *calling thread's* scratch arena — meaningful only from
-  // inside fold units, where FlatFoldScratch() is the arena the fold just
-  // grew. The CAS-max publishes a fleet-wide peak across all pool threads.
-  const int64_t bytes = static_cast<int64_t>(FlatFoldScratch().CapacityBytes());
+  // Reads the geometry of the fold that just ran on the *calling thread*'s
+  // scratch arena — meaningful only from inside fold units. Its capacity
+  // would not do: the thread-local arena outlives engines, so capacity
+  // grown by an earlier engine's larger fold would leak into this gauge.
+  // The CAS-max publishes the peak across all pool threads.
+  const PolyArena& arena = FlatFoldScratch();
+  const int64_t bytes = static_cast<int64_t>(arena.num_slots()) *
+                        arena.row_len() *
+                        static_cast<int64_t>(sizeof(double));
   int64_t seen = arena_highwater_bytes_.load(std::memory_order_relaxed);
   while (bytes > seen && !arena_highwater_bytes_.compare_exchange_weak(
                              seen, bytes, std::memory_order_relaxed)) {

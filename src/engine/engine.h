@@ -11,8 +11,8 @@
 //   * rank distributions — one unit per leaf (LeafRankContribution), merged
 //     in DFS leaf order, which is exactly the accumulation order of the
 //     sequential ComputeRankDistribution;
-//   * the Kendall q matrix — one unit per ordered key pair, each writing
-//     its own matrix cell;
+//   * the Kendall q columns — one unit per cell q(u, t) with t in the
+//     footrule answer, each writing its own cell;
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
 //     sequential first-improvement scan;
@@ -79,17 +79,24 @@ struct EngineOptions {
 
 /// \brief Monotonic counters describing an engine's fold machinery — the
 /// observability surface the serving layer's `op=metrics` scrape re-exports
-/// (as cpdb_fold_compiles_total and cpdb_poly_arena_highwater_bytes). Plain
-/// counting, no clock reads: maintaining them costs a relaxed atomic add
-/// per compile and a CAS-max per fold unit, so they are always on.
+/// (as cpdb_fold_compiles_total, cpdb_kendall_q_cells_total and
+/// cpdb_poly_arena_highwater_bytes). Plain counting, no clock reads:
+/// maintaining them costs a relaxed atomic add per compile or Kendall query
+/// and a CAS-max per fold unit, so they are always on.
 struct EngineObsCounters {
   /// FlatTree::Compile calls this engine has paid (each is one O(N) pass
   /// over a tree; the serving caches exist to keep this flat under
   /// repeated traffic).
   int64_t fold_compiles = 0;
-  /// High-water mark of any single worker thread's PolyArena scratch
-  /// capacity, in bytes — the peak per-thread working set of the flat
-  /// fold (see poly/poly_arena.h). A gauge, not a counter: it only rises.
+  /// Kendall q cells folded, one per PrInTopKAndBefore call: (n-1)·k per
+  /// Kendall query over n keys, 0 for one the footrule answer rejects. A
+  /// work counter, a pure function of the queries answered.
+  int64_t kendall_q_cells = 0;
+  /// The largest single fold this engine ran, in bytes of PolyArena rows
+  /// (num_slots × row_len doubles) — the peak per-thread working set of
+  /// the flat fold (see poly/poly_arena.h). It counts this engine's folds
+  /// only, not the capacity the thread-local arena kept from earlier work.
+  /// A gauge, not a counter: it only rises.
   int64_t arena_highwater_bytes = 0;
 };
 
@@ -139,8 +146,8 @@ class Engine {
   /// metric's heavy precomputation runs through the pool: the rank
   /// distribution always; additionally the Theorem 4 strata (symdiff
   /// median), the per-candidate Hungarian cost/profit columns (footrule,
-  /// intersection exact), and the pairwise q matrix plus footrule columns
-  /// (kendall). Results are bitwise identical to the sequential core
+  /// intersection exact), and the footrule columns plus the answer's q
+  /// columns (kendall). Results are bitwise identical to the sequential core
   /// functions for any thread count. Unsupported combinations (e.g.
   /// footrule median) return NotImplemented; unknown enum values return
   /// InvalidArgument.
@@ -164,7 +171,7 @@ class Engine {
   /// repeated queries against one shape skip the O(L^2 k) fold. Because the
   /// fold is schedule-deterministic, answers are bitwise identical whether
   /// `dist` was computed fresh or served from a cache. The metric-specific
-  /// tails (strata, columns, q matrix) still run through the pool. The
+  /// tails (strata, columns, q columns) still run through the pool. The
   /// guard here is a cheap key-set compare: a `dist` whose key set does not
   /// match tree.Keys() is InvalidArgument, but a stale distribution from a
   /// *different tree over the identical key set* (say, re-built with new
@@ -259,6 +266,8 @@ class Engine {
   EngineObsCounters obs_counters() const {
     EngineObsCounters counters;
     counters.fold_compiles = fold_compiles_.load(std::memory_order_relaxed);
+    counters.kendall_q_cells =
+        kendall_q_cells_.load(std::memory_order_relaxed);
     counters.arena_highwater_bytes =
         arena_highwater_bytes_.load(std::memory_order_relaxed);
     return counters;
@@ -276,9 +285,10 @@ class Engine {
   /// compiles through, so fold_compiles_ cannot undercount.
   FlatTree CompileCounted(const AndXorTree& tree) const;
 
-  /// Folds the calling thread's arena capacity into the high-water gauge —
-  /// called from inside parallel fold units, where the thread-local
-  /// scratch the unit just used is this thread's.
+  /// Folds the bytes of the fold that just ran on the calling thread's
+  /// arena into the high-water gauge — called from inside parallel fold
+  /// units, where the thread-local scratch the unit just used is this
+  /// thread's.
   void NoteArenaHighWater() const;
 
   EngineOptions options_;
@@ -287,6 +297,7 @@ class Engine {
   // Observability counters (see obs_counters()); queries are logically
   // const, so the instruments they bump are mutable atomics.
   mutable std::atomic<int64_t> fold_compiles_{0};
+  mutable std::atomic<int64_t> kendall_q_cells_{0};
   mutable std::atomic<int64_t> arena_highwater_bytes_{0};
 };
 

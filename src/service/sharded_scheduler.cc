@@ -140,7 +140,8 @@ class QueryScheduler : public OpHost {
 
   // The shard's full metrics scrape: the registry's instruments plus the
   // fold/arena counters (cpdb_fold_compiles_total counts the catalog's
-  // per-shape compiles together with the engine's on-demand ones), the
+  // per-shape compiles together with the engine's on-demand ones;
+  // cpdb_kendall_q_cells_total the engine's Kendall q folds), the
   // catalog's identity gauges (cpdb_catalog_entries = bound names,
   // cpdb_catalog_shapes = distinct structures), and both caches' counters
   // re-exported under cpdb_rankdist_cache_* / cpdb_marginals_cache_*.
@@ -210,6 +211,13 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   fold_compiles.value =
       engine_counters.fold_compiles + catalog_->fold_compiles();
   extra.samples.push_back(std::move(fold_compiles));
+  MetricSample kendall_q_cells;
+  kendall_q_cells.name = "cpdb_kendall_q_cells_total";
+  kendall_q_cells.help =
+      "Kendall q cells folded: (n-1)*k per Kendall query over n keys.";
+  kendall_q_cells.kind = MetricSample::Kind::kCounter;
+  kendall_q_cells.value = engine_counters.kendall_q_cells;
+  extra.samples.push_back(std::move(kendall_q_cells));
   MetricSample catalog_entries;
   catalog_entries.name = "cpdb_catalog_entries";
   catalog_entries.help = "Names bound in the tree catalog.";
@@ -226,7 +234,8 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   MetricSample arena_highwater;
   arena_highwater.name = "cpdb_poly_arena_highwater_bytes";
   arena_highwater.help =
-      "Peak thread-local fold-arena capacity observed on any engine thread.";
+      "Bytes of the largest single fold (arena slots x row length) this "
+      "shard's engine ran.";
   arena_highwater.kind = MetricSample::Kind::kGauge;
   arena_highwater.value = engine_counters.arena_highwater_bytes;
   extra.samples.push_back(std::move(arena_highwater));

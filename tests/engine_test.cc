@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -181,24 +183,71 @@ TEST(EngineTest, ConsensusTopKMatchesDirectCoreCalls) {
   EXPECT_EQ(approx_int->keys, MeanTopKIntersectionApprox(dist).keys);
 }
 
-// The engine's kendall path precomputes the q matrix in parallel and feeds
-// it to KendallEvaluator; the result must match the sequential evaluator
-// bitwise for any thread count.
+// The engine's kendall path takes the footrule answer first, folds only
+// the q columns of that answer in parallel and feeds them to
+// KendallEvaluator::Create; keys and expected distance must match the
+// full-matrix sequential evaluator bitwise, on deep and BID trees, for
+// every k from 1 past n (where both reject with the same code) and any
+// thread count. The reference rank distribution is the engine's own, so a
+// BID tree's fast path feeds both sides alike.
 TEST(EngineTest, KendallConsensusMatchesSequentialEvaluator) {
-  const int k = 3;
-  AndXorTree tree = RandomDeepTree(41, 6);
-  RankDistribution dist = ComputeRankDistribution(tree, k);
-  KendallEvaluator evaluator(tree, k);
-  auto direct = MeanTopKKendallViaFootrule(evaluator, dist);
-  ASSERT_TRUE(direct.ok());
+  std::vector<std::unique_ptr<Engine>> engines;
   for (int threads : {1, 2, 4, 8}) {
     EngineOptions opts;
     opts.num_threads = threads;
+    engines.push_back(std::make_unique<Engine>(opts));
+  }
+  for (uint64_t seed : {41u, 42u, 43u}) {
+    for (int n : {3, 7, 12, 20}) {
+      for (bool bid : {false, true}) {
+        AndXorTree tree =
+            bid ? RandomBidTree(seed, n) : RandomDeepTree(seed, n);
+        const int num_keys = static_cast<int>(tree.Keys().size());
+        for (int k : {1, 2, 4, 9, num_keys, num_keys + 1}) {
+          RankDistribution dist = engines[0]->ComputeRankDistribution(tree, k);
+          KendallEvaluator evaluator(tree, k);
+          auto direct = MeanTopKKendallViaFootrule(evaluator, dist);
+          for (const auto& engine : engines) {
+            auto got = engine->ConsensusTopK(tree, k, TopKMetric::kKendall);
+            const std::string where =
+                "seed " + std::to_string(seed) + " n " + std::to_string(n) +
+                (bid ? " bid" : " deep") + " k " + std::to_string(k) +
+                " threads " + std::to_string(engine->num_threads());
+            ASSERT_EQ(got.status().code(), direct.status().code()) << where;
+            if (!direct.ok()) continue;
+            EXPECT_EQ(got->keys, direct->keys) << where;
+            EXPECT_EQ(got->expected_distance, direct->expected_distance)
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The q-cell work counter: one Kendall query over n keys folds exactly the
+// (n-1)·k cells of its answer's columns, and a k > n query, which the
+// footrule answer rejects, folds none.
+TEST(EngineTest, KendallQCellsCountsAnswerColumnsOnly) {
+  AndXorTree tree = RandomDeepTree(53, 9);
+  const int64_t n = static_cast<int64_t>(tree.Keys().size());
+  for (int threads : {1, 3}) {
+    EngineOptions opts;
+    opts.num_threads = threads;
     Engine engine(opts);
-    auto got = engine.ConsensusTopK(tree, k, TopKMetric::kKendall);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->keys, direct->keys) << "threads " << threads;
-    EXPECT_EQ(got->expected_distance, direct->expected_distance);
+    EXPECT_EQ(engine.obs_counters().kendall_q_cells, 0);
+    ASSERT_TRUE(engine.ConsensusTopK(tree, 4, TopKMetric::kKendall).ok());
+    EXPECT_EQ(engine.obs_counters().kendall_q_cells, (n - 1) * 4);
+    EXPECT_EQ(engine
+                  .ConsensusTopK(tree, static_cast<int>(n) + 1,
+                                 TopKMetric::kKendall)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine.obs_counters().kendall_q_cells, (n - 1) * 4);
+    // Other metrics fold no q cell.
+    ASSERT_TRUE(engine.ConsensusTopK(tree, 4, TopKMetric::kFootrule).ok());
+    EXPECT_EQ(engine.obs_counters().kendall_q_cells, (n - 1) * 4);
   }
 }
 

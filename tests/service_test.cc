@@ -24,6 +24,7 @@
 #include "io/table_io.h"
 #include "io/tree_text.h"
 #include "model/canonical.h"
+#include "model/flat_tree.h"
 #include "model/possible_worlds.h"
 #include "service/rank_dist_cache.h"
 #include "service/tree_catalog.h"
@@ -872,6 +873,39 @@ TEST_F(SchedulerTest, MetricsScrapeAgreesWithStatsOp) {
   EXPECT_EQ(scrape.Find("cpdb_request_errors_total")->value, 0);
   // The engine compiled at least one flat fold to answer the queries.
   EXPECT_GT(scrape.Find("cpdb_fold_compiles_total")->value, 0);
+  // The one Kendall query (3 keys, k = 2) folded its answer's (3-1)·2 q
+  // cells.
+  EXPECT_EQ(scrape.Find("cpdb_kendall_q_cells_total")->value, 4);
+}
+
+// The arena gauge reports this front end's folds only. The thread-local
+// fold arena keeps the capacity an earlier, larger fold grew; a fresh
+// scheduler on the same thread must report the bytes of its own folds.
+TEST(SchedulerArenaGaugeTest, FreshSchedulerReportsOnlyItsOwnFolds) {
+  EngineOptions one_thread;  // every fold runs on this test's thread
+  one_thread.num_threads = 1;
+  const auto fold_and_scrape = [&](const AndXorTree& tree, int k) {
+    ShardedScheduler scheduler(1, one_thread);
+    EXPECT_TRUE(scheduler.Insert("t", tree).ok());
+    ServiceRequest topk;
+    topk.op = ServiceRequest::Op::kTopK;
+    topk.tree_name = "t";
+    topk.k = k;
+    EXPECT_TRUE(scheduler.ExecuteBatch({topk})[0].ok());
+    return scheduler.MetricsSnapshotNow()
+        .Find("cpdb_poly_arena_highwater_bytes")
+        ->value;
+  };
+  const int64_t big = fold_and_scrape(RandomDeepTree(7, 200), 8);
+  const AndXorTree small = RandomDeepTree(7, 6);
+  const int k = 3;
+  // The rank-distribution fold's rows hold (k+1) x 2 coefficients.
+  const int64_t small_fold_bytes =
+      int64_t{FlatTree::Compile(*CanonicalizeTree(small)).num_slots()} *
+      (k + 1) * 2 * static_cast<int64_t>(sizeof(double));
+  ASSERT_GT(small_fold_bytes, 0);
+  ASSERT_LT(small_fold_bytes, big);
+  EXPECT_EQ(fold_and_scrape(small, k), small_fold_bytes);
 }
 
 // trace_* fields appear exactly when the request said trace=on — never

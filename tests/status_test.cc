@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/result.h"
 
 namespace cpdb {
@@ -33,6 +35,20 @@ TEST(StatusTest, CopySemantics) {
   EXPECT_TRUE(a.ok());
   EXPECT_FALSE(b.ok());
   EXPECT_EQ(b.message(), "x");
+}
+
+// Copies share the immutable error record: a batch pre-filled with one
+// placeholder error costs no allocation per slot, and every slot still
+// reports that error.
+TEST(StatusTest, CopiesShareTheErrorRecord) {
+  Status a = Status::Internal("request not executed");
+  Status b = a;
+  EXPECT_EQ(&a.message(), &b.message());
+  std::vector<Result<int>> slots(3, Result<int>(a));
+  for (const Result<int>& slot : slots) {
+    EXPECT_EQ(slot.status(), a);
+    EXPECT_EQ(&slot.status().message(), &a.message());
+  }
 }
 
 TEST(StatusTest, AllFactoriesProduceMatchingCodes) {

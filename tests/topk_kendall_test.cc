@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/rng.h"
 #include "core/evaluation.h"
@@ -166,43 +167,56 @@ TEST(TopKKendallTest, ExactRefusesLargeCandidateSets) {
             StatusCode::kResourceExhausted);
 }
 
-// The Create factory adopts a well-shaped external q matrix bitwise and
-// rejects a mis-shaped one with a Status instead of aborting the process
-// (the PR 1 review item).
-TEST(TopKKendallTest, CreateValidatesExternalMatrixShape) {
+// The Create factory adopts one answer's q columns bitwise — Expected of
+// that answer equals the full-matrix evaluator's, a column it does not hold
+// reads NaN — and rejects mis-shaped columns with a Status instead of
+// aborting the process.
+TEST(TopKKendallTest, CreateAdoptsAnswerColumnsAndValidatesShape) {
   Rng rng(11);
   RandomTreeOptions opts;
-  opts.num_keys = 4;
+  opts.num_keys = 5;
   opts.max_depth = 3;
   opts.max_alternatives = 2;
   auto tree = RandomAndXorTree(opts, &rng);
   ASSERT_TRUE(tree.ok());
   KendallEvaluator computed(*tree, kK);
   const std::vector<KeyId>& keys = computed.keys();
+  ASSERT_GE(keys.size(), 4u);
 
-  std::vector<std::vector<double>> q(keys.size(),
-                                     std::vector<double>(keys.size(), 0.0));
-  for (size_t iu = 0; iu < keys.size(); ++iu) {
-    for (size_t it = 0; it < keys.size(); ++it) {
-      q[iu][it] = computed.Q(keys[iu], keys[it]);
-    }
+  const std::vector<KeyId> answer = {keys[2], keys[0]};
+  std::vector<std::vector<double>> columns(answer.size());
+  for (size_t p = 0; p < answer.size(); ++p) {
+    for (KeyId u : keys) columns[p].push_back(computed.Q(u, answer[p]));
   }
-  auto adopted = KendallEvaluator::Create(*tree, kK, q);
+  auto adopted = KendallEvaluator::Create(*tree, kK, answer, columns);
   ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  EXPECT_EQ(adopted->keys(), keys);
+  EXPECT_EQ(adopted->Expected(answer), computed.Expected(answer));
   for (KeyId u : keys) {
-    for (KeyId t : keys) {
-      EXPECT_EQ(adopted->Q(u, t), computed.Q(u, t));
-    }
+    for (KeyId t : answer) EXPECT_EQ(adopted->Q(u, t), computed.Q(u, t));
   }
+  EXPECT_TRUE(std::isnan(adopted->Q(keys[0], keys[1])));
+  EXPECT_TRUE(std::isnan(adopted->Expected({keys[1], keys[0]})));
 
-  // Too few rows, and a ragged row: both are InvalidArgument, not abort.
-  std::vector<std::vector<double>> short_q(keys.size() - 1,
-                                           std::vector<double>(keys.size()));
-  EXPECT_EQ(KendallEvaluator::Create(*tree, kK, short_q).status().code(),
+  // Not one column per answer key, a short column, a repeated answer key,
+  // a key outside the tree: all InvalidArgument, not abort.
+  std::vector<std::vector<double>> one_column = {columns[0]};
+  EXPECT_EQ(
+      KendallEvaluator::Create(*tree, kK, answer, one_column).status().code(),
+      StatusCode::kInvalidArgument);
+  std::vector<std::vector<double>> short_column = columns;
+  short_column.back().pop_back();
+  EXPECT_EQ(
+      KendallEvaluator::Create(*tree, kK, answer, short_column).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(KendallEvaluator::Create(*tree, kK, {keys[2], keys[2]}, columns)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
-  std::vector<std::vector<double>> ragged_q = q;
-  ragged_q.back().pop_back();
-  EXPECT_EQ(KendallEvaluator::Create(*tree, kK, ragged_q).status().code(),
+  const KeyId absent = keys.back() + 1;
+  EXPECT_EQ(KendallEvaluator::Create(*tree, kK, {keys[2], absent}, columns)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
