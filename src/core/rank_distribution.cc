@@ -8,77 +8,91 @@ namespace cpdb {
 
 double RankDistribution::PrRankEq(KeyId key, int i) const {
   if (i < 1 || i > k_) return 0.0;
-  auto it = key_index_.find(key);
-  if (it == key_index_.end()) return 0.0;
-  return pr_eq_[static_cast<size_t>(it->second)][static_cast<size_t>(i)];
+  auto it = table_->key_index.find(key);
+  if (it == table_->key_index.end()) return 0.0;
+  return table_->pr_eq[static_cast<size_t>(it->second)]
+                      [static_cast<size_t>(i)];
 }
 
 double RankDistribution::PrRankLe(KeyId key, int i) const {
   if (i < 1) return 0.0;
-  auto it = key_index_.find(key);
-  if (it == key_index_.end()) return 0.0;
+  auto it = table_->key_index.find(key);
+  if (it == table_->key_index.end()) return 0.0;
   int clamped = std::min(i, k_);
-  return pr_le_[static_cast<size_t>(it->second)][static_cast<size_t>(clamped)];
+  return table_->pr_le[static_cast<size_t>(it->second)]
+                      [static_cast<size_t>(clamped)];
+}
+
+RankDistribution RankDistribution::Prefix(int k) const {
+  return RankDistribution(std::clamp(k, 0, k_), table_);
 }
 
 int64_t RankDistribution::ApproxBytes() const {
   // Per-key: one KeyId, one rb-tree node (pair + ~3 pointers + color,
-  // estimated flat), and two rows of k+1 doubles with their vector headers.
-  // On top of that, the fixed-size members' out-of-line storage: the keys_
-  // element array is heap-allocated beyond the sizeof(RankDistribution)
-  // header, and pr_eq_/pr_le_ each heap-allocate an outer array of n inner
-  // vector headers — omitting those undercharged every cache entry by
-  // ~56 bytes per key, which a byte-budgeted LRU multiplies across its
-  // whole admission history.
+  // estimated flat), and two rows of width+1 doubles with their vector
+  // headers. On top of that, the fixed-size members' out-of-line storage:
+  // the table itself, the keys element array, and the pr_eq/pr_le outer
+  // arrays of n inner vector headers — omitting those undercharged every
+  // cache entry by ~56 bytes per key, which a byte-budgeted LRU multiplies
+  // across its whole admission history.
   constexpr int64_t kMapNodeBytes = 64;
   constexpr int64_t kVecHeader =
       static_cast<int64_t>(sizeof(std::vector<double>));
   const int64_t per_row =
-      kVecHeader +
-      static_cast<int64_t>(k_ + 1) * static_cast<int64_t>(sizeof(double));
-  const int64_t n = static_cast<int64_t>(keys_.size());
+      kVecHeader + static_cast<int64_t>(table_->width + 1) *
+                       static_cast<int64_t>(sizeof(double));
+  const int64_t n = static_cast<int64_t>(table_->keys.size());
   return static_cast<int64_t>(sizeof(RankDistribution)) +
-         n * static_cast<int64_t>(sizeof(KeyId)) +  // keys_ element array
-         2 * n * kVecHeader +  // pr_eq_/pr_le_ outer arrays of inner headers
+         static_cast<int64_t>(sizeof(Table)) +
+         n * static_cast<int64_t>(sizeof(KeyId)) +  // keys element array
+         2 * n * kVecHeader +  // pr_eq/pr_le outer arrays of inner headers
          n * kMapNodeBytes + 2 * n * per_row;
+}
+
+RankDistributionBuilder::RankDistributionBuilder(int k)
+    : table_(std::make_shared<RankDistribution::Table>()) {
+  table_->width = k;
 }
 
 void RankDistributionBuilder::EnsureKey(KeyId key) {
   auto [it, inserted] =
-      dist_.key_index_.insert({key, static_cast<int>(dist_.keys_.size())});
+      table_->key_index.insert({key, static_cast<int>(table_->keys.size())});
   if (inserted) {
-    dist_.keys_.push_back(key);
-    dist_.pr_eq_.emplace_back(static_cast<size_t>(dist_.k_) + 1, 0.0);
+    table_->keys.push_back(key);
+    table_->pr_eq.emplace_back(static_cast<size_t>(table_->width) + 1, 0.0);
   }
 }
 
 void RankDistributionBuilder::Add(KeyId key, int i, double prob) {
   EnsureKey(key);
-  if (i < 1 || i > dist_.k_) return;
-  dist_.pr_eq_[static_cast<size_t>(dist_.key_index_[key])]
-              [static_cast<size_t>(i)] += prob;
+  if (i < 1 || i > table_->width) return;
+  table_->pr_eq[static_cast<size_t>(table_->key_index[key])]
+               [static_cast<size_t>(i)] += prob;
 }
 
 RankDistribution RankDistributionBuilder::Build() && {
-  // keys_ must be sorted ascending like ComputeRankDistribution produces;
+  // keys must be sorted ascending like ComputeRankDistribution produces;
   // reindex after sorting.
-  std::vector<KeyId> sorted = dist_.keys_;
+  RankDistribution::Table& table = *table_;
+  std::vector<KeyId> sorted = table.keys;
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::vector<double>> pr_eq(sorted.size());
   for (size_t i = 0; i < sorted.size(); ++i) {
-    pr_eq[i] = dist_.pr_eq_[static_cast<size_t>(dist_.key_index_[sorted[i]])];
+    pr_eq[i] = std::move(
+        table.pr_eq[static_cast<size_t>(table.key_index[sorted[i]])]);
   }
-  dist_.keys_ = std::move(sorted);
-  dist_.pr_eq_ = std::move(pr_eq);
-  dist_.key_index_.clear();
-  for (size_t i = 0; i < dist_.keys_.size(); ++i) {
-    dist_.key_index_[dist_.keys_[i]] = static_cast<int>(i);
+  table.keys = std::move(sorted);
+  table.pr_eq = std::move(pr_eq);
+  table.key_index.clear();
+  for (size_t i = 0; i < table.keys.size(); ++i) {
+    table.key_index[table.keys[i]] = static_cast<int>(i);
   }
-  dist_.pr_le_ = dist_.pr_eq_;
-  for (auto& row : dist_.pr_le_) {
+  table.pr_le = table.pr_eq;
+  for (auto& row : table.pr_le) {
     for (size_t i = 2; i < row.size(); ++i) row[i] += row[i - 1];
   }
-  return std::move(dist_);
+  const int width = table.width;
+  return RankDistribution(width, std::move(table_));
 }
 
 std::vector<double> LeafRankContribution(const FlatTree& flat, int target,

@@ -10,7 +10,10 @@
 #ifndef CPDB_CORE_RANK_DISTRIBUTION_H_
 #define CPDB_CORE_RANK_DISTRIBUTION_H_
 
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "model/and_xor_tree.h"
@@ -26,12 +29,19 @@ namespace cpdb {
 /// why "compute the rank distribution once, then optimize" is the uniform
 /// algorithmic pattern. Accessors are O(log n) per lookup (key index map)
 /// and O(1) in i.
+///
+/// A distribution is an immutable view of a shared table: copies and
+/// Prefix() views share the rows instead of copying them. Every fold of
+/// this library sums each Pr(r = i) in the same order whatever k it is
+/// truncated at, so the k-prefix of a fold at a wider K is bitwise the fold
+/// at k — which is what lets one wide fold answer every narrower k.
 class RankDistribution {
  public:
   int k() const { return k_; }
 
   /// \brief Keys covered, ascending (all keys of the generating tree).
-  const std::vector<KeyId>& keys() const { return keys_; }
+  /// Views of one table return the same vector.
+  const std::vector<KeyId>& keys() const { return table_->keys; }
 
   /// \brief Pr(r(key) = i): the probability some alternative of `key` is
   /// present and ranked exactly i-th by score. 0 for i outside [1, k] or
@@ -50,23 +60,39 @@ class RankDistribution {
   /// (absent tuples have rank infinity). O(log n) per call.
   double PrBeyondK(KeyId key) const { return 1.0 - PrTopK(key); }
 
-  /// \brief Approximate heap footprint in bytes — the eviction cost the
-  /// serving layer's byte-budgeted caches charge for retaining this
-  /// distribution. Computed from element *counts* (sizes, not allocator
-  /// capacities) plus a fixed per-map-node estimate, so the figure is a
-  /// deterministic function of (keys, k): budget-driven eviction decisions
-  /// replay identically across runs and platforms. O(1): n·k dominates and
-  /// both factors are stored.
+  /// \brief The view truncated at rank `k` (clamped to [0, this->k()]: a
+  /// view never widens). It shares this distribution's table — no row is
+  /// copied — and reads exactly like a fold at `k`: PrRankEq is 0 beyond
+  /// `k` and PrRankLe clamps at it. O(1).
+  RankDistribution Prefix(int k) const;
+
+  /// \brief Approximate heap footprint in bytes of the shared table — the
+  /// eviction cost the serving layer's byte-budgeted caches charge for
+  /// retaining this distribution (a Prefix() view reports its table's
+  /// full-width charge, since holding it keeps that table alive). Computed
+  /// from element *counts* (sizes, not allocator capacities) plus a fixed
+  /// per-map-node estimate, so the figure is a deterministic function of
+  /// (keys, table width): budget-driven eviction decisions replay
+  /// identically across runs and platforms. O(1).
   int64_t ApproxBytes() const;
 
  private:
   friend class RankDistributionBuilder;
+  // The rows every view of one fold shares; `width` is the k they were
+  // folded at.
+  struct Table {
+    int width = 0;
+    std::vector<KeyId> keys;
+    std::map<KeyId, int> key_index;
+    // pr_eq[key_index][i] = Pr(r = i); index 0 unused.
+    std::vector<std::vector<double>> pr_eq;
+    std::vector<std::vector<double>> pr_le;
+  };
+  RankDistribution(int k, std::shared_ptr<const Table> table)
+      : k_(k), table_(std::move(table)) {}
+
   int k_ = 0;
-  std::vector<KeyId> keys_;
-  std::map<KeyId, int> key_index_;
-  // pr_eq_[key_index][i] = Pr(r = i); index 0 unused.
-  std::vector<std::vector<double>> pr_eq_;
-  std::vector<std::vector<double>> pr_le_;
+  std::shared_ptr<const Table> table_;
 };
 
 /// \brief Assembles a RankDistribution from externally computed
@@ -75,7 +101,7 @@ class RankDistribution {
 /// Build() sorts keys and finalizes prefix sums in O(n (log n + k)).
 class RankDistributionBuilder {
  public:
-  explicit RankDistributionBuilder(int k) { dist_.k_ = k; }
+  explicit RankDistributionBuilder(int k);
 
   /// \brief Registers `key` with an all-zero distribution if absent (keys
   /// that never reach the Top-k must still appear in keys()).
@@ -88,7 +114,7 @@ class RankDistributionBuilder {
   RankDistribution Build() &&;
 
  private:
-  RankDistribution dist_;
+  std::shared_ptr<RankDistribution::Table> table_;
 };
 
 /// \brief The contribution of one leaf to its key's rank distribution:

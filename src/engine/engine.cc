@@ -51,6 +51,7 @@ int Engine::num_threads() const { return pool_.num_threads(); }
 
 RankDistribution Engine::ComputeRankDistribution(
     const AndXorTree& tree, int k, const FlatTree* program) const {
+  rank_dist_folds_.fetch_add(1, std::memory_order_relaxed);
   if (IsBlockIndependent(tree)) {
     Result<RankDistribution> fast = ComputeRankDistributionFast(tree, k);
     if (fast.ok()) return std::move(fast).ValueOrDie();

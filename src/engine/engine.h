@@ -79,15 +79,22 @@ struct EngineOptions {
 
 /// \brief Monotonic counters describing an engine's fold machinery — the
 /// observability surface the serving layer's `op=metrics` scrape re-exports
-/// (as cpdb_fold_compiles_total, cpdb_kendall_q_cells_total and
-/// cpdb_poly_arena_highwater_bytes). Plain counting, no clock reads:
-/// maintaining them costs a relaxed atomic add per compile or Kendall query
-/// and a CAS-max per fold unit, so they are always on.
+/// (as cpdb_fold_compiles_total, cpdb_rank_dist_folds_total,
+/// cpdb_kendall_q_cells_total and cpdb_poly_arena_highwater_bytes). Plain
+/// counting, no clock reads: maintaining them costs a relaxed atomic add
+/// per compile, rank-distribution fold or Kendall query and a CAS-max per
+/// fold unit, so they are always on.
 struct EngineObsCounters {
   /// FlatTree::Compile calls this engine has paid (each is one O(N) pass
   /// over a tree; the serving caches exist to keep this flat under
   /// repeated traffic).
   int64_t fold_compiles = 0;
+  /// Rank-distribution folds this engine ran, one per
+  /// ComputeRankDistribution call on the general or the BID path
+  /// (including the ones ConsensusTopK runs for itself). A work counter:
+  /// the serving caches and the batch plan exist to keep it at one per
+  /// shape.
+  int64_t rank_dist_folds = 0;
   /// Kendall q cells folded, one per PrInTopKAndBefore call: (n-1)·k per
   /// Kendall query over n keys, 0 for one the footrule answer rejects. A
   /// work counter, a pure function of the queries answered.
@@ -166,9 +173,10 @@ class Engine {
 
   /// \brief ConsensusTopK with the rank-distribution precompute supplied by
   /// the caller: the cache-aware entry point. `dist` must be the engine's
-  /// ComputeRankDistribution(tree, dist.k()) — the serving layer's
-  /// RankDistCache memoizes exactly that value by (StructKey, k), so
-  /// repeated queries against one shape skip the O(L^2 k) fold. Because the
+  /// ComputeRankDistribution(tree, dist.k()), or a Prefix(k) view of a
+  /// wider fold (bitwise the same) — the serving layer's RankDistCache
+  /// memoizes one such fold per shape, so repeated queries against one
+  /// shape skip the O(L^2 k) fold. Because the
   /// fold is schedule-deterministic, answers are bitwise identical whether
   /// `dist` was computed fresh or served from a cache. The metric-specific
   /// tails (strata, columns, q columns) still run through the pool. The
@@ -194,8 +202,8 @@ class Engine {
     /// Optional precomputed rank distribution for (tree, k) — see
     /// ConsensusTopKWithDist. When set, its k() must equal `k` (the slot
     /// fails with InvalidArgument otherwise) and the query skips the
-    /// rank-distribution fold; the serve scheduler points several queries
-    /// sharing (StructKey, k) at one cached instance.
+    /// rank-distribution fold; the serve scheduler points every query of a
+    /// shape at views of one cached fold.
     const RankDistribution* dist = nullptr;
     /// Optional precompiled fold program for `tree` — see
     /// ComputeRankDistribution. Must be FlatTree::Compile(*tree) when set;
@@ -266,6 +274,8 @@ class Engine {
   EngineObsCounters obs_counters() const {
     EngineObsCounters counters;
     counters.fold_compiles = fold_compiles_.load(std::memory_order_relaxed);
+    counters.rank_dist_folds =
+        rank_dist_folds_.load(std::memory_order_relaxed);
     counters.kendall_q_cells =
         kendall_q_cells_.load(std::memory_order_relaxed);
     counters.arena_highwater_bytes =
@@ -297,6 +307,7 @@ class Engine {
   // Observability counters (see obs_counters()); queries are logically
   // const, so the instruments they bump are mutable atomics.
   mutable std::atomic<int64_t> fold_compiles_{0};
+  mutable std::atomic<int64_t> rank_dist_folds_{0};
   mutable std::atomic<int64_t> kendall_q_cells_{0};
   mutable std::atomic<int64_t> arena_highwater_bytes_{0};
 };

@@ -17,7 +17,9 @@
 //     dedup identity without re-canonicalizing);
 //   * optional precomputed (StructKey, k) rank-distribution sections —
 //     the serving layer's most expensive derived state (the O(L^2 k) fold),
-//     persisted so a restarted replica's first Top-k batch hits warm;
+//     persisted so a restarted replica's first Top-k batch hits warm (a
+//     save writes each shape's one cache entry; a load seeds each shape's
+//     widest record, see ShardedScheduler::InstallSnapshot);
 //   * a whole-file FNV-1a checksum.
 //
 // This is the first input surface the process cannot trust: the bytes come

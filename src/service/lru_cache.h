@@ -81,15 +81,23 @@ class CostLruCache {
   /// and the in-flight record is abandoned (done, no value): coalesced
   /// waiters wake and retry as fresh callers rather than hanging on a
   /// flight that will never land — a transient failure must not wedge its
-  /// key forever in a long-lived server. A retrying waiter counts again
-  /// (as a new hit/miss/coalesced), so on this path — and only this path —
-  /// the counters can exceed the call count.
+  /// key forever in a long-lived server. A waiter is counted once it is
+  /// answered (as a hit, miss or coalesced), so a retry counts once too.
+  ///
+  /// `accept`, when set, narrows what answers this call: a retained value
+  /// it rejects is a miss whose computed value replaces it (the charge
+  /// moves by the difference; handles to the old value stay valid), and a
+  /// caller that finds a flight in progress waits for it to land and is
+  /// counted coalesced only if the landed value passes — otherwise it
+  /// starts over, so there is still one flight per key. `compute` must
+  /// return a value `accept` passes.
   std::shared_ptr<const Value> GetOrCompute(
-      const Key& key, const std::function<Value()>& compute) {
+      const Key& key, const std::function<Value()>& compute,
+      const std::function<bool(const Value&)>& accept = nullptr) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       auto it = entries_.find(key);
-      if (it != entries_.end()) {
+      if (it != entries_.end() && (!accept || accept(*it->second.value))) {
         ++stats_.hits;
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
         return it->second.value;
@@ -99,11 +107,14 @@ class CostLruCache {
         // Single-flight: somebody is already computing this key. Wait for
         // their result instead of duplicating the fold; keep a handle on
         // the flight record, which outlives its inflight_ slot.
-        ++stats_.coalesced;
         std::shared_ptr<Flight> flight = in_flight->second;
         cv_.wait(lock, [&] { return flight->done; });
-        if (flight->value != nullptr) return flight->value;
-        continue;  // the compute threw; start over as a fresh caller
+        if (flight->value != nullptr &&
+            (!accept || accept(*flight->value))) {
+          ++stats_.coalesced;
+          return flight->value;
+        }
+        continue;  // threw, or landed too narrow: start over afresh
       }
       break;
     }
@@ -136,8 +147,15 @@ class CostLruCache {
     // evicting it would cycle the cache for nothing); with the budget at 0
     // that is every entry, which reduces the cache to its single-flight
     // gate. No other caller can have inserted `key` meanwhile — they would
-    // have coalesced on our flight — so this insert cannot clobber.
+    // have coalesced on our flight — so the only entry this can replace is
+    // the one `accept` rejected.
     if (byte_budget_ < 0 || charged <= byte_budget_) {
+      auto old = entries_.find(key);
+      if (old != entries_.end()) {
+        stats_.bytes -= old->second.bytes;
+        lru_.erase(old->second.lru_it);
+        entries_.erase(old);
+      }
       lru_.push_front(key);
       entries_.emplace(key, Entry{value, charged, lru_.begin()});
       stats_.bytes += charged;

@@ -156,6 +156,17 @@ Status ParseTopK(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
+// A query that can only fail (bad k, unsupported metric/answer pair) reads
+// no distribution: the engine rejects it before paying the fold.
+int TopKRankDistK(const ServiceRequest& request) {
+  return request.k >= 1 &&
+                 Engine::ValidateConsensusRequest(request.metric,
+                                                  request.answer)
+                     .ok()
+             ? request.k
+             : 0;
+}
+
 void FormatTopK(const ServiceResponse& response,
                 std::vector<RequestField>* fields) {
   fields->push_back({"tree", response.tree_name});
@@ -441,6 +452,13 @@ Status ParseBaseline(const RequestLine& line, ServiceRequest* request) {
   return Status::OK();
 }
 
+// Only the distribution-backed semantics read one.
+int BaselineRankDistK(const ServiceRequest& request) {
+  const bool reads = request.baseline_method == "global" ||
+                     request.baseline_method == "prf";
+  return reads && request.k >= 1 ? request.k : 0;
+}
+
 Result<ServiceResponse> ExecuteBaselineTree(OpHost& host,
                                             const CatalogEntry& entry,
                                             const ServiceRequest& request,
@@ -454,8 +472,8 @@ Result<ServiceResponse> ExecuteBaselineTree(OpHost& host,
   response.k = request.k;
   if (request.baseline_method == "global" || request.baseline_method == "prf") {
     // The distribution-backed semantics share the consensus path's
-    // (StructKey, k) cache entries: a baseline probe after a topk query
-    // (or vice versa) pays the O(L^2 k) fold once.
+    // per-shape cache entry: a baseline probe after a topk query (or vice
+    // versa) pays the O(L^2 k) fold once, at the wider of their ks.
     Stopwatch cache_watch(clk);
     std::shared_ptr<const RankDistribution> dist =
         host.RankDistFor(entry, request.k);
@@ -553,6 +571,7 @@ OpRegistry::OpRegistry() {
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
     spec.fuse_consensus_batch = true;
+    spec.rank_dist_k = TopKRankDistK;
     spec.parse = ParseTopK;
     spec.format = FormatTopK;
     add(spec);
@@ -618,6 +637,7 @@ OpRegistry::OpRegistry() {
     spec.name = "baseline";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
+    spec.rank_dist_k = BaselineRankDistK;
     spec.parse = ParseBaseline;
     spec.execute_tree = ExecuteBaselineTree;
     spec.format = FormatBaseline;

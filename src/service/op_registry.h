@@ -77,8 +77,9 @@ enum OpBatchPhase : int {
 };
 
 /// \brief The execution surface a kTreeAddressed hook runs against: one
-/// shard's engine and memo caches. The per-shard executor inside
-/// ShardedScheduler implements it.
+/// shard's engine and memo caches, as seen by one batch. The per-shard
+/// executor inside ShardedScheduler implements it once per batch, carrying
+/// the batch's fold plan.
 class OpHost {
  public:
   virtual ~OpHost() = default;
@@ -87,8 +88,9 @@ class OpHost {
   virtual const Engine* engine() const = 0;
 
   /// The rank distribution at cutoff k unconditionally — through the
-  /// RankDistCache when enabled, computed fresh otherwise. The baseline
-  /// rankings (method=global|prf) route here.
+  /// RankDistCache when enabled (a miss folds at the widest k the batch
+  /// plans for the shape), computed fresh at k otherwise. The baseline
+  /// rankings (method=global|prf) and the fused topk slots route here.
   virtual std::shared_ptr<const RankDistribution> RankDistFor(
       const CatalogEntry& entry, int k) = 0;
 
@@ -132,6 +134,13 @@ struct OpSpec {
   /// the cache, one shared fold span). A fused row has no `execute_tree`:
   /// the batch is its only execution form. Only kTopK sets it.
   bool fuse_consensus_batch = false;
+
+  /// Batch-plan hook: the cutoff k at which this request reads its
+  /// shape's rank distribution, or 0 when it reads none. The per-shard
+  /// executor folds each shape once per batch, at the widest k its slots
+  /// report, and serves every slot a prefix view of that fold. Null for
+  /// ops that never read one.
+  int (*rank_dist_k)(const ServiceRequest& request) = nullptr;
 
   /// Maps a tokenized protocol line (op field already matched to this
   /// spec; trace already parsed) onto `request`. Strict: unknown fields

@@ -5,8 +5,8 @@
 // scheduler knobs (SchedulerOptions), and the serve-path instruments
 // (ServeInstruments). service/sharded_scheduler.h is the one front end that
 // executes these requests; its per-shard executor routes every shared
-// precompute through the shard's memo caches — rank distributions by
-// (StructKey, k), leaf marginals by StructKey — and fans the remaining
+// precompute through the shard's memo caches — rank distributions and
+// leaf marginals, both by StructKey — and fans the remaining
 // per-query work through Engine::EvaluateConsensusBatch.
 
 #ifndef CPDB_SERVICE_QUERY_SCHEDULER_H_

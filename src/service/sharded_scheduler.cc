@@ -3,6 +3,7 @@
 #include "service/sharded_scheduler.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <thread>
 #include <utility>
@@ -31,13 +32,8 @@ void AccumulateCacheStats(CacheStats* total, const CacheStats& part) {
 // requests asked for trace=on), nullptr otherwise, which makes every
 // Stopwatch inert (zero clock reads). Instrumentation never touches answer
 // bytes either way.
-const Clock* TimingClock(const Clock* clock, bool metrics_on,
-                         const std::vector<ServiceRequest>& requests) {
-  if (metrics_on) return clock;
-  for (const ServiceRequest& request : requests) {
-    if (request.trace) return clock;
-  }
-  return nullptr;
+const Clock* TimingClock(const Clock* clock, bool metrics_on, bool traced) {
+  return metrics_on || traced ? clock : nullptr;
 }
 
 // Counts one request as received; no-op when metrics are off. A shard's
@@ -94,11 +90,12 @@ ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
 // QueryScheduler — one shard's executor. It runs the tree-addressed
 // requests the front end routes to its shard against the shard's engine
 // and catalog, owning the shard's RankDistCache and MarginalsCache and its
-// instruments. It is the OpHost the registry's tree hooks execute against.
+// instruments. Each batch's hooks execute against a BatchHost over it.
 //
 // Thread-compatible: concurrent ExecuteBatch calls are safe — catalog and
-// caches are internally locked; the engine is stateless per query.
-class QueryScheduler : public OpHost {
+// caches are internally locked; the engine is stateless per query; a
+// batch's fold plan lives in its own BatchHost.
+class QueryScheduler {
  public:
   // Neither pointer is owned; both must outlive the scheduler.
   QueryScheduler(const Engine* engine, TreeCatalog* catalog,
@@ -114,18 +111,20 @@ class QueryScheduler : public OpHost {
         cache_(options.cache_budget_bytes),
         marginals_cache_(options.cache_budget_bytes) {}
 
-  // Executes a sub-batch of tree-addressed requests — the shard's only
-  // execution path; results[i] answers requests[i], per-request failures
-  // landing in their slot.
-  std::vector<Result<ServiceResponse>> ExecuteBatch(
-      const std::vector<ServiceRequest>& requests);
+  // Executes the tree-addressed requests requests[slots[j]] — the shard's
+  // only execution path — and writes each answer straight into
+  // responses[slots[j]], per-request failures landing in their slot. The
+  // caller's requests are read in place, never copied.
+  void ExecuteBatch(const ServiceRequest* requests,
+                    const std::vector<size_t>& slots,
+                    Result<ServiceResponse>* responses);
 
   // Seeds the rank-distribution cache with a precomputed entry — the
   // warm-restart seam. No-op when caching is disabled or the entry is not
   // retained; never changes answers.
-  void SeedRankDistribution(StructKey struct_key, int k,
+  void SeedRankDistribution(StructKey struct_key,
                             std::shared_ptr<const RankDistribution> dist) {
-    if (options_.use_cache) cache_.Seed(struct_key, k, std::move(dist));
+    if (options_.use_cache) cache_.Seed(struct_key, std::move(dist));
   }
 
   std::vector<RankDistCache::RetainedEntry> RetainedRankDistributions() const {
@@ -141,21 +140,25 @@ class QueryScheduler : public OpHost {
   // The shard's full metrics scrape: the registry's instruments plus the
   // fold/arena counters (cpdb_fold_compiles_total counts the catalog's
   // per-shape compiles together with the engine's on-demand ones;
-  // cpdb_kendall_q_cells_total the engine's Kendall q folds), the
-  // catalog's identity gauges (cpdb_catalog_entries = bound names,
+  // cpdb_rank_dist_folds_total the engine's rank-distribution folds;
+  // cpdb_kendall_q_cells_total its Kendall q folds), the catalog's
+  // identity gauges (cpdb_catalog_entries = bound names,
   // cpdb_catalog_shapes = distinct structures), and both caches' counters
   // re-exported under cpdb_rankdist_cache_* / cpdb_marginals_cache_*.
   // Must not be called when metrics are disabled.
   MetricsSnapshot MetricsSnapshotNow() const;
 
-  // OpHost.
-  const Engine* engine() const override { return engine_; }
-  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
-                                                      int k) override;
-  std::shared_ptr<const std::vector<double>> MarginalsFor(
-      const CatalogEntry& entry) override;
-
  private:
+  class BatchHost;
+
+  // The rank distribution at cutoff k: through the cache, a miss folding
+  // at `fold_k` (>= k) so one fold serves every k of the batch; fresh at k
+  // with caching off.
+  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
+                                                      int k, int fold_k);
+  std::shared_ptr<const std::vector<double>> MarginalsFor(
+      const CatalogEntry& entry);
+
   const Engine* engine_;
   TreeCatalog* catalog_;
   SchedulerOptions options_;
@@ -165,8 +168,35 @@ class QueryScheduler : public OpHost {
   MarginalsCache marginals_cache_;
 };
 
+// The OpHost one batch's hooks execute against: the shard's engine and
+// caches plus the batch's fold plan — the widest k the batch reads of each
+// shape — so the first slot touching a shape folds it once for all.
+class QueryScheduler::BatchHost : public OpHost {
+ public:
+  BatchHost(QueryScheduler* shard, std::map<StructKey, int> fold_widths)
+      : shard_(shard), fold_widths_(std::move(fold_widths)) {}
+
+  const Engine* engine() const override { return shard_->engine_; }
+
+  std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
+                                                      int k) override {
+    auto it = fold_widths_.find(entry.struct_key);
+    const int fold_k = it == fold_widths_.end() ? k : std::max(k, it->second);
+    return shard_->RankDistFor(entry, k, fold_k);
+  }
+
+  std::shared_ptr<const std::vector<double>> MarginalsFor(
+      const CatalogEntry& entry) override {
+    return shard_->MarginalsFor(entry);
+  }
+
+ private:
+  QueryScheduler* shard_;
+  std::map<StructKey, int> fold_widths_;
+};
+
 std::shared_ptr<const RankDistribution> QueryScheduler::RankDistFor(
-    const CatalogEntry& entry, int k) {
+    const CatalogEntry& entry, int k, int fold_k) {
   // Keyed by struct_key: permuted duplicates resolve to one entry, and a
   // baseline probe and a Top-k query against the same content share one
   // fold — in either order. The fold runs over the catalog's canonical
@@ -177,9 +207,11 @@ std::shared_ptr<const RankDistribution> QueryScheduler::RankDistFor(
     return std::make_shared<const RankDistribution>(
         engine_->ComputeRankDistribution(tree, k, entry.program.get()));
   }
-  return cache_.GetOrCompute(entry.struct_key, k, [this, &tree, k, &entry] {
-    return engine_->ComputeRankDistribution(tree, k, entry.program.get());
-  });
+  return cache_.GetOrCompute(
+      entry.struct_key, k, [this, &tree, fold_k, &entry] {
+        return engine_->ComputeRankDistribution(tree, fold_k,
+                                                entry.program.get());
+      });
 }
 
 std::shared_ptr<const std::vector<double>> QueryScheduler::MarginalsFor(
@@ -211,6 +243,13 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   fold_compiles.value =
       engine_counters.fold_compiles + catalog_->fold_compiles();
   extra.samples.push_back(std::move(fold_compiles));
+  MetricSample rank_dist_folds;
+  rank_dist_folds.name = "cpdb_rank_dist_folds_total";
+  rank_dist_folds.help =
+      "Rank-distribution folds run by the engine (general or BID path).";
+  rank_dist_folds.kind = MetricSample::Kind::kCounter;
+  rank_dist_folds.value = engine_counters.rank_dist_folds;
+  extra.samples.push_back(std::move(rank_dist_folds));
   MetricSample kendall_q_cells;
   kendall_q_cells.name = "cpdb_kendall_q_cells_total";
   kendall_q_cells.help =
@@ -250,64 +289,73 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   return snapshot;
 }
 
-std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
-    const std::vector<ServiceRequest>& requests) {
-  std::vector<Result<ServiceResponse>> responses(
-      requests.size(),
-      Result<ServiceResponse>(Status::Internal("request not executed")));
+void QueryScheduler::ExecuteBatch(const ServiceRequest* requests,
+                                  const std::vector<size_t>& slots,
+                                  Result<ServiceResponse>* responses) {
   const OpRegistry& ops = OpRegistry::Get();
   ServeInstruments* instruments = instruments_.get();
-  const Clock* clk = TimingClock(clock_, instruments != nullptr, requests);
-  for (const ServiceRequest& request : requests) {
-    CountRequest(instruments, request);
+  bool traced = false;
+  for (size_t slot : slots) {
+    CountRequest(instruments, requests[slot]);
+    traced = traced || requests[slot].trace;
   }
-  std::vector<ResponseTiming> timings(requests.size());
+  const Clock* clk = TimingClock(clock_, instruments != nullptr, traced);
+  std::vector<ResponseTiming> timings(slots.size());
 
   // Resolve every slot's tree; a name unbound here (the shard catalog can
   // only lag the front end's directory, never lead it) fails its slot
-  // only, and its entry stays empty.
-  std::vector<CatalogEntry> entries(requests.size());
-  std::vector<size_t> fused_slots;
-  for (size_t i = 0; i < requests.size(); ++i) {
+  // only, and its entry stays empty. The same pass plans the folds: the
+  // widest k any slot reads of each shape, so the first slot touching a
+  // shape folds it once, at that k, and every other slot reads a prefix
+  // view of the one entry.
+  std::vector<CatalogEntry> entries(slots.size());
+  std::vector<size_t> fused;  // positions j into slots
+  std::map<StructKey, int> fold_widths;
+  for (size_t j = 0; j < slots.size(); ++j) {
+    const ServiceRequest& request = requests[slots[j]];
     Stopwatch catalog_watch(clk);
-    Result<CatalogEntry> entry = catalog_->Lookup(requests[i].tree_name);
-    AddSpan(&timings[i], "catalog", catalog_watch);
+    Result<CatalogEntry> entry = catalog_->Lookup(request.tree_name);
+    AddSpan(&timings[j], "catalog", catalog_watch);
     if (!entry.ok()) {
-      responses[i] = entry.status();
+      responses[slots[j]] = entry.status();
       continue;
     }
-    entries[i] = *std::move(entry);
-    if (ops.spec(requests[i].op).fuse_consensus_batch) fused_slots.push_back(i);
+    entries[j] = *std::move(entry);
+    const OpSpec& spec = ops.spec(request.op);
+    if (spec.fuse_consensus_batch) fused.push_back(j);
+    const int k = spec.rank_dist_k != nullptr ? spec.rank_dist_k(request) : 0;
+    if (k > 0) {
+      int& width = fold_widths[entries[j].struct_key];
+      width = std::max(width, k);
+    }
   }
+  BatchHost host(this, std::move(fold_widths));
+
   // The fused consensus pass — topk's only execution form, skipped when
   // no slot takes it.
-  if (!fused_slots.empty()) {
+  if (!fused.empty()) {
     // The deduplication step: route every Top-k query's rank-distribution
-    // precompute through the (StructKey, k) cache, in slot order, so the
-    // first query of each pair computes the fold and the rest hit — within
-    // this batch and across batches alike. The handles keep cached
+    // precompute through the per-shape cache, in slot order, so the first
+    // query of each shape folds (at the planned width) and the rest hit —
+    // within this batch and across batches alike. The handles keep cached
     // entries alive for the duration of the engine call even if entries
     // are evicted concurrently. A request that can only fail (bad k,
     // unsupported metric/answer pair) gets no distribution and populates
     // nothing: the engine rejects such queries *before* paying the fold,
     // and reports the error. With caching off no slot gets one, so the
     // engine folds.
-    std::vector<std::shared_ptr<const RankDistribution>> dists(
-        fused_slots.size());
-    std::vector<Engine::ConsensusQuery> queries(fused_slots.size());
-    for (size_t j = 0; j < fused_slots.size(); ++j) {
-      const size_t slot = fused_slots[j];
-      const ServiceRequest& request = requests[slot];
+    std::vector<std::shared_ptr<const RankDistribution>> dists(fused.size());
+    std::vector<Engine::ConsensusQuery> queries(fused.size());
+    for (size_t f = 0; f < fused.size(); ++f) {
+      const size_t j = fused[f];
+      const ServiceRequest& request = requests[slots[j]];
       Stopwatch cache_watch(clk);
-      if (options_.use_cache && request.k >= 1 &&
-          Engine::ValidateConsensusRequest(request.metric, request.answer)
-              .ok()) {
-        dists[j] = RankDistFor(entries[slot], request.k);
+      if (options_.use_cache && ops.spec(request.op).rank_dist_k(request) > 0) {
+        dists[f] = host.RankDistFor(entries[j], request.k);
       }
-      AddSpan(&timings[slot], "cache", cache_watch);
-      queries[j] = {entries[slot].tree.get(), request.k, request.metric,
-                    request.answer, dists[j].get(),
-                    entries[slot].program.get()};
+      AddSpan(&timings[j], "cache", cache_watch);
+      queries[f] = {entries[j].tree.get(), request.k, request.metric,
+                    request.answer, dists[f].get(), entries[j].program.get()};
     }
 
     // One engine submission for all fused slots: whole queries fan across
@@ -321,34 +369,35 @@ std::vector<Result<ServiceResponse>> QueryScheduler::ExecuteBatch(
     // what the sharded-parity tests rely on; values are side-band by
     // contract.
     const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
-    for (size_t j = 0; j < fused_slots.size(); ++j) {
-      const size_t slot = fused_slots[j];
+    for (size_t f = 0; f < fused.size(); ++f) {
+      const size_t j = fused[f];
       if (fold_watch.enabled()) {
-        timings[slot].spans.emplace_back("fold", batch_fold_nanos);
+        timings[j].spans.emplace_back("fold", batch_fold_nanos);
       }
-      if (!results[j].ok()) {
-        responses[slot] = results[j].status();
+      if (!results[f].ok()) {
+        responses[slots[j]] = results[f].status();
         continue;
       }
-      responses[slot] = ConsensusTopKResponse(requests[slot], *results[j]);
+      responses[slots[j]] =
+          ConsensusTopKResponse(requests[slots[j]], *results[f]);
     }
   }
 
   // The other resolved slots (worlds, the analytics ops) run their own
   // execute hooks after the fused finalize, in slot order — each routes
   // its precompute through the caches inside the hook.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const OpSpec& spec = ops.spec(requests[i].op);
-    if (entries[i].tree == nullptr || spec.fuse_consensus_batch) continue;
-    responses[i] =
-        spec.execute_tree(*this, entries[i], requests[i], clk, &timings[i]);
+  for (size_t j = 0; j < slots.size(); ++j) {
+    const ServiceRequest& request = requests[slots[j]];
+    const OpSpec& spec = ops.spec(request.op);
+    if (entries[j].tree == nullptr || spec.fuse_consensus_batch) continue;
+    responses[slots[j]] =
+        spec.execute_tree(host, entries[j], request, clk, &timings[j]);
   }
 
-  for (size_t i = 0; i < requests.size(); ++i) {
-    FinishRequest(instruments, requests[i], std::move(timings[i]),
-                  &responses[i]);
+  for (size_t j = 0; j < slots.size(); ++j) {
+    FinishRequest(instruments, requests[slots[j]], std::move(timings[j]),
+                  &responses[slots[j]]);
   }
-  return responses;
 }
 
 }  // namespace
@@ -471,12 +520,20 @@ Status ShardedScheduler::InstallSnapshot(const CatalogSnapshot& snapshot) {
     Result<CatalogEntry> entry = InsertIdentityRouted(record.name, identity);
     if (!entry.ok()) return entry.status();
   }
+  // The cache keeps one entry per shape, the widest: a file that holds
+  // several ks of one shape (written before entries were per shape) seeds
+  // its widest, which serves every narrower k as a prefix.
+  std::map<StructKey, const SnapshotDistribution*> widest;
   for (const SnapshotDistribution& record : snapshot.distributions) {
-    // Each (StructKey, k) cache key lives on exactly one shard — seed it
-    // there, the shard every query for that shape reaches.
-    const int shard = ShardOfKey(record.struct_key, num_shards());
+    const SnapshotDistribution*& kept = widest[record.struct_key];
+    if (kept == nullptr || kept->k < record.k) kept = &record;
+  }
+  for (const auto& [struct_key, record] : widest) {
+    // Each shape's cache key lives on exactly one shard — seed it there,
+    // the shard every query for that shape reaches.
+    const int shard = ShardOfKey(struct_key, num_shards());
     shards_[static_cast<size_t>(shard)]->scheduler.SeedRankDistribution(
-        record.struct_key, record.k, record.dist);
+        struct_key, record->dist);
   }
   return Status::OK();
 }
@@ -512,14 +569,14 @@ CatalogSnapshot ShardedScheduler::BuildSnapshot(
         // defensive: the decoder rejects a distribution with no tree
         // record, so never write one.
         if (struct_keys.count(entry.struct_key) == 0) continue;
+        const int k = entry.dist->k();
         snapshot.distributions.push_back(
-            SnapshotDistribution{entry.struct_key, entry.k,
-                                 std::move(entry.dist)});
+            SnapshotDistribution{entry.struct_key, k, std::move(entry.dist)});
       }
     }
   }
   // Merge order must not leak the shard count: names are disjoint across
-  // shards and (StructKey, k) keys live on exactly one shard, so sorting
+  // shards and each shape's entry lives on exactly one shard, so sorting
   // yields one canonical order whatever N was (the encoder would re-sort
   // anyway; sorting here makes the in-memory snapshot deterministic too).
   std::sort(snapshot.trees.begin(), snapshot.trees.end(),
@@ -598,44 +655,49 @@ ServiceResponse ShardedScheduler::StatsResponse() const {
 
 std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
     const std::vector<ServiceRequest>& requests) {
-  std::vector<Result<ServiceResponse>> responses(
-      requests.size(),
-      Result<ServiceResponse>(Status::Internal("request not executed")));
+  return Execute(requests.data(), requests.size());
+}
 
-  // The front end gates its own timing by the same rule as the per-shard
-  // executors: live when metrics are on or the batch asked for a trace.
-  ServeInstruments* frontend = ShardInstruments(0);
-  const Clock* clk = TimingClock(clock_, frontend != nullptr, requests);
+std::vector<Result<ServiceResponse>> ShardedScheduler::Execute(
+    const ServiceRequest* requests, size_t count) {
+  std::vector<Result<ServiceResponse>> responses(
+      count, Result<ServiceResponse>(Status::Internal("request not executed")));
 
   const OpRegistry& ops = OpRegistry::Get();
 
+  // The front end gates its own timing by the same rule as the per-shard
+  // executors: live when metrics are on or the batch asked for a trace.
   // Admin probes count at batch entry, like every executor sub-batch, so
   // a metrics scrape counts every probe of its batch — itself included.
-  for (const ServiceRequest& request : requests) {
-    if (ops.spec(request.op).routing == OpRouting::kAdmin) {
-      CountRequest(frontend, request);
+  ServeInstruments* frontend = ShardInstruments(0);
+  bool traced = false;
+  for (size_t i = 0; i < count; ++i) {
+    traced = traced || requests[i].trace;
+    if (ops.spec(requests[i].op).routing == OpRouting::kAdmin) {
+      CountRequest(frontend, requests[i]);
     }
   }
+  const Clock* clk = TimingClock(clock_, frontend != nullptr, traced);
 
   // Loads first, in request order — the batch contract. Loads stay on the
   // front-end thread: they are rare, order-sensitive on names, and each
   // one decides the routing for every query that follows.
-  for (size_t i = 0; i < requests.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     if (ops.spec(requests[i].op).batch_phase == kLoadPhase) {
       responses[i] = ExecuteLoad(requests[i], clk);
     }
   }
 
-  // Partition queries by owning shard, preserving slot order within each
-  // sub-batch — per-key request order is what keeps each shard's cache
-  // counters independent of the shard count. Unknown names fail their
-  // slot here. The owning shard's executor does its own counting and
-  // timing, so a routed request records nothing here — one request, one
-  // set of records; a miss never reaches a shard, so its trail (a catalog
-  // span, an op latency, an error count) lands on shard 0.
-  std::vector<std::vector<ServiceRequest>> sub_batches(shards_.size());
+  // Partition queries by owning shard, as slot indices in slot order
+  // within each sub-batch — per-key request order is what keeps each
+  // shard's cache counters independent of the shard count. Unknown names
+  // fail their slot here. The owning shard's executor does its own
+  // counting and timing, so a routed request records nothing here — one
+  // request, one set of records; a miss never reaches a shard, so its
+  // trail (a catalog span, an op latency, an error count) lands on
+  // shard 0.
   std::vector<std::vector<size_t>> sub_slots(shards_.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     const ServiceRequest& request = requests[i];
     if (ops.spec(request.op).routing != OpRouting::kTreeAddressed) continue;
     Stopwatch catalog_watch(clk);
@@ -648,37 +710,37 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
       FinishRequest(frontend, request, std::move(timing), &responses[i]);
       continue;
     }
-    sub_batches[static_cast<size_t>(*shard)].push_back(request);
     sub_slots[static_cast<size_t>(*shard)].push_back(i);
   }
 
   // Fan the sub-batches concurrently: one helper thread per non-empty
   // shard beyond the first, which runs on the calling thread (a 1-shard
   // front-end spawns nothing). Each sub-batch executes on its shard's own
-  // engine/caches, so the only shared state the helpers touch is their
-  // private results slot. The helpers are created per batch on purpose:
+  // engine/caches, reads the caller's requests in place and writes its
+  // answers straight into their slots — disjoint per shard, so the helpers
+  // share no mutable state. The helpers are created per batch on purpose:
   // the steady-state threads live in the shard engines' pools, and one
   // short-lived dispatcher thread per busy shard is noise next to the
   // folds it dispatches.
-  std::vector<std::vector<Result<ServiceResponse>>> shard_results(
-      shards_.size());
+  //
   // A throw anywhere in the fan-out must fail slots, not the process: an
   // exception escaping a helper's thread entry — or unwinding past
   // joinable threads — is std::terminate, unacceptable in a long-lived
   // server. The library reports errors via Status, but allocation can
   // throw from any of it.
-  auto run_shard = [this, &sub_batches, &shard_results](size_t s) {
+  auto run_shard = [this, requests, &sub_slots, &responses](size_t s) {
+    auto fail_slots = [&](const std::string& message) {
+      for (size_t slot : sub_slots[s]) {
+        responses[slot] = Status::Internal(message);
+      }
+    };
     try {
-      shard_results[s] = shards_[s]->scheduler.ExecuteBatch(sub_batches[s]);
+      shards_[s]->scheduler.ExecuteBatch(requests, sub_slots[s],
+                                         responses.data());
     } catch (const std::exception& e) {
-      shard_results[s].assign(
-          sub_batches[s].size(),
-          Result<ServiceResponse>(Status::Internal(
-              std::string("shard execution failed: ") + e.what())));
+      fail_slots(std::string("shard execution failed: ") + e.what());
     } catch (...) {
-      shard_results[s].assign(
-          sub_batches[s].size(),
-          Result<ServiceResponse>(Status::Internal("shard execution failed")));
+      fail_slots("shard execution failed");
     }
   };
   std::vector<std::thread> helpers;
@@ -695,7 +757,7 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   } join_guard{&helpers};
   int first_busy = -1;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub_batches[s].empty()) continue;
+    if (sub_slots[s].empty()) continue;
     if (first_busy < 0) {
       first_busy = static_cast<int>(s);
       continue;
@@ -711,13 +773,6 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   if (first_busy >= 0) run_shard(static_cast<size_t>(first_busy));
   for (std::thread& helper : helpers) helper.join();
 
-  // Reassemble in input order.
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (size_t j = 0; j < sub_slots[s].size(); ++j) {
-      responses[sub_slots[s][j]] = std::move(shard_results[s][j]);
-    }
-  }
-
   // Admin phases in declared order — stats next-to-last (the aggregate
   // describes the batch that just ran), metrics last of all (a scrape
   // answers for everything the batch did, its stats probes included),
@@ -725,7 +780,7 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::ExecuteBatch(
   // joined, so the shard registries are quiescent. The probes record
   // against shard 0, like every front-end op no shard owns.
   for (int phase : {kStatsPhase, kMetricsPhase}) {
-    for (size_t i = 0; i < requests.size(); ++i) {
+    for (size_t i = 0; i < count; ++i) {
       if (ops.spec(requests[i].op).batch_phase != phase) continue;
       responses[i] = ExecuteAdminOne(requests[i], clk);
     }
@@ -786,7 +841,7 @@ std::vector<MetricsSnapshot> ShardedScheduler::PerShardMetricsSnapshots()
 
 Result<ServiceResponse> ShardedScheduler::ExecuteOne(
     const ServiceRequest& request) {
-  return std::move(ExecuteBatch({request}).front());
+  return std::move(Execute(&request, 1).front());
 }
 
 void ShardedScheduler::ExecuteStreaming(

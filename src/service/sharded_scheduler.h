@@ -40,7 +40,7 @@
 // here.
 //
 // Determinism: because the partitioning is a pure function of structural
-// keys, every (StructKey, k) cache key lives on exactly one shard, and
+// keys, every shape's cache entries live on exactly one shard, and
 // requests for it arrive there in input slot order. Combined with the
 // engine's schedule determinism, answers are bitwise identical to
 // one-at-a-time Engine calls for every op, metric, thread count, shard
@@ -122,8 +122,10 @@ class ShardedScheduler {
   /// across the shards: every tree routes to the shard owning its
   /// structural key through the same directory-updating path kLoad takes —
   /// so query routing, dedup, and AlreadyExists/rebind semantics are
-  /// identical to loading the same trees line-by-line — and every persisted
-  /// rank distribution seeds the cache of the shard that owns its key.
+  /// identical to loading the same trees line-by-line — and each shape's
+  /// widest persisted rank distribution seeds the cache of the shard that
+  /// owns its key (narrower records of the same shape, which files written
+  /// before entries were per shape can hold, are prefixes of it).
   /// Each binding keeps the record's wire identity (content bytes and
   /// ContentFp); only the structural level is derived from the record's
   /// tree, whose orientation therefore does not matter. Into a fresh front
@@ -139,10 +141,10 @@ class ShardedScheduler {
   /// construction — each name lives on exactly one shard) with its stored
   /// wire-visible content bytes, plus, when `include_distributions` is set,
   /// the shards' retained rank-distribution cache entries (disjoint too:
-  /// each (StructKey, k) lives on one shard). The result is independent of
-  /// shard count: entries are merged and sorted, so saving at --shards=M
-  /// and at --shards=N produces byte-identical files for the same logical
-  /// state.
+  /// each shape's one entry, at its widest k, lives on one shard). The
+  /// result is independent of shard count: entries are merged and sorted,
+  /// so saving at --shards=M and at --shards=N produces byte-identical
+  /// files for the same logical state.
   CatalogSnapshot BuildSnapshot(bool include_distributions) const;
 
   /// \brief Executes a batch; results[i] answers requests[i] regardless of
@@ -213,6 +215,13 @@ class ShardedScheduler {
   /// One shard context: Engine, TreeCatalog, and the executor owning the
   /// shard's caches and instruments. Defined in the .cc.
   struct Shard;
+
+  /// The one executor behind ExecuteBatch and ExecuteOne: answers
+  /// requests[0, count), reading them in place — shard sub-batches are
+  /// slot indices into this array, and every answer is written straight
+  /// into its slot of the returned vector.
+  std::vector<Result<ServiceResponse>> Execute(const ServiceRequest* requests,
+                                               size_t count);
 
   /// The load op: reads and parses the file, then the routed insert, with
   /// stage spans (parse, catalog). The request's metrics attribute to the

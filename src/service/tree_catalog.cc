@@ -74,7 +74,7 @@ Result<CatalogEntry> TreeCatalog::InsertWithIdentityLocked(
     const std::string& name, const TreeIdentity& identity) {
   // Whenever a hash matches existing state — at the name, content, or shape
   // level — confirm the bytes match too: the hashes are 64-bit and
-  // non-cryptographic, and the dedup below plus the (StructKey, k) caches
+  // non-cryptographic, and the dedup below plus the StructKey caches
   // keyed on it would silently serve the wrong tree's answers on a
   // collision. The compares run only on the hash-equal paths, so honest
   // traffic pays one serialization + canonicalization per load.

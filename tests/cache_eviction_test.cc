@@ -29,6 +29,7 @@
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "io/tree_text.h"
+#include "service/catalog_snapshot.h"
 #include "service/marginals_cache.h"
 #include "service/sharded_scheduler.h"
 #include "service/rank_dist_cache.h"
@@ -174,6 +175,51 @@ TEST(CacheEvictionTest, ZeroBudgetStillCoalescesConcurrentComputes) {
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_NE(handles[t], nullptr);
     ExpectSameDist(*handles[t], reference);
+  }
+}
+
+// Concurrent callers at different ks of one shape: a caller wider than the
+// flight in progress waits for it to land, then folds again and replaces
+// the entry; a caller it covers coalesces or hits. Flights of one key
+// never overlap, each fold widens the entry (so at most one per distinct
+// k), and every handle reads bitwise like a fold at its own k.
+TEST(CacheEvictionTest, WiderCallerWaitsForTheNarrowFlightThenRefolds) {
+  AndXorTree tree = RandomTree(4242, 8);
+  RankDistCache cache;
+  constexpr int kThreads = 8;
+  constexpr int kWidest = 4;
+  std::atomic<int> flying{0};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> computes{0};
+  std::vector<std::shared_ptr<const RankDistribution>> handles(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const int k = 1 + t % kWidest;
+      handles[t] = cache.GetOrCompute(StructKey(3), k, [&, k] {
+        if (++flying > 1) ++overlaps;
+        ++computes;
+        std::this_thread::sleep_for(std::chrono::milliseconds(3));
+        RankDistribution dist = ComputeRankDistribution(tree, k);
+        --flying;
+        return dist;
+      });
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_GE(computes.load(), 1);
+  EXPECT_LE(computes.load(), kWidest);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, computes.load());
+  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced, kThreads);
+  EXPECT_EQ(stats.entries, 1);
+  ASSERT_NE(cache.Peek(StructKey(3), kWidest), nullptr);
+  EXPECT_EQ(stats.bytes, cache.Peek(StructKey(3), kWidest)->ApproxBytes());
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_NE(handles[t], nullptr);
+    ExpectSameDist(*handles[t],
+                   ComputeRankDistribution(tree, 1 + t % kWidest));
   }
 }
 
@@ -325,9 +371,9 @@ TEST(CacheEvictionTest, MarginalsCacheChurnKeepsBudgetAndBits) {
 // ---------------------------------------------------------------------------
 
 // The acceptance scenario, at the scheduler level: a churn workload (many
-// distinct (tree, k) keys) against a tiny budget answers bitwise exactly
-// what an unbounded cache and no cache answer, while the tiny cache
-// actually evicts and never exceeds its budget.
+// distinct shapes, several ks each) against a tiny budget answers bitwise
+// exactly what an unbounded cache and no cache answer, while the tiny
+// cache actually evicts and never exceeds its budget.
 TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   constexpr int kTrees = 6;
   EngineOptions engine_options;
@@ -389,15 +435,31 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
               uncached_results[i]->expected_distance);
   }
   // The tiny cache worked for its living: it evicted, stayed in budget,
-  // and the unbounded sibling kept every distinct (fingerprint, k) entry.
+  // and the unbounded sibling kept one entry per shape.
   CacheStats tiny_stats = tiny->cache_stats();
   EXPECT_GT(tiny_stats.evictions, 0);
   EXPECT_LE(tiny_stats.bytes, tiny_options.cache_budget_bytes);
   EXPECT_LE(tiny->marginals_stats().bytes, tiny_options.cache_budget_bytes);
   CacheStats unbounded_stats = unbounded->cache_stats();
   EXPECT_EQ(unbounded_stats.evictions, 0);
-  // 6 trees x 3 distinct k values each over the rounds.
-  EXPECT_EQ(unbounded_stats.entries, kTrees * 3);
+  // Every tree is asked k = 2, 3 and 4 over the rounds of the one batch,
+  // so each shape folds once, at k = 4, and the other topk slots read
+  // prefix views of that entry: one miss and one entry per shape, charged
+  // a k = 4 distribution's bytes.
+  const int64_t topk_slots = static_cast<int64_t>(churn.size()) / 2;
+  EXPECT_EQ(unbounded_stats.entries, kTrees);
+  EXPECT_EQ(unbounded_stats.misses, kTrees);
+  EXPECT_EQ(unbounded_stats.hits, topk_slots - kTrees);
+  int64_t widest_bytes = 0;
+  for (int i = 0; i < kTrees; ++i) {
+    widest_bytes += ComputeRankDistribution(RandomTree(3000 + i), 4)
+                        .ApproxBytes();
+  }
+  EXPECT_EQ(unbounded_stats.bytes, widest_bytes);
+  for (const SnapshotDistribution& record :
+       unbounded->BuildSnapshot(true).distributions) {
+    EXPECT_EQ(record.k, 4);
+  }
   EXPECT_EQ(unbounded->marginals_stats().entries, kTrees);
 }
 

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -348,6 +350,64 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
     EXPECT_GT(warm_stats.hits, 0) << label;
     EXPECT_EQ(warm_stats.entries, after_cold.entries) << label;
     EXPECT_EQ(warm_stats.bytes, after_cold.bytes) << label;
+  }
+}
+
+// The cache keeps one entry per shape, so a file holding several ks of one
+// shape — as files saved before entries were per shape do — seeds only the
+// widest, which answers every narrower k as a prefix without folding.
+TEST_F(CatalogWarmRestartTest, SeveralKsOfOneShapeSeedTheWidest) {
+  ShardedScheduler cold(1, ReferenceEngineOptions());
+  SeedCold(&cold);
+  CatalogSnapshot older = cold.BuildSnapshot(/*include_distributions=*/false);
+  Engine engine;
+  std::set<StructKey> shapes;
+  for (const SnapshotTree& record : older.trees) {
+    if (!shapes.insert(record.struct_key).second) continue;
+    for (int k : {2, 5, 3}) {
+      older.distributions.push_back(SnapshotDistribution{
+          record.struct_key, k,
+          std::make_shared<const RankDistribution>(
+              engine.ComputeRankDistribution(*record.tree, k))});
+    }
+  }
+  const std::string bytes = EncodeCatalogSnapshot(older);
+  Result<CatalogSnapshot> snapshot =
+      DecodeCatalogSnapshot(bytes.data(), bytes.size());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_EQ(snapshot->distributions.size(), 3 * shapes.size());
+
+  std::vector<ServiceRequest> batch;
+  for (const std::string& name : names_) {
+    for (int k = 1; k <= 5; ++k) {
+      batch.push_back(TopKRequest(name, k, TopKMetric::kSymDiff));
+    }
+  }
+  SchedulerOptions no_cache;
+  no_cache.use_cache = false;
+  ShardedScheduler reference(1, ReferenceEngineOptions(), no_cache);
+  SeedCold(&reference);
+  auto want = reference.ExecuteBatch(batch);
+  for (const auto& slot : want) ASSERT_TRUE(slot.ok());
+  for (int shards : {1, 3}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    ShardedScheduler warm(shards, ReferenceEngineOptions());
+    ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+    EXPECT_EQ(warm.cache_stats().entries,
+              static_cast<int64_t>(shapes.size()))
+        << label;
+    for (const SnapshotDistribution& record :
+         warm.BuildSnapshot(/*include_distributions=*/true).distributions) {
+      EXPECT_EQ(record.k, 5) << label;
+    }
+    ExpectSameWire(warm.ExecuteBatch(batch), want, /*compare_stats=*/false,
+                   label);
+    EXPECT_EQ(warm.cache_stats().misses, 0) << label;
+    EXPECT_EQ(warm.MetricsSnapshotNow()
+                  .Find("cpdb_rank_dist_folds_total")
+                  ->value,
+              0)
+        << label;
   }
 }
 

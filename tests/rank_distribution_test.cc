@@ -11,6 +11,8 @@
 #include <map>
 
 #include "common/rng.h"
+#include "core/jaccard.h"  // IsBlockIndependent
+#include "engine/engine.h"
 #include "model/builders.h"
 #include "model/possible_worlds.h"
 #include "workload/generators.h"
@@ -188,6 +190,61 @@ TEST(RankDistributionTest, ApproxBytesCoversHandComputedLowerBound) {
   RankDistribution dist2 = ComputeRankDistribution(*tree2, k);
   ASSERT_EQ(dist2.keys().size(), dist.keys().size());
   EXPECT_EQ(dist2.ApproxBytes(), dist.ApproxBytes());
+}
+
+// The property the serving cache's per-shape entries rest on: every fold
+// sums each Pr(r = i) in the same order whatever k it is truncated at, so
+// the k-view of a fold at 16 is bitwise the engine's own fold at k — on
+// the general path (deep and/xor trees) and on the BID fast path alike.
+TEST(RankDistributionTest, PrefixViewIsBitwiseTheNarrowerFold) {
+  constexpr int kWide = 16;
+  Engine engine;
+  std::vector<AndXorTree> trees;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(9100 + seed);
+    RandomTreeOptions opts;
+    opts.num_keys = 10 + static_cast<int>(seed) * 6;  // 10..40 keys
+    opts.max_depth = 5;
+    auto deep = RandomAndXorTree(opts, &rng);
+    ASSERT_TRUE(deep.ok());
+    ASSERT_FALSE(IsBlockIndependent(*deep));  // exercises the general fold
+    trees.push_back(*std::move(deep));
+    auto bid = RandomBid(opts, &rng);
+    ASSERT_TRUE(bid.ok());
+    trees.push_back(*std::move(bid));
+    auto independent = RandomTupleIndependent(opts.num_keys - 1, &rng);
+    ASSERT_TRUE(independent.ok());
+    trees.push_back(*std::move(independent));
+  }
+  for (size_t t = 0; t < trees.size(); ++t) {
+    SCOPED_TRACE("tree " + std::to_string(t));
+    const RankDistribution wide =
+        engine.ComputeRankDistribution(trees[t], kWide);
+    ASSERT_EQ(wide.k(), kWide);
+    for (int k = 1; k < kWide; ++k) {
+      const RankDistribution fold = engine.ComputeRankDistribution(trees[t], k);
+      const RankDistribution view = wide.Prefix(k);
+      ASSERT_EQ(view.k(), k);
+      ASSERT_EQ(&view.keys(), &wide.keys());  // shared, not copied
+      ASSERT_EQ(view.keys(), fold.keys());
+      for (KeyId key : fold.keys()) {
+        for (int i = 0; i <= kWide + 1; ++i) {
+          // Beyond k the view reads like the fold at k: PrRankEq is 0 and
+          // PrRankLe clamps at k.
+          EXPECT_EQ(view.PrRankEq(key, i), fold.PrRankEq(key, i))
+              << "k " << k << " key " << key << " rank " << i;
+          EXPECT_EQ(view.PrRankLe(key, i), fold.PrRankLe(key, i))
+              << "k " << k << " key " << key << " rank " << i;
+        }
+        EXPECT_EQ(view.PrRankEq(key, k + 1), 0.0);
+        EXPECT_EQ(view.PrRankLe(key, k + 1), view.PrRankLe(key, k));
+        EXPECT_EQ(view.PrTopK(key), fold.PrTopK(key));
+      }
+    }
+    // A view never widens, and charges its table's full width.
+    EXPECT_EQ(wide.Prefix(kWide + 5).k(), kWide);
+    EXPECT_EQ(wide.Prefix(3).ApproxBytes(), wide.ApproxBytes());
+  }
 }
 
 TEST(RankDistributionTest, UnknownKeyYieldsZero) {

@@ -157,28 +157,41 @@ TEST(RankDistCacheTest, CountsHitsAndMissesPerKey) {
   AndXorTree tree = *ParseTree(kTreeText);
   RankDistCache cache;
   int computes = 0;
-  auto compute = [&] {
-    ++computes;
-    return ComputeRankDistribution(tree, 2);
+  auto compute_at = [&](int k) {
+    return [&computes, &tree, k] {
+      ++computes;
+      return ComputeRankDistribution(tree, k);
+    };
   };
-  auto a = cache.GetOrCompute(StructKey(1), 2, compute);
-  auto b = cache.GetOrCompute(StructKey(1), 2, compute);
+  auto a = cache.GetOrCompute(StructKey(1), 2, compute_at(2));
+  auto b = cache.GetOrCompute(StructKey(1), 2, compute_at(2));
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(a.get(), b.get());  // shared handle, not a copy
-  // Different k and different fingerprint are distinct entries.
-  cache.GetOrCompute(StructKey(1), 3,
-                     [&] { return ComputeRankDistribution(tree, 3); });
-  cache.GetOrCompute(StructKey(2), 2, compute);
+  // The key is the shape alone: a wider k misses and its fold replaces the
+  // k = 2 entry; a narrower k then hits as a prefix view of it.
+  auto wide = cache.GetOrCompute(StructKey(1), 3, compute_at(3));
+  auto narrow = cache.GetOrCompute(StructKey(1), 2, compute_at(2));
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(wide->k(), 3);
+  EXPECT_EQ(narrow->k(), 2);
+  EXPECT_EQ(&narrow->keys(), &wide->keys());  // one table, no copied rows
+  EXPECT_EQ(a->k(), 2);  // the replaced entry's handle stays valid
+  EXPECT_EQ(a->keys(), wide->keys());
+  cache.GetOrCompute(StructKey(2), 2, compute_at(2));
+  EXPECT_EQ(computes, 3);
   CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.hits, 2);
   EXPECT_EQ(stats.misses, 3);
   EXPECT_EQ(stats.coalesced, 0);
-  EXPECT_EQ(stats.entries, 3);
+  EXPECT_EQ(stats.entries, 2);
+  // A view reports its table's charge, so the retained bytes are those of
+  // the widest fold per shape.
+  EXPECT_EQ(narrow->ApproxBytes(), wide->ApproxBytes());
+  EXPECT_EQ(cache.Peek(StructKey(1), 4), nullptr);  // wider than retained
   // Unbounded by default: entries are charged but never evicted.
   EXPECT_EQ(cache.byte_budget(), kUnboundedCacheBytes);
   EXPECT_EQ(stats.evictions, 0);
-  EXPECT_EQ(stats.bytes, a->ApproxBytes() +
-                             cache.Peek(StructKey(1), 3)->ApproxBytes() +
+  EXPECT_EQ(stats.bytes, wide->ApproxBytes() +
                              cache.Peek(StructKey(2), 2)->ApproxBytes());
 }
 
@@ -876,6 +889,65 @@ TEST_F(SchedulerTest, MetricsScrapeAgreesWithStatsOp) {
   // The one Kendall query (3 keys, k = 2) folded its answer's (3-1)·2 q
   // cells.
   EXPECT_EQ(scrape.Find("cpdb_kendall_q_cells_total")->value, 4);
+  // One rank-distribution fold per shape: "deep" once for both of its
+  // queries, "t" once.
+  EXPECT_EQ(scrape.Find("cpdb_rank_dist_folds_total")->value, 2);
+}
+
+// The batch plan: a batch shaped like one cold_sweep sweep (the symdiff
+// mean at k = 4, 8, 12, 16, a footrule tail at 8 and a prf baseline at 16,
+// all on one shape) folds that shape once, at k = 16, and every other slot
+// reads a prefix view; a later, narrower request is a hit that folds
+// nothing. With caching off the engine still folds once per query. The
+// answers are the same bytes either way.
+TEST_F(SchedulerTest, SweepBatchFoldsEachShapeOnceAtItsWidestK) {
+  std::vector<ServiceRequest> sweep;
+  for (int k : {4, 8, 12, 16}) {
+    sweep.push_back(TopKRequest("sweep", k, TopKMetric::kSymDiff));
+  }
+  sweep.push_back(TopKRequest("sweep", 8, TopKMetric::kFootrule));
+  ServiceRequest prf;
+  prf.op = ServiceRequest::Op::kBaseline;
+  prf.tree_name = "sweep";
+  prf.k = 16;
+  prf.baseline_method = "prf";
+  sweep.push_back(prf);
+  const auto folds = [](const ShardedScheduler& scheduler) {
+    return scheduler.MetricsSnapshotNow()
+        .Find("cpdb_rank_dist_folds_total")
+        ->value;
+  };
+  const AndXorTree tree = RandomDeepTree(55, 20);
+
+  ShardedScheduler cached(1, EngineOptions());
+  ASSERT_TRUE(cached.Insert("sweep", tree).ok());
+  auto answers = cached.ExecuteBatch(sweep);
+  EXPECT_EQ(folds(cached), 1);
+  EXPECT_EQ(cached.cache_stats().misses, 1);
+  EXPECT_EQ(cached.cache_stats().hits, 5);
+  auto later =
+      cached.ExecuteBatch({TopKRequest("sweep", 8, TopKMetric::kSymDiff)});
+  EXPECT_EQ(folds(cached), 1);
+  EXPECT_EQ(cached.cache_stats().hits, 6);
+
+  SchedulerOptions no_cache;
+  no_cache.use_cache = false;
+  ShardedScheduler uncached(1, EngineOptions(), no_cache);
+  ASSERT_TRUE(uncached.Insert("sweep", tree).ok());
+  auto reference = uncached.ExecuteBatch(sweep);
+  EXPECT_EQ(folds(uncached), 6);
+
+  ASSERT_EQ(answers.size(), reference.size());
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+    ASSERT_TRUE(reference[i].ok());
+    EXPECT_EQ(FormatResponseLine(ResponseToFields(*answers[i])),
+              FormatResponseLine(ResponseToFields(*reference[i])))
+        << "slot " << i;
+  }
+  ASSERT_TRUE(later[0].ok());
+  EXPECT_EQ(FormatResponseLine(ResponseToFields(*later[0])),
+            FormatResponseLine(ResponseToFields(*reference[1])));
 }
 
 // The arena gauge reports this front end's folds only. The thread-local

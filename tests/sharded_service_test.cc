@@ -7,13 +7,15 @@
 // observable only in throughput and in the kStats per-shard breakdown
 // (rendered at N >= 2 only). Also covered: deterministic routing, name-directory semantics
 // (cross-shard rebind conflicts, idempotent re-loads), stats aggregation,
-// the streaming interleaving contract, and concurrent ExecuteBatch calls
+// the streaming interleaving contract, answers served from a per-shape
+// cache entry folded at a wider k, and concurrent ExecuteBatch calls
 // (this suite runs in the TSan CI job).
 
 #include "service/sharded_scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "io/tree_text.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
+#include "service/catalog_snapshot.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -831,6 +834,128 @@ TEST_F(ShardedSchedulerTest, StreamedRequestIsABatchOfOne) {
     EXPECT_NE(streamed[1].find("\ttrace_total_ns="), std::string::npos);
     EXPECT_NE(streamed.back().find("\tcpdb_requests_total="),
               std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-k fold sharing: answers served from a widened entry
+// ---------------------------------------------------------------------------
+
+ServiceRequest BaselineRequest(const std::string& tree, int k,
+                               const std::string& method) {
+  ServiceRequest request;
+  request.op = ServiceRequest::Op::kBaseline;
+  request.tree_name = tree;
+  request.k = k;
+  request.baseline_method = method;
+  return request;
+}
+
+// Batches that make each shape's one cache entry serve ks it was not
+// folded at: k ascending (the first slot folds at the batch's widest k),
+// k descending, then later batches asking a narrower k (a prefix hit), a
+// wider one (a miss whose fold replaces the entry) and a narrower one
+// again. Every slot reads a rank distribution: all four metrics, the
+// symdiff median and any-size answers, and the global/prf baselines.
+std::vector<std::vector<ServiceRequest>> CrossKBatches(
+    const std::vector<std::string>& names) {
+  std::vector<std::vector<ServiceRequest>> batches(5);
+  for (const std::string& name : names) {
+    for (int k = 1; k <= 4; ++k) {
+      batches[0].push_back(TopKRequest(name, k, TopKMetric::kSymDiff));
+    }
+    batches[0].push_back(TopKRequest(name, 2, TopKMetric::kFootrule));
+    batches[0].push_back(BaselineRequest(name, 4, "prf"));
+    for (int k = 5; k >= 1; k -= 2) {
+      batches[1].push_back(TopKRequest(name, k, TopKMetric::kIntersection));
+      batches[1].push_back(TopKRequest(name, k, TopKMetric::kKendall));
+    }
+    batches[1].push_back(BaselineRequest(name, 2, "global"));
+    batches[2].push_back(TopKRequest(name, 2, TopKMetric::kSymDiff,
+                                     TopKAnswer::kMedian));
+    batches[2].push_back(TopKRequest(name, 3, TopKMetric::kIntersection,
+                                     TopKAnswer::kMeanApprox));
+    batches[3].push_back(TopKRequest(name, 7, TopKMetric::kSymDiff,
+                                     TopKAnswer::kMeanUnrestricted));
+    batches[3].push_back(TopKRequest(name, 6, TopKMetric::kFootrule));
+    batches[4].push_back(TopKRequest(name, 3, TopKMetric::kKendall));
+    batches[4].push_back(BaselineRequest(name, 1, "prf"));
+  }
+  return batches;
+}
+
+// One wire line per slot: the response or error line the transport writes.
+std::vector<std::string> WireLines(
+    const std::vector<Result<ServiceResponse>>& results) {
+  std::vector<std::string> lines;
+  for (size_t i = 0; i < results.size(); ++i) {
+    lines.push_back(results[i].ok()
+                        ? FormatResponseLine(ResponseToFields(*results[i]))
+                        : FormatErrorLine(i + 1, results[i].status()));
+  }
+  return lines;
+}
+
+// The differential pin: wire lines served from widened entries equal a
+// caches-off, one-thread replay byte for byte, across engine threads,
+// shard counts and cache budgets (unbounded, one entry, none), with a
+// save -> install restart between the first two batches and the rest.
+TEST_F(ShardedSchedulerTest, WidenedEntriesServeTheBytesOfAColdFold) {
+  const std::vector<std::vector<ServiceRequest>> batches =
+      CrossKBatches(names_);
+
+  SchedulerOptions no_cache;
+  no_cache.use_cache = false;
+  ShardedScheduler reference(1, ReferenceEngineOptions(1), no_cache);
+  Seed(&reference);
+  std::vector<std::vector<std::string>> want;
+  for (const auto& batch : batches) {
+    want.push_back(WireLines(reference.ExecuteBatch(batch)));
+  }
+
+  // "One entry": the charge of the widest entry any shape holds here.
+  int64_t one_entry = 0;
+  for (const AndXorTree& tree : trees_) {
+    one_entry = std::max(one_entry,
+                         ComputeRankDistribution(tree, 7).ApproxBytes());
+  }
+  for (int threads : {1, 4}) {
+    for (int shards : {1, 3}) {
+      for (int64_t budget : {kUnboundedCacheBytes, one_entry, int64_t{0}}) {
+        const std::string label =
+            "threads=" + std::to_string(threads) +
+            " shards=" + std::to_string(shards) +
+            " budget=" + std::to_string(budget);
+        SCOPED_TRACE(label);
+        SchedulerOptions options;
+        options.cache_budget_bytes = budget;
+        ShardedScheduler before(shards, ReferenceEngineOptions(threads),
+                                options);
+        Seed(&before);
+        EXPECT_EQ(WireLines(before.ExecuteBatch(batches[0])), want[0]);
+        EXPECT_EQ(WireLines(before.ExecuteBatch(batches[1])), want[1]);
+        for (const ShardCacheStats& shard : before.PerShardStats()) {
+          if (budget >= 0) {
+            EXPECT_LE(shard.rank_dist.bytes, budget);
+          }
+        }
+
+        // Restart: the saved entries (one per shape, at its widest k)
+        // seed a fresh front end, which answers the later batches.
+        const std::string saved =
+            EncodeCatalogSnapshot(before.BuildSnapshot(true));
+        Result<CatalogSnapshot> snapshot =
+            DecodeCatalogSnapshot(saved.data(), saved.size());
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+        ShardedScheduler after(shards, ReferenceEngineOptions(threads),
+                               options);
+        ASSERT_TRUE(after.InstallSnapshot(*snapshot).ok());
+        for (size_t b = 2; b < batches.size(); ++b) {
+          EXPECT_EQ(WireLines(after.ExecuteBatch(batches[b])), want[b])
+              << "batch " << b;
+        }
+      }
+    }
   }
 }
 
