@@ -1,14 +1,14 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // Serving-layer benchmarks: what the cross-query rank-distribution cache
-// buys on batches that share (tree fingerprint, k). The acceptance scenario
-// is a batch of 8+ queries against one catalog tree with one k — with the
-// cache on, the O(L^2 k) fold runs once per (tree, k) instead of once per
+// buys on batches that share a tree shape. The acceptance scenario is a
+// batch of 8+ queries against one catalog tree with one k — with the
+// cache on, the O(L^2 k) fold runs once per shape instead of once per
 // query. Three points on the curve:
 //
 //   BM_ServeBatchUncached — cache disabled: every query pays the fold.
 //   BM_ServeBatchColdCache — fresh scheduler per iteration: the first
-//       query of each (tree, k) pays, the rest hit (the within-batch win).
+//       query of each shape pays, the rest hit (the within-batch win).
 //   BM_ServeBatchWarmCache — one long-lived scheduler: all queries hit
 //       (the steady-state serving win).
 //
@@ -392,53 +392,6 @@ void BM_ServeTraceReplay(benchmark::State& state) {
 BENCHMARK(BM_ServeTraceReplay)
     ->Args({0, 0})->Args({1, 0})->Args({1, 1})
     ->UseRealTime();
-
-// The analytics-serving acceptance benchmark: op=marginals replayed
-// against a long-lived scheduler. Arg is use_cache — with the marginals
-// cache on, steady state pays only the per-key summation over the cached
-// leaf-marginal vector (the same vector op=world and op=aggregate read);
-// off, every request re-folds the tree. Answers are bitwise identical in
-// both arms (tests/op_registry_test.cc pins them against the offline
-// `marginals` command).
-void BM_ServeMarginalsCached(benchmark::State& state) {
-  constexpr int kTrees = 8;
-  SchedulerOptions options;
-  options.use_cache = state.range(0) != 0;
-  ShardedScheduler scheduler(1, BenchEngineOptions(1), options);
-
-  // The BM_ServeTraceReplay shapes (same generator seed): serving-sized
-  // trees, so the fold-vs-sum gap is the production one.
-  Rng rng(77);
-  RandomTreeOptions tree_options;
-  tree_options.num_keys = 48;
-  tree_options.max_depth = 3;
-  tree_options.max_alternatives = 2;
-  for (int t = 0; t < kTrees; ++t) {
-    scheduler
-        .Insert("trace" + std::to_string(t),
-                *RandomAndXorTree(tree_options, &rng))
-        .ValueOrDie();
-  }
-
-  std::vector<ServiceRequest> batch;
-  for (int i = 0; i < 32; ++i) {
-    ServiceRequest request;
-    request.op = ServiceRequest::Op::kMarginals;
-    request.tree_name = "trace" + std::to_string(i % kTrees);
-    batch.push_back(request);
-  }
-  scheduler.ExecuteBatch(batch);  // warm: steady-state serving
-
-  for (auto _ : state) {
-    auto results = scheduler.ExecuteBatch(batch);
-    benchmark::DoNotOptimize(results);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.size()));
-  state.counters["marg_entries"] =
-      static_cast<double>(scheduler.marginals_stats().entries);
-}
-BENCHMARK(BM_ServeMarginalsCached)->Arg(1)->Arg(0)->UseRealTime();
 
 // Rebuilds `id`'s subtree with every inner node's children in a random
 // order — a commutative shuffle: a different wire identity, the same

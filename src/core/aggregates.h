@@ -44,7 +44,7 @@ Status ValidateGroupBy(const GroupByInstance& instance);
 /// label 0..max_label, cell = the summed marginal probability of that
 /// key's alternatives carrying that label. `leaf_marginals` must be
 /// tree.LeafMarginals() or a bitwise-identical equivalent (the engine's
-/// parallel form, a MarginalsCache entry) — the front half of the serve
+/// LeafMarginals over a compiled program) — the front half of the serve
 /// `op=aggregate` path (which the offline `aggregate` command answers
 /// through). Fails when any alternative lacks a label.
 Result<GroupByInstance> GroupByInstanceFromTree(

@@ -26,10 +26,9 @@
 //
 // EvaluateConsensusBatch fans whole queries across the same pool (queries
 // nest their own ParallelFor calls; the pool is nest-safe), so callers with
-// many (tree, k, metric) combinations pay one submission. Future scaling
-// work (sharding trees across engines, caching rank distributions) should
-// hang off this facade rather than the core functions, so callers keep a
-// single entry point.
+// many (tree, k, metric) combinations pay one submission. Sharding and
+// caching live above this facade, in src/service: each shard owns one
+// Engine, and its rank-distribution cache feeds ConsensusQuery::dist.
 
 #ifndef CPDB_ENGINE_ENGINE_H_
 #define CPDB_ENGINE_ENGINE_H_
@@ -251,18 +250,16 @@ class Engine {
 
   /// \brief The mean (or median) world under symmetric difference with the
   /// per-leaf marginal fold supplied by the caller — the set-consensus
-  /// sibling of ConsensusTopKWithDist, and the entry point the serving
-  /// layer's MarginalsCache feeds. `marginals` must be this engine's
-  /// LeafMarginals(tree) (equivalently tree.LeafMarginals(): they agree
-  /// bitwise); the guard here is a cheap size compare against the tree's
-  /// node count, so a stale vector from a *different tree with the same
-  /// node count* passes undetected — content identity is the caller's
-  /// contract, which is why the serving layer keys its MarginalsCache by
-  /// the catalog's structural key. Everything downstream of the fold
+  /// sibling of ConsensusTopKWithDist, and the entry point op=world
+  /// feeds with LeafMarginals over the catalog's compiled program.
+  /// `marginals` must be this engine's LeafMarginals(tree) (equivalently
+  /// tree.LeafMarginals(): they agree bitwise); the guard here is a cheap
+  /// size compare against the tree's node count, so a stale vector from a
+  /// *different tree with the same node count* passes undetected — content
+  /// identity is the caller's contract. Everything downstream of the fold
   /// (filter, min-cost DP, distance sum) is sequential O(N), so the result
   /// is bitwise identical to the core MeanWorldSymDiff / MedianWorldSymDiff
-  /// plus ExpectedSymDiffDistance, whether `marginals` was computed fresh
-  /// or served from a cache.
+  /// plus ExpectedSymDiffDistance.
   Result<WorldResult> ConsensusWorldWithMarginals(
       const AndXorTree& tree, const std::vector<double>& marginals,
       bool median) const;

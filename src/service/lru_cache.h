@@ -1,8 +1,7 @@
 // Copyright 2026 The ConsensusDB Authors
 //
-// CostLruCache — the shared core behind the serving layer's memo caches
-// (RankDistCache, MarginalsCache): a thread-safe key -> shared_ptr<const
-// Value> store with
+// CostLruCache — the core behind the serving layer's memo cache
+// (RankDistCache): a thread-safe key -> shared_ptr<const Value> store with
 //
 //   * cost-aware LRU eviction under a byte budget. Each retained value is
 //     charged a caller-supplied byte cost; whenever the charged total would

@@ -209,17 +209,14 @@ Result<ServiceResponse> ExecuteWorldTree(OpHost& host,
                                          const Clock* clk,
                                          ResponseTiming* timing) {
   const AndXorTree& tree = *entry.tree;
-  // One marginal fold — shared through the cache with every other world
-  // query against this content — serves the answer and its expected
-  // distance via the engine's marginals-reuse entry point.
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> marginals =
-      host.MarginalsFor(entry);
-  AddSpan(timing, "cache", cache_watch);
+  // One marginal scatter off the catalog's compiled program serves the
+  // answer and its expected distance via the engine's marginals-reuse
+  // entry point.
   Stopwatch fold_watch(clk);
   Result<Engine::WorldResult> world_result =
-      host.engine()->ConsensusWorldWithMarginals(tree, *marginals,
-                                                 request.median_world);
+      host.engine()->ConsensusWorldWithMarginals(
+          tree, host.engine()->LeafMarginals(tree, entry.program.get()),
+          request.median_world);
   AddSpan(timing, "fold", fold_watch);
   if (!world_result.ok()) return world_result.status();
   Engine::WorldResult& world = *world_result;
@@ -265,11 +262,9 @@ void FormatStats(const ServiceResponse& response,
   // the per-shard breakdown (present only at N >= 2) trails them, so
   // clients reading only the totals never notice the shard layout.
   AppendCacheFields(response.stats, "", fields);
-  AppendCacheFields(response.marginals_stats, "marg_", fields);
   // The two-level-identity fields: distinct shapes behind the bound names,
   // and contents-per-shape — the catalog's duplication factor (1 for a
-  // duplicate-free catalog). Documented-additive, like the marg_* block
-  // was when the marginals cache landed.
+  // duplicate-free catalog).
   fields->push_back({"shapes", std::to_string(response.catalog.shapes)});
   fields->push_back(
       {"dedup_ratio",
@@ -283,8 +278,6 @@ void FormatStats(const ServiceResponse& response,
     for (size_t s = 0; s < response.shard_stats.size(); ++s) {
       const std::string prefix = "s" + std::to_string(s) + "_";
       AppendCacheFields(response.shard_stats[s].rank_dist, prefix, fields);
-      AppendCacheFields(response.shard_stats[s].marginals, prefix + "marg_",
-                        fields);
       fields->push_back(
           {prefix + "shapes",
            std::to_string(response.shard_stats[s].catalog.shapes)});
@@ -335,7 +328,7 @@ void FormatMetrics(const ServiceResponse& response,
 }
 
 // ---------------------------------------------------------------------------
-// op=marginals — per-key presence marginals, MarginalsCache-backed.
+// op=marginals — per-key presence marginals.
 
 Status ParseMarginals(const RequestLine& line, ServiceRequest* request) {
   Status allowed = CheckAllowedFields(line, {"tree", "trace"});
@@ -350,17 +343,15 @@ Result<ServiceResponse> ExecuteMarginalsTree(OpHost& host,
                                              const Clock* clk,
                                              ResponseTiming* timing) {
   const AndXorTree& tree = *entry.tree;
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> marginals =
-      host.MarginalsFor(entry);
-  AddSpan(timing, "cache", cache_watch);
   // Per-key marginal = the sum of the key's alternative-leaf marginals in
-  // DFS leaf order — exactly tree.KeyMarginal's accumulation — while the
-  // fold itself is served by the cache. One pass over
+  // DFS leaf order — exactly tree.KeyMarginal's accumulation — with the
+  // leaf marginals read off the catalog's compiled program. One pass over
   // the leaves: each key's contributions arrive in the same DFS order the
   // per-key fold would add them, so the sums are bitwise identical while
   // the scan is O(leaves), not O(keys * leaves).
   Stopwatch fold_watch(clk);
+  const std::vector<double> marginals =
+      host.engine()->LeafMarginals(tree, entry.program.get());
   ServiceResponse response;
   response.op = ServiceRequest::Op::kMarginals;
   response.tree_name = request.tree_name;
@@ -373,7 +364,7 @@ Result<ServiceResponse> ExecuteMarginalsTree(OpHost& host,
   response.values.assign(response.keys.size(), 0.0);
   for (NodeId l : tree.LeafIds()) {
     response.values[slot_of_key.at(tree.node(l).leaf.key)] +=
-        (*marginals)[static_cast<size_t>(l)];
+        marginals[static_cast<size_t>(l)];
   }
   AddSpan(timing, "fold", fold_watch);
   return response;
@@ -402,14 +393,12 @@ Result<ServiceResponse> ExecuteAggregateTree(OpHost& host,
                                              const Clock* clk,
                                              ResponseTiming* timing) {
   const AndXorTree& tree = *entry.tree;
-  Stopwatch cache_watch(clk);
-  std::shared_ptr<const std::vector<double>> marginals =
-      host.MarginalsFor(entry);
-  AddSpan(timing, "cache", cache_watch);
   Stopwatch fold_watch(clk);
   Result<ServiceResponse> out = [&]() -> Result<ServiceResponse> {
-    CPDB_ASSIGN_OR_RETURN(GroupByInstance instance,
-                          GroupByInstanceFromTree(tree, *marginals));
+    CPDB_ASSIGN_OR_RETURN(
+        GroupByInstance instance,
+        GroupByInstanceFromTree(
+            tree, host.engine()->LeafMarginals(tree, entry.program.get())));
     std::vector<double> mean = MeanAggregate(instance);
     CPDB_ASSIGN_OR_RETURN(std::vector<int64_t> median,
                           ClosestPossibleAggregate(instance));

@@ -18,9 +18,9 @@
 //   * its batch phase — the position ExecuteBatch runs it in (loads
 //     before queries before stats before metrics);
 //   * how it executes: an execute hook against an abstract host (OpHost:
-//     one shard's Engine + caches; AdminHost: the merged front-end
-//     state), or — topk only — a slot in the per-shard executor's fused
-//     consensus batch, and
+//     one shard's Engine + rank-distribution cache; AdminHost: the merged
+//     front-end state), or — topk only — a slot in the per-shard
+//     executor's fused consensus batch, and
 //   * a deterministic response formatter.
 //
 // ShardedScheduler::ExecuteBatch and the per-shard executor behind it are
@@ -77,9 +77,9 @@ enum OpBatchPhase : int {
 };
 
 /// \brief The execution surface a kTreeAddressed hook runs against: one
-/// shard's engine and memo caches, as seen by one batch. The per-shard
-/// executor inside ShardedScheduler implements it once per batch, carrying
-/// the batch's fold plan.
+/// shard's engine and rank-distribution cache, as seen by one batch. The
+/// per-shard executor inside ShardedScheduler implements it once per
+/// batch, carrying the batch's fold plan.
 class OpHost {
  public:
   virtual ~OpHost() = default;
@@ -93,11 +93,6 @@ class OpHost {
   /// rankings (method=global|prf) and the fused topk slots route here.
   virtual std::shared_ptr<const RankDistribution> RankDistFor(
       const CatalogEntry& entry, int k) = 0;
-
-  /// The tree's leaf marginals through the MarginalsCache (computed fresh
-  /// when caching is off). world, marginals, and aggregate route here.
-  virtual std::shared_ptr<const std::vector<double>> MarginalsFor(
-      const CatalogEntry& entry) = 0;
 };
 
 /// \brief The surface a kAdmin hook runs against: the front end's state,

@@ -38,7 +38,8 @@ ServeInstruments::ServeInstruments() {
                             "Catalog insert and lookup durations.");
   stage_cache = registry.AddHistogram(
       "cpdb_stage_cache_latency_nanoseconds",
-      "Memo-cache routing durations (folds on miss included).");
+      "Rank-distribution cache routing durations (folds on miss "
+      "included).");
   stage_fold = registry.AddHistogram("cpdb_stage_fold_latency_nanoseconds",
                                      "Engine evaluation durations.");
   stage_format = registry.AddHistogram(

@@ -4,10 +4,9 @@
 // their wire mappings (ServiceRequestFromLine, ResponseToFields), the
 // scheduler knobs (SchedulerOptions), and the serve-path instruments
 // (ServeInstruments). service/sharded_scheduler.h is the one front end that
-// executes these requests; its per-shard executor routes every shared
-// precompute through the shard's memo caches — rank distributions and
-// leaf marginals, both by StructKey — and fans the remaining
-// per-query work through Engine::EvaluateConsensusBatch.
+// executes these requests; its per-shard executor routes every rank
+// distribution through the shard's memo cache, by StructKey, and fans the
+// remaining per-query work through Engine::EvaluateConsensusBatch.
 
 #ifndef CPDB_SERVICE_QUERY_SCHEDULER_H_
 #define CPDB_SERVICE_QUERY_SCHEDULER_H_
@@ -76,11 +75,10 @@ struct ServiceRequest {
 /// never defaults. `line` must be non-empty (callers skip comment lines).
 Result<ServiceRequest> ServiceRequestFromLine(const RequestLine& line);
 
-/// \brief One shard's pair of cache counter snapshots — the per-shard
-/// breakdown a kStats answer carries at N >= 2 shards.
+/// \brief One shard's cache counter snapshot and catalog counts — the
+/// per-shard breakdown a kStats answer carries at N >= 2 shards.
 struct ShardCacheStats {
   CacheStats rank_dist;   ///< the shard's RankDistCache counters
-  CacheStats marginals;   ///< the shard's MarginalsCache counters
   CatalogCounts catalog;  ///< the shard's catalog name/content/shape counts
 };
 
@@ -109,7 +107,6 @@ struct ServiceResponse {
   double expected_distance = 0.0;  // kTopK/kWorld
   CacheStats stats;                // kStats: rank-distribution cache
                                    // (summed across shards)
-  CacheStats marginals_stats;      // kStats: marginals cache (ditto)
   /// kStats: catalog name/content/shape counts, summed across shards —
   /// StructKey routing keeps shard catalogs disjoint at every level, so
   /// the sums are exact. Rendered as the `shapes=` and `dedup_ratio=`
@@ -139,12 +136,12 @@ std::vector<RequestField> ResponseToFields(const ServiceResponse& response);
 
 /// \brief Scheduler knobs.
 struct SchedulerOptions {
-  /// Disables both memo caches: every query recomputes its folds through
-  /// the engine. Exists for the parity tests and the cache-speedup
-  /// benchmarks; production serving keeps it on.
+  /// Disables the rank-distribution cache: every query recomputes its
+  /// fold through the engine. Exists for the parity tests and the
+  /// cache-speedup benchmarks; production serving keeps it on.
   bool use_cache = true;
 
-  /// Byte budget applied to *each* owned cache (the CLI's --cache-budget):
+  /// Byte budget applied to each shard's cache (the CLI's --cache-budget):
   /// retained entries are charged their size-based footprint and evicted
   /// LRU-first when the charge would exceed the budget.
   /// kUnboundedCacheBytes (the default) never evicts; 0 retains nothing
@@ -188,9 +185,9 @@ struct ServeInstruments {
   std::vector<LatencyHistogram*> op_latencies;
 
   // Stage spans: parse (request-line and tree-file parses), catalog
-  // (insert/lookup), cache (memo-cache routing incl. fold-on-miss),
-  // fold (engine evaluation), format (response rendering, recorded by the
-  // transport).
+  // (insert/lookup), cache (rank-distribution cache routing incl.
+  // fold-on-miss), fold (engine evaluation, leaf-marginal scatters
+  // included), format (response rendering, recorded by the transport).
   LatencyHistogram* stage_parse;    // cpdb_stage_parse_latency_nanoseconds
   LatencyHistogram* stage_catalog;  // cpdb_stage_catalog_latency_nanoseconds
   LatencyHistogram* stage_cache;    // cpdb_stage_cache_latency_nanoseconds

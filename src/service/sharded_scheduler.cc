@@ -11,7 +11,6 @@
 #include "common/hash.h"
 #include "io/table_io.h"
 #include "service/catalog_snapshot.h"
-#include "service/marginals_cache.h"
 #include "service/op_registry.h"
 
 namespace cpdb {
@@ -89,11 +88,11 @@ ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
 
 // QueryScheduler — one shard's executor. It runs the tree-addressed
 // requests the front end routes to its shard against the shard's engine
-// and catalog, owning the shard's RankDistCache and MarginalsCache and its
-// instruments. Each batch's hooks execute against a BatchHost over it.
+// and catalog, owning the shard's RankDistCache and its instruments. Each
+// batch's hooks execute against a BatchHost over it.
 //
 // Thread-compatible: concurrent ExecuteBatch calls are safe — catalog and
-// caches are internally locked; the engine is stateless per query; a
+// cache are internally locked; the engine is stateless per query; a
 // batch's fold plan lives in its own BatchHost.
 class QueryScheduler {
  public:
@@ -108,8 +107,7 @@ class QueryScheduler {
         instruments_(options.enable_metrics
                          ? std::make_unique<ServeInstruments>()
                          : nullptr),
-        cache_(options.cache_budget_bytes),
-        marginals_cache_(options.cache_budget_bytes) {}
+        cache_(options.cache_budget_bytes) {}
 
   // Executes the tree-addressed requests requests[slots[j]] — the shard's
   // only execution path — and writes each answer straight into
@@ -132,7 +130,6 @@ class QueryScheduler {
   }
 
   CacheStats cache_stats() const { return cache_.stats(); }
-  CacheStats marginals_stats() const { return marginals_cache_.stats(); }
 
   // The owned instruments, or nullptr when metrics are disabled.
   ServeInstruments* instruments() const { return instruments_.get(); }
@@ -143,8 +140,8 @@ class QueryScheduler {
   // cpdb_rank_dist_folds_total the engine's rank-distribution folds;
   // cpdb_kendall_q_cells_total its Kendall q folds), the catalog's
   // identity gauges (cpdb_catalog_entries = bound names,
-  // cpdb_catalog_shapes = distinct structures), and both caches' counters
-  // re-exported under cpdb_rankdist_cache_* / cpdb_marginals_cache_*.
+  // cpdb_catalog_shapes = distinct structures), and the rank-distribution
+  // cache's counters re-exported under cpdb_rankdist_cache_*.
   // Must not be called when metrics are disabled.
   MetricsSnapshot MetricsSnapshotNow() const;
 
@@ -156,8 +153,6 @@ class QueryScheduler {
   // with caching off.
   std::shared_ptr<const RankDistribution> RankDistFor(const CatalogEntry& entry,
                                                       int k, int fold_k);
-  std::shared_ptr<const std::vector<double>> MarginalsFor(
-      const CatalogEntry& entry);
 
   const Engine* engine_;
   TreeCatalog* catalog_;
@@ -165,11 +160,10 @@ class QueryScheduler {
   const Clock* clock_;
   std::unique_ptr<ServeInstruments> instruments_;
   RankDistCache cache_;
-  MarginalsCache marginals_cache_;
 };
 
 // The OpHost one batch's hooks execute against: the shard's engine and
-// caches plus the batch's fold plan — the widest k the batch reads of each
+// cache plus the batch's fold plan — the widest k the batch reads of each
 // shape — so the first slot touching a shape folds it once for all.
 class QueryScheduler::BatchHost : public OpHost {
  public:
@@ -183,11 +177,6 @@ class QueryScheduler::BatchHost : public OpHost {
     auto it = fold_widths_.find(entry.struct_key);
     const int fold_k = it == fold_widths_.end() ? k : std::max(k, it->second);
     return shard_->RankDistFor(entry, k, fold_k);
-  }
-
-  std::shared_ptr<const std::vector<double>> MarginalsFor(
-      const CatalogEntry& entry) override {
-    return shard_->MarginalsFor(entry);
   }
 
  private:
@@ -212,18 +201,6 @@ std::shared_ptr<const RankDistribution> QueryScheduler::RankDistFor(
         return engine_->ComputeRankDistribution(tree, fold_k,
                                                 entry.program.get());
       });
-}
-
-std::shared_ptr<const std::vector<double>> QueryScheduler::MarginalsFor(
-    const CatalogEntry& entry) {
-  const AndXorTree& tree = *entry.tree;
-  if (!options_.use_cache) {
-    return std::make_shared<const std::vector<double>>(
-        engine_->LeafMarginals(tree, entry.program.get()));
-  }
-  return marginals_cache_.GetOrCompute(entry.struct_key, [this, &tree, &entry] {
-    return engine_->LeafMarginals(tree, entry.program.get());
-  });
 }
 
 MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
@@ -279,8 +256,6 @@ MetricsSnapshot QueryScheduler::MetricsSnapshotNow() const {
   arena_highwater.value = engine_counters.arena_highwater_bytes;
   extra.samples.push_back(std::move(arena_highwater));
   AppendCacheStatsMetrics(cache_.stats(), "cpdb_rankdist_cache_", &extra);
-  AppendCacheStatsMetrics(marginals_cache_.stats(), "cpdb_marginals_cache_",
-                          &extra);
   std::sort(extra.samples.begin(), extra.samples.end(),
             [](const MetricSample& a, const MetricSample& b) {
               return a.name < b.name;
@@ -384,8 +359,8 @@ void QueryScheduler::ExecuteBatch(const ServiceRequest* requests,
   }
 
   // The other resolved slots (worlds, the analytics ops) run their own
-  // execute hooks after the fused finalize, in slot order — each routes
-  // its precompute through the caches inside the hook.
+  // execute hooks after the fused finalize, in slot order — a hook that
+  // reads a rank distribution routes it through the cache inside the hook.
   for (size_t j = 0; j < slots.size(); ++j) {
     const ServiceRequest& request = requests[slots[j]];
     const OpSpec& spec = ops.spec(request.op);
@@ -640,7 +615,6 @@ ServiceResponse ShardedScheduler::StatsResponse() const {
   std::vector<ShardCacheStats> per_shard = PerShardStats();
   for (const ShardCacheStats& shard : per_shard) {
     AccumulateCacheStats(&response.stats, shard.rank_dist);
-    AccumulateCacheStats(&response.marginals_stats, shard.marginals);
     // Exact sums: StructKey routing makes names, contents, and shapes all
     // disjoint across shards, so the fleet-wide dedup ratio is the ratio
     // of the sums.
@@ -716,7 +690,7 @@ std::vector<Result<ServiceResponse>> ShardedScheduler::Execute(
   // Fan the sub-batches concurrently: one helper thread per non-empty
   // shard beyond the first, which runs on the calling thread (a 1-shard
   // front-end spawns nothing). Each sub-batch executes on its shard's own
-  // engine/caches, reads the caller's requests in place and writes its
+  // engine/cache, reads the caller's requests in place and writes its
   // answers straight into their slots — disjoint per shard, so the helpers
   // share no mutable state. The helpers are created per batch on purpose:
   // the steady-state threads live in the shard engines' pools, and one
@@ -864,20 +838,11 @@ CacheStats ShardedScheduler::cache_stats() const {
   return total;
 }
 
-CacheStats ShardedScheduler::marginals_stats() const {
-  CacheStats total;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    AccumulateCacheStats(&total, shard->scheduler.marginals_stats());
-  }
-  return total;
-}
-
 std::vector<ShardCacheStats> ShardedScheduler::PerShardStats() const {
   std::vector<ShardCacheStats> stats;
   stats.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
     stats.push_back(ShardCacheStats{shard->scheduler.cache_stats(),
-                                    shard->scheduler.marginals_stats(),
                                     shard->catalog.Counts()});
   }
   return stats;

@@ -3,14 +3,14 @@
 // ShardedScheduler — the serving front end: every serve request, at any
 // shard count, executes through it (N = 1 by default). The observation it
 // exploits is that consensus answers are embarrassingly partitionable by
-// tree shape: every expensive precompute (the rank-distribution fold, the
-// leaf-marginal fold) is keyed by *structural key* — the canonical-
+// tree shape: every expensive precompute (the compiled fold program, the
+// rank-distribution fold) is keyed by *structural key* — the canonical-
 // orientation hash — so requests against disjoint shapes never share
 // state, and permuted duplicates of one shape always land on the same
-// shard, where they share one fold program and one set of cache lines. The
+// shard, where they share one fold program and one cache entry. The
 // front end therefore owns N shard contexts — each a private Engine (with
 // its own thread pool), TreeCatalog, and per-shard executor (with its own
-// RankDistCache / MarginalsCache and instruments) — and:
+// RankDistCache and instruments) — and:
 //
 //   * routes every kLoad to the shard owning the loaded content's
 //     structural key (deterministic key-hash partitioning; a name
@@ -26,13 +26,14 @@
 //     N >= 2, the per-shard breakdown ServiceResponse::shard_stats),
 //     kMetrics with the shards' registries merged.
 //
-// The per-shard executor routes each query's shared precompute through the
-// shard's caches, so queries sharing a structural key — within a batch or
+// The per-shard executor routes each query's rank distribution through the
+// shard's cache, so queries sharing a structural key — within a batch or
 // across batches — pay the fold once, over the catalog's precompiled
-// per-shape program; the remaining per-query work (strata, Hungarian
-// columns, q matrices) fans through Engine::EvaluateConsensusBatch. Both
-// caches are single-flight and LRU-evicting under the configured byte
-// budget (SchedulerOptions::cache_budget_bytes, applied per shard cache).
+// per-shape program; leaf marginals are read straight off that program.
+// The remaining per-query work (strata, Hungarian columns, q matrices)
+// fans through Engine::EvaluateConsensusBatch. The cache is single-flight
+// and LRU-evicting under the configured byte budget
+// (SchedulerOptions::cache_budget_bytes, applied per shard).
 //
 // The dispatch is a generic walk of the OpRegistry (service/op_registry.h):
 // the fan-out keys on each op's routing trait and batch phase, never on the
@@ -89,7 +90,7 @@ class ShardedScheduler {
   /// \brief Builds `num_shards` contexts (clamped to >= 1), each with its
   /// own Engine(engine_options) — callers wanting a fixed total thread
   /// count split it with ThreadsPerShard — and an executor configured with
-  /// `options` (so a cache budget applies to each shard's caches).
+  /// `options` (so a cache budget applies to each shard's cache).
   ShardedScheduler(int num_shards, const EngineOptions& engine_options,
                    SchedulerOptions options = SchedulerOptions());
   ~ShardedScheduler();
@@ -182,9 +183,6 @@ class ShardedScheduler {
   /// by shard, like any fleet-wide metric roll-up).
   CacheStats cache_stats() const;
 
-  /// \brief Aggregate marginals cache counters (sum over shards).
-  CacheStats marginals_stats() const;
-
   /// \brief Per-shard counter snapshots, in shard order.
   std::vector<ShardCacheStats> PerShardStats() const;
 
@@ -213,7 +211,7 @@ class ShardedScheduler {
   friend class ShardedAdminHost;
 
   /// One shard context: Engine, TreeCatalog, and the executor owning the
-  /// shard's caches and instruments. Defined in the .cc.
+  /// shard's cache and instruments. Defined in the .cc.
   struct Shard;
 
   /// The one executor behind ExecuteBatch and ExecuteOne: answers

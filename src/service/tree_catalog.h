@@ -13,7 +13,8 @@
 // commutative and/xor children sorted) — the dedup identity. Two loads that
 // differ only in commutative child order get distinct ContentFps but one
 // StructKey, and therefore share one tree handle, one compiled fold program,
-// and (because caches key on StructKey) one set of cache lines.
+// and (because the rank-distribution cache keys on StructKey) one cache
+// entry.
 //
 // The catalog compiles the FlatTree program for each NEW shape exactly once
 // at insert time; query paths reuse it via CatalogEntry::program, so the

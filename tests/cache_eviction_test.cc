@@ -1,8 +1,8 @@
 // Copyright 2026 The ConsensusDB Authors
 //
 // The eviction + single-flight regression suite for the serving layer's
-// byte-budgeted caches (service/lru_cache.h via RankDistCache and
-// MarginalsCache). The load-bearing claims, each run with real threads so
+// byte-budgeted cache core (service/lru_cache.h, directly and via
+// RankDistCache). The load-bearing claims, each run with real threads so
 // the TSan CI job watches the lock discipline:
 //
 //   * the charged byte total never exceeds the budget, in any stats()
@@ -30,7 +30,7 @@
 #include "engine/engine.h"
 #include "io/tree_text.h"
 #include "service/catalog_snapshot.h"
-#include "service/marginals_cache.h"
+#include "service/lru_cache.h"
 #include "service/sharded_scheduler.h"
 #include "service/rank_dist_cache.h"
 #include "workload/generators.h"
@@ -54,11 +54,22 @@ AndXorTree RandomTree(uint64_t seed, int num_keys = 6) {
   return *std::move(tree);
 }
 
-// The charge of one n-element marginal vector, measured (not assumed) by
-// feeding a probe entry through an unbounded cache.
-int64_t MeasuredMarginalCost(size_t n) {
-  MarginalsCache probe;
-  probe.GetOrCompute(StructKey(1), [n] { return std::vector<double>(n, 0.5); });
+// The bare cache core over vectors of doubles, charged a size-based cost
+// (like RankDistribution::ApproxBytes: deterministic in the element count,
+// so eviction decisions replay identically across runs).
+using VectorCache = CostLruCache<uint64_t, std::vector<double>>;
+
+int64_t VectorBytes(const std::vector<double>& values) {
+  return static_cast<int64_t>(sizeof(std::vector<double>)) +
+         static_cast<int64_t>(values.size()) *
+             static_cast<int64_t>(sizeof(double));
+}
+
+// The charge of one n-element vector, measured (not assumed) by feeding a
+// probe entry through an unbounded cache.
+int64_t MeasuredVectorCost(size_t n) {
+  VectorCache probe(kUnboundedCacheBytes, VectorBytes);
+  probe.GetOrCompute(1, [n] { return std::vector<double>(n, 0.5); });
   return probe.stats().bytes;
 }
 
@@ -80,17 +91,17 @@ void ExpectSameDist(const RankDistribution& a, const RankDistribution& b) {
 // ---------------------------------------------------------------------------
 
 TEST(CacheEvictionTest, EvictsLeastRecentlyUsedFirst) {
-  const int64_t cost = MeasuredMarginalCost(8);
-  MarginalsCache cache(2 * cost);  // room for exactly two entries
+  const int64_t cost = MeasuredVectorCost(8);
+  VectorCache cache(2 * cost, VectorBytes);  // room for exactly two entries
   auto vec = [](double fill) { return std::vector<double>(8, fill); };
-  cache.GetOrCompute(StructKey(1), [&] { return vec(0.1); });
-  cache.GetOrCompute(StructKey(2), [&] { return vec(0.2); });
+  cache.GetOrCompute(1, [&] { return vec(0.1); });
+  cache.GetOrCompute(2, [&] { return vec(0.2); });
   // Touch 1: now 2 is the least recently used.
-  EXPECT_NE(cache.GetOrCompute(StructKey(1), [&] { return vec(9.9); }), nullptr);
-  cache.GetOrCompute(StructKey(3), [&] { return vec(0.3); });  // evicts 2, not 1
-  EXPECT_NE(cache.Peek(StructKey(1)), nullptr);
-  EXPECT_EQ(cache.Peek(StructKey(2)), nullptr);
-  EXPECT_NE(cache.Peek(StructKey(3)), nullptr);
+  EXPECT_NE(cache.GetOrCompute(1, [&] { return vec(9.9); }), nullptr);
+  cache.GetOrCompute(3, [&] { return vec(0.3); });  // evicts 2, not 1
+  EXPECT_NE(cache.Peek(1), nullptr);
+  EXPECT_EQ(cache.Peek(2), nullptr);
+  EXPECT_NE(cache.Peek(3), nullptr);
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 2);
   EXPECT_EQ(stats.evictions, 1);
@@ -99,19 +110,19 @@ TEST(CacheEvictionTest, EvictsLeastRecentlyUsedFirst) {
 }
 
 TEST(CacheEvictionTest, OversizedEntryIsServedButNeverRetained) {
-  const int64_t cost = MeasuredMarginalCost(64);
-  MarginalsCache cache(cost - 1);  // no single entry fits
+  const int64_t cost = MeasuredVectorCost(64);
+  VectorCache cache(cost - 1, VectorBytes);  // no single entry fits
   auto handle =
-      cache.GetOrCompute(StructKey(7), [] { return std::vector<double>(64, 0.25); });
+      cache.GetOrCompute(7, [] { return std::vector<double>(64, 0.25); });
   ASSERT_NE(handle, nullptr);  // the caller still gets its value...
   EXPECT_EQ((*handle)[0], 0.25);
-  EXPECT_EQ(cache.Peek(StructKey(7)), nullptr);  // ...but nothing was retained
+  EXPECT_EQ(cache.Peek(7), nullptr);  // ...but nothing was retained
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0);
   EXPECT_EQ(stats.bytes, 0);
   EXPECT_EQ(stats.evictions, 0);  // never retained, so never "evicted"
   // The next call recomputes: a miss, not a hit.
-  cache.GetOrCompute(StructKey(7), [] { return std::vector<double>(64, 0.25); });
+  cache.GetOrCompute(7, [] { return std::vector<double>(64, 0.25); });
   EXPECT_EQ(cache.stats().misses, 2);
 }
 
@@ -228,16 +239,16 @@ TEST(CacheEvictionTest, WiderCallerWaitsForTheNarrowFlightThenRefolds) {
 // blocking forever on a flight that will never land, and the key stays
 // fully usable afterward.
 TEST(CacheEvictionTest, ThrowingComputeWakesWaitersAndLeavesKeyUsable) {
-  MarginalsCache cache;
+  VectorCache cache(kUnboundedCacheBytes, VectorBytes);
   EXPECT_THROW(cache.GetOrCompute(
-                   StructKey(3),
+                   3,
                    []() -> std::vector<double> {
                      throw std::runtime_error("transient");
                    }),
                std::runtime_error);
   // The key recovered: the next call is an ordinary miss that computes.
   auto handle =
-      cache.GetOrCompute(StructKey(3), [] { return std::vector<double>(4, 0.5); });
+      cache.GetOrCompute(3, [] { return std::vector<double>(4, 0.5); });
   ASSERT_NE(handle, nullptr);
   EXPECT_EQ((*handle)[0], 0.5);
   EXPECT_EQ(cache.stats().misses, 2);
@@ -259,7 +270,7 @@ TEST(CacheEvictionTest, ThrowingComputeWakesWaitersAndLeavesKeyUsable) {
     workers.emplace_back([&, t] {
       for (;;) {
         try {
-          handles[t] = cache.GetOrCompute(StructKey(9), flaky);
+          handles[t] = cache.GetOrCompute(9, flaky);
           return;
         } catch (const std::runtime_error&) {
           // The transient failure surfaced in this caller; try again.
@@ -334,8 +345,8 @@ TEST(CacheEvictionTest, BudgetHoldsAndAnswersStayBitwiseUnderChurnRaces) {
             static_cast<int64_t>(kThreads) * kOpsPerThread);
 }
 
-// The same churn through the MarginalsCache.
-TEST(CacheEvictionTest, MarginalsCacheChurnKeepsBudgetAndBits) {
+// The same churn through the bare cache core, over leaf-marginal vectors.
+TEST(CacheEvictionTest, VectorCacheChurnKeepsBudgetAndBits) {
   constexpr int kKeys = 8;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 50;
@@ -345,8 +356,8 @@ TEST(CacheEvictionTest, MarginalsCacheChurnKeepsBudgetAndBits) {
     trees.push_back(RandomTree(2000 + static_cast<uint64_t>(i)));
     references.push_back(trees.back().LeafMarginals());
   }
-  const int64_t budget = 3 * MeasuredMarginalCost(references[0].size());
-  MarginalsCache cache(budget);
+  const int64_t budget = 3 * MeasuredVectorCost(references[0].size());
+  VectorCache cache(budget, VectorBytes);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
@@ -354,8 +365,7 @@ TEST(CacheEvictionTest, MarginalsCacheChurnKeepsBudgetAndBits) {
       for (int op = 0; op < kOpsPerThread; ++op) {
         const int i = static_cast<int>(rng.Next() % kKeys);
         auto handle = cache.GetOrCompute(
-            StructKey(static_cast<uint64_t>(i)),
-            [&] { return trees[i].LeafMarginals(); });
+            static_cast<uint64_t>(i), [&] { return trees[i].LeafMarginals(); });
         ASSERT_NE(handle, nullptr);
         ASSERT_EQ(*handle, references[i]);  // vector == is bitwise here
         ASSERT_LE(cache.stats().bytes, budget);
@@ -439,7 +449,6 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
   CacheStats tiny_stats = tiny->cache_stats();
   EXPECT_GT(tiny_stats.evictions, 0);
   EXPECT_LE(tiny_stats.bytes, tiny_options.cache_budget_bytes);
-  EXPECT_LE(tiny->marginals_stats().bytes, tiny_options.cache_budget_bytes);
   CacheStats unbounded_stats = unbounded->cache_stats();
   EXPECT_EQ(unbounded_stats.evictions, 0);
   // Every tree is asked k = 2, 3 and 4 over the rounds of the one batch,
@@ -460,7 +469,6 @@ TEST(CacheEvictionTest, TinyAndInfiniteBudgetsServeIdenticalAnswers) {
        unbounded->BuildSnapshot(true).distributions) {
     EXPECT_EQ(record.k, 4);
   }
-  EXPECT_EQ(unbounded->marginals_stats().entries, kTrees);
 }
 
 }  // namespace

@@ -565,7 +565,8 @@ TEST_F(CliTest, ServeAnswersBatchedRequests) {
   }
 
   // Four queries shared one (tree, k): one fold, three cache hits; the
-  // world query paid the single marginal fold.
+  // world query read its marginals off the catalog's program, so the
+  // stats line carries the one cache's counters and nothing else.
   ResponseLine stats = FindResponse(r.out, {{"op", "stats"}});
   EXPECT_EQ(*stats.Find("hits"), "3");
   EXPECT_EQ(*stats.Find("misses"), "1");
@@ -573,8 +574,14 @@ TEST_F(CliTest, ServeAnswersBatchedRequests) {
   EXPECT_EQ(*stats.Find("entries"), "1");
   EXPECT_EQ(*stats.Find("evictions"), "0");
   EXPECT_NE(std::stoll(*stats.Find("bytes")), 0);
-  EXPECT_EQ(*stats.Find("marg_misses"), "1");
-  EXPECT_EQ(*stats.Find("marg_entries"), "1");
+  std::vector<std::string> stats_fields;
+  for (const RequestField& field : stats.fields) {
+    stats_fields.push_back(field.name);
+  }
+  EXPECT_EQ(stats_fields,
+            (std::vector<std::string>{"op", "hits", "misses", "coalesced",
+                                      "entries", "evictions", "bytes",
+                                      "shapes", "dedup_ratio"}));
   EXPECT_NE(r.out.find("ok\top=world\ttree=b\tmetric=symdiff\tanswer=median"),
             std::string::npos);
 
@@ -590,7 +597,6 @@ TEST_F(CliTest, ServeAnswersBatchedRequests) {
   ResponseLine off = FindResponse(uncached.out, {{"op", "stats"}});
   EXPECT_EQ(*off.Find("hits"), "0");
   EXPECT_EQ(*off.Find("misses"), "0");
-  EXPECT_EQ(*off.Find("marg_misses"), "0");
 
   // So must the byte budget: a budget too small to retain anything changes
   // counters (everything misses, nothing is kept), never answers.
@@ -711,9 +717,8 @@ TEST_F(CliTest, ServeShardedAnswersMatchUnshardedBitwise) {
     // breakdown names the shard layout and sums to the totals.
     ResponseLine plain_stats = FindResponse(plain.out, {{"op", "stats"}});
     ResponseLine shard_stats = FindResponse(sharded.out, {{"op", "stats"}});
-    for (const char* field : {"hits", "misses", "coalesced", "entries",
-                              "bytes", "evictions", "marg_hits",
-                              "marg_misses", "marg_entries", "marg_bytes"}) {
+    for (const char* field :
+         {"hits", "misses", "coalesced", "entries", "bytes", "evictions"}) {
       ASSERT_NE(shard_stats.Find(field), nullptr) << field;
       EXPECT_EQ(*shard_stats.Find(field), *plain_stats.Find(field))
           << flag << " " << field;
@@ -946,6 +951,23 @@ TEST_F(CliTest, ServeAnswersMetricsRequests) {
   ASSERT_NE(kv.Find("cpdb_poly_arena_highwater_bytes"), nullptr);
   // The transport recorded its own stages.
   EXPECT_EQ(*kv.Find("cpdb_stage_parse_latency_nanoseconds_count"), "6");
+  // One cache is re-exported: the rank-distribution cache's six samples.
+  std::vector<std::string> cache_samples;
+  for (const RequestField& field : kv.fields) {
+    if (field.name.find("_cache_") != std::string::npos &&
+        field.name.find("cpdb_stage_") != 0) {
+      cache_samples.push_back(field.name);
+    }
+  }
+  std::sort(cache_samples.begin(), cache_samples.end());
+  EXPECT_EQ(cache_samples,
+            (std::vector<std::string>{
+                "cpdb_rankdist_cache_bytes",
+                "cpdb_rankdist_cache_coalesced_total",
+                "cpdb_rankdist_cache_entries",
+                "cpdb_rankdist_cache_evictions_total",
+                "cpdb_rankdist_cache_hits_total",
+                "cpdb_rankdist_cache_misses_total"}));
 
   ResponseLine prom =
       FindResponse(r.out, {{"op", "metrics"}, {"format", "prom"}});
@@ -1036,6 +1058,22 @@ TEST_F(CliTest, ServeMetricsOffParityAndSlowQueryLog) {
             2);
   EXPECT_EQ(RunCliArgs({"serve", requests_path, "--slow-query-ms=-1"}).code,
             2);
+  // The threshold is compared in int64_t nanoseconds: the largest value
+  // whose product fits is accepted, anything above is out of range rather
+  // than a wrapped (tiny) threshold that logs every request.
+  for (const char* too_large : {"--slow-query-ms=9223372036855",
+                                "--slow-query-ms=76480200929599801"}) {
+    CliResult rejected = RunCliArgs({"serve", requests_path, too_large});
+    EXPECT_EQ(rejected.code, 2) << too_large;
+    EXPECT_NE(rejected.err.find("--slow-query-ms out of range"),
+              std::string::npos)
+        << rejected.err;
+  }
+  CliResult largest =
+      RunCliArgs({"serve", requests_path, "--slow-query-ms=9223372036854"});
+  EXPECT_EQ(largest.code, 0) << largest.err;
+  EXPECT_EQ(largest.out, plain.out);
+  EXPECT_TRUE(largest.err.empty()) << largest.err;
   CliResult scoped = RunCliArgs({"topk", tree_path_, "--k=2", "--metrics=off"});
   EXPECT_EQ(scoped.code, 2);
   EXPECT_NE(scoped.err.find("applies only to serve"), std::string::npos);

@@ -554,6 +554,56 @@ TEST(TraceDeterminismTest, TraceNeverChangesAnswerBytes) {
   }
 }
 
+// The ops that read leaf marginals take them straight off the catalog's
+// compiled program inside their fold span: a traced world (mean and
+// median), marginals or aggregate response carries exactly a catalog span
+// then a fold span, and no cache span.
+TEST(TraceDeterminismTest, MarginalReadersRecordCatalogAndFoldSpansOnly) {
+  FakeClock clock(1000);
+  clock.set_auto_advance(3);
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  SchedulerOptions options;
+  options.clock = &clock;
+  ShardedScheduler scheduler(1, engine_options, options);
+  ASSERT_TRUE(scheduler
+                  .Insert("labeled",
+                          *ParseTree("(and (xor 0.6 (leaf key=1 score=8 "
+                                     "label=0) 0.3 (leaf key=1 score=5 "
+                                     "label=1)) (xor 0.7 (leaf key=2 "
+                                     "score=9 label=0)))"))
+                  .ok());
+
+  std::vector<ServiceRequest> requests;
+  for (ServiceRequest::Op op :
+       {ServiceRequest::Op::kWorld, ServiceRequest::Op::kWorld,
+        ServiceRequest::Op::kMarginals, ServiceRequest::Op::kAggregate}) {
+    ServiceRequest request;
+    request.op = op;
+    request.tree_name = "labeled";
+    request.trace = true;
+    requests.push_back(request);
+  }
+  requests[1].median_world = true;
+
+  const std::vector<std::string> want = {"catalog", "fold"};
+  auto results = scheduler.ExecuteBatch(requests);
+  ASSERT_EQ(results.size(), requests.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    std::vector<std::string> stages;
+    for (const auto& [stage, nanos] : results[i]->timing.spans) {
+      stages.push_back(stage);
+      EXPECT_GT(nanos, 0) << "slot " << i << " " << stage;
+    }
+    EXPECT_EQ(stages, want) << "slot " << i;
+    const std::string line =
+        FormatResponseLine(ResponseToFields(*results[i]));
+    EXPECT_EQ(line.find("\ttrace_cache_ns="), std::string::npos) << line;
+    EXPECT_NE(line.find("\ttrace_fold_ns="), std::string::npos) << line;
+  }
+}
+
 TEST(TraceDeterminismTest, FixedFakeClockYieldsZeroSpans) {
   // A fixed (non-advancing) FakeClock makes every duration exactly 0 —
   // the property the sharded parity tests lean on.

@@ -597,7 +597,7 @@ TEST_F(OpPipelineTest, WarmRestartServesTheSameAnalyticsBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel expected-rank fold and the marginals cache
+// The parallel expected-rank fold and the marginal readers
 // ---------------------------------------------------------------------------
 
 TEST(EngineExpectedRanksTest, BitwiseEqualToTheSequentialCoreFold) {
@@ -619,7 +619,7 @@ TEST(EngineExpectedRanksTest, BitwiseEqualToTheSequentialCoreFold) {
   }
 }
 
-TEST(OpPipelineCacheTest, RepeatedAnalyticsFoldMarginalsOnce) {
+TEST(OpPipelineCacheTest, RepeatedAnalyticsReadTheCatalogProgram) {
   ShardedScheduler scheduler(1, EngineOptions());
   ASSERT_TRUE(
       scheduler.Insert("lab", *CanonicalizeTree(*ParseTree(kLabeledTreeText)))
@@ -633,10 +633,13 @@ TEST(OpPipelineCacheTest, RepeatedAnalyticsFoldMarginalsOnce) {
   std::vector<Result<ServiceResponse>> responses =
       scheduler.ExecuteBatch({marginals, marginals, aggregate});
   for (const auto& response : responses) ASSERT_TRUE(response.ok());
-  // One leaf-marginal fold serves all three requests: the second
-  // marginals probe and the aggregate's group-by both hit the cache.
-  EXPECT_EQ(scheduler.marginals_stats().misses, 1);
-  EXPECT_EQ(scheduler.marginals_stats().hits, 2);
+  // All three read the leaf marginals off the program the catalog compiled
+  // at insert: no further compile, and the rank-distribution cache is
+  // never consulted.
+  const MetricsSnapshot scrape = scheduler.MetricsSnapshotNow();
+  EXPECT_EQ(scrape.Find("cpdb_fold_compiles_total")->value, 1);
+  const CacheStats stats = scheduler.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced, 0);
   // And the repeated probes answered identically.
   EXPECT_EQ(FormatResponseLine(ResponseToFields(*responses[0])),
             FormatResponseLine(ResponseToFields(*responses[1])));

@@ -131,11 +131,6 @@ void ExpectSameResponses(const std::vector<Result<ServiceResponse>>& got,
         EXPECT_EQ(got[i]->stats.entries, want[i]->stats.entries);
         EXPECT_EQ(got[i]->stats.bytes, want[i]->stats.bytes);
         EXPECT_EQ(got[i]->stats.evictions, want[i]->stats.evictions);
-        EXPECT_EQ(got[i]->marginals_stats.hits, want[i]->marginals_stats.hits);
-        EXPECT_EQ(got[i]->marginals_stats.misses,
-                  want[i]->marginals_stats.misses);
-        EXPECT_EQ(got[i]->marginals_stats.bytes,
-                  want[i]->marginals_stats.bytes);
       }
       continue;
     }
@@ -241,7 +236,7 @@ TEST_F(ShardedSchedulerTest, BatchParityAcrossShardCountsUnbounded) {
 
 // Budgeted caches (including a zero budget that retains nothing): answers
 // stay bitwise identical; only counters may differ, since each shard's
-// caches evict locally.
+// cache evicts locally.
 TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
   std::vector<ServiceRequest> batch = DifferentialBatch(names_);
 
@@ -266,7 +261,6 @@ TEST_F(ShardedSchedulerTest, BatchParityUnderCacheBudgets) {
       if (budget >= 0) {
         for (const ShardCacheStats& shard : sharded.PerShardStats()) {
           EXPECT_LE(shard.rank_dist.bytes, budget) << label;
-          EXPECT_LE(shard.marginals.bytes, budget) << label;
         }
       }
     }
@@ -381,30 +375,25 @@ TEST_F(ShardedSchedulerTest, StatsAggregateSumsPerShardBreakdown) {
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->shard_stats.size(), 4u);
 
-  CacheStats rank_sum, marg_sum;
+  CacheStats rank_sum;
   int busy_shards = 0;
   for (const ShardCacheStats& shard : stats->shard_stats) {
     rank_sum.hits += shard.rank_dist.hits;
     rank_sum.misses += shard.rank_dist.misses;
     rank_sum.entries += shard.rank_dist.entries;
     rank_sum.bytes += shard.rank_dist.bytes;
-    marg_sum.misses += shard.marginals.misses;
-    marg_sum.bytes += shard.marginals.bytes;
-    if (shard.rank_dist.misses + shard.marginals.misses > 0) ++busy_shards;
+    if (shard.rank_dist.misses > 0) ++busy_shards;
   }
   EXPECT_EQ(stats->stats.hits, rank_sum.hits);
   EXPECT_EQ(stats->stats.misses, rank_sum.misses);
   EXPECT_EQ(stats->stats.entries, rank_sum.entries);
   EXPECT_EQ(stats->stats.bytes, rank_sum.bytes);
-  EXPECT_EQ(stats->marginals_stats.misses, marg_sum.misses);
-  EXPECT_EQ(stats->marginals_stats.bytes, marg_sum.bytes);
   // Eight distinct trees over four shards: the fingerprint partition must
   // actually spread the work (deterministic for these fixed seeds).
   EXPECT_GT(busy_shards, 1);
 
   // The accessor view agrees with the in-band response.
   EXPECT_EQ(sharded.cache_stats().misses, stats->stats.misses);
-  EXPECT_EQ(sharded.marginals_stats().misses, stats->marginals_stats.misses);
 }
 
 TEST_F(ShardedSchedulerTest, StatsResponseRendersShardBreakdownFields) {
@@ -422,7 +411,19 @@ TEST_F(ShardedSchedulerTest, StatsResponseRendersShardBreakdownFields) {
   ASSERT_NE(parsed->Find("misses"), nullptr);
   ASSERT_NE(parsed->Find("s0_misses"), nullptr);
   ASSERT_NE(parsed->Find("s1_misses"), nullptr);
-  ASSERT_NE(parsed->Find("s0_marg_misses"), nullptr);
+  // The golden field list: one cache's counters in total and per shard.
+  std::vector<std::string> names;
+  for (const RequestField& field : parsed->fields) names.push_back(field.name);
+  std::vector<std::string> want = {"op"};
+  const char* counters[] = {"hits",    "misses",    "coalesced",
+                            "entries", "evictions", "bytes"};
+  for (const char* counter : counters) want.push_back(counter);
+  want.insert(want.end(), {"shapes", "dedup_ratio", "shards"});
+  for (const std::string prefix : {"s0_", "s1_"}) {
+    for (const char* counter : counters) want.push_back(prefix + counter);
+    want.push_back(prefix + "shapes");
+  }
+  EXPECT_EQ(names, want);
   EXPECT_EQ(std::stoll(*parsed->Find("misses")),
             std::stoll(*parsed->Find("s0_misses")) +
                 std::stoll(*parsed->Find("s1_misses")));

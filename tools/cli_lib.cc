@@ -3,7 +3,9 @@
 #include "tools/cli_lib.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -25,6 +27,9 @@ namespace cpdb {
 
 namespace {
 
+// The --slow-query-ms threshold is compared in nanoseconds.
+constexpr int64_t kNanosPerMilli = 1000000;
+
 struct CliOptions {
   std::string command;
   std::string input_path;
@@ -36,7 +41,7 @@ struct CliOptions {
   size_t max_worlds = 4096;
   uint64_t seed = 1;
   int threads = 1;
-  bool cache = true;       // serve: memo caches on/off
+  bool cache = true;       // serve: rank-distribution cache on/off
   bool cache_set = false;  // --cache given (only serve accepts it)
   int64_t cache_budget = kUnboundedCacheBytes;  // serve: cache byte budget
   bool cache_budget_set = false;  // --cache-budget given (serve only)
@@ -184,6 +189,11 @@ Result<CliOptions> ParseArgs(const std::vector<std::string>& args) {
       if (threshold < 0) {
         return Status::InvalidArgument(
             "--slow-query-ms must be >= 0, got '" + value + "'");
+      }
+      // CmdServe converts the threshold to nanoseconds in int64_t.
+      if (threshold > std::numeric_limits<int64_t>::max() / kNanosPerMilli) {
+        return Status::InvalidArgument("--slow-query-ms out of range, got '" +
+                                       value + "'");
       }
       opts.slow_query_ms = threshold;
       opts.slow_query_set = true;
@@ -606,94 +616,97 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   ServeInstruments* instruments = scheduler.frontend_instruments();
   const Clock* clk = instruments != nullptr ? scheduler.clock() : nullptr;
   const int64_t slow_nanos =
-      opts.slow_query_set ? opts.slow_query_ms * 1000000 : -1;
-  // Logs one stderr line for an answered request that ran longer than the
-  // threshold: line number, total and per-stage times, and the raw request
-  // echoed through EscapeFieldValue (a hostile request must not be able to
-  // forge log lines). Strictly side-band — stdout bytes never change.
-  auto maybe_log_slow = [&](size_t request_line_number,
-                            const std::string& raw_request,
-                            const ServiceResponse& response) {
-    if (slow_nanos < 0 || response.timing.total_ns <= slow_nanos) return;
+      opts.slow_query_set ? opts.slow_query_ms * kNanosPerMilli : -1;
+
+  int failed = 0;
+  size_t line_number = 0;  // the line most recently read
+
+  // The parse step both modes share: reads up to the next request line,
+  // skipping comment lines, and types it (or keeps the parse error),
+  // recording the parse stage. nullopt at end of input; `raw` holds the
+  // request text and `line_number` its line.
+  auto read_request =
+      [&](std::string* raw) -> std::optional<Result<ServiceRequest>> {
+    while (ReadLine(in, raw)) {
+      ++line_number;
+      Stopwatch parse_watch(clk);
+      Result<RequestLine> line = ParseRequestLine(*raw);
+      if (line.ok() && line->fields.empty()) continue;
+      Result<ServiceRequest> request =
+          line.ok() ? ServiceRequestFromLine(*line)
+                    : Result<ServiceRequest>(line.status());
+      if (instruments != nullptr) {
+        instruments->stage_parse->Record(parse_watch.ElapsedNanos());
+      }
+      return request;
+    }
+    return std::nullopt;
+  };
+
+  // The write step both modes share: an error line (counted as failed),
+  // or the rendered response with its format stage, then — strictly
+  // side-band, stdout bytes never change — one stderr line for a request
+  // that ran longer than the slow-query threshold: line number, total and
+  // per-stage times, and the raw request echoed through EscapeFieldValue
+  // (a hostile request must not be able to forge log lines).
+  auto write_result = [&](size_t request_line_number,
+                          const std::string& raw_request,
+                          const Result<ServiceResponse>& response) {
+    if (!response.ok()) {
+      std::fprintf(
+          out, "%s",
+          FormatErrorLine(request_line_number, response.status()).c_str());
+      ++failed;
+      return;
+    }
+    Stopwatch format_watch(clk);
+    const std::string rendered = FormatResponseLine(ResponseToFields(*response));
+    if (instruments != nullptr) {
+      instruments->stage_format->Record(format_watch.ElapsedNanos());
+    }
+    std::fprintf(out, "%s", rendered.c_str());
+    if (slow_nanos < 0 || response->timing.total_ns <= slow_nanos) return;
     std::fprintf(err, "%s\n",
                  FormatSlowQueryLine(static_cast<int64_t>(request_line_number),
-                                     raw_request, response.timing)
+                                     raw_request, response->timing)
                      .c_str());
   };
 
-  int failed = 0;
-  size_t line_number = 0;
   if (opts.stream) {
     // Streaming: the scheduler pulls requests through `next` — which
-    // parses lines, reporting garbage in-band without surfacing a request
-    // — and every response is written and flushed by `emit` before the
-    // next line is read. `line_number` always names the line of the
-    // request currently in flight, so emit's error lines attribute
-    // correctly.
-    std::string current_raw;  // the in-flight request's text, for the log
+    // reports garbage in-band without surfacing a request — and every
+    // response is written and flushed by `emit` before the next line is
+    // read, so `line_number` and `raw` always name the request in flight.
+    std::string raw;
     auto next = [&](ServiceRequest* request) -> bool {
-      std::string text;
-      while (ReadLine(in, &text)) {
-        ++line_number;
-        Stopwatch parse_watch(clk);
-        Result<RequestLine> line = ParseRequestLine(text);
-        if (line.ok() && line->fields.empty()) continue;
-        Result<ServiceRequest> mapped =
-            line.ok() ? ServiceRequestFromLine(*line)
-                      : Result<ServiceRequest>(line.status());
-        if (instruments != nullptr) {
-          instruments->stage_parse->Record(parse_watch.ElapsedNanos());
+      while (std::optional<Result<ServiceRequest>> parsed =
+                 read_request(&raw)) {
+        if (parsed->ok()) {
+          *request = *std::move(*parsed);
+          return true;
         }
-        if (!mapped.ok()) {
-          std::fprintf(out, "%s",
-                       FormatErrorLine(line_number, mapped.status()).c_str());
-          std::fflush(out);
-          ++failed;
-          continue;
-        }
-        current_raw = text;
-        *request = *std::move(mapped);
-        return true;
+        write_result(line_number, raw, parsed->status());
+        std::fflush(out);
       }
       return false;
     };
     auto emit = [&](const Result<ServiceResponse>& response) {
-      if (!response.ok()) {
-        std::fprintf(out, "%s",
-                     FormatErrorLine(line_number, response.status()).c_str());
-        ++failed;
-      } else {
-        Stopwatch format_watch(clk);
-        const std::string rendered =
-            FormatResponseLine(ResponseToFields(*response));
-        if (instruments != nullptr) {
-          instruments->stage_format->Record(format_watch.ElapsedNanos());
-        }
-        std::fprintf(out, "%s", rendered.c_str());
-        maybe_log_slow(line_number, current_raw, *response);
-      }
+      write_result(line_number, raw, response);
       std::fflush(out);
     };
     scheduler.ExecuteStreaming(next, emit);
   } else {
-    // Batch: tokenize and type every line up front; comment lines produce
-    // no response. Slots keep their input line number for error reporting.
+    // Batch: read and type every line up front; comment lines produce no
+    // response. Slots keep their input line number for error reporting.
     std::vector<size_t> line_numbers;
-    std::vector<Result<ServiceRequest>> parsed;
     std::vector<std::string> raw_lines;
-    std::string text;
-    while (ReadLine(in, &text)) {
-      ++line_number;
-      Stopwatch parse_watch(clk);
-      Result<RequestLine> line = ParseRequestLine(text);
-      if (line.ok() && line->fields.empty()) continue;
+    std::vector<Result<ServiceRequest>> parsed;
+    std::string raw;
+    while (std::optional<Result<ServiceRequest>> request =
+               read_request(&raw)) {
       line_numbers.push_back(line_number);
-      raw_lines.push_back(text);
-      parsed.push_back(line.ok() ? ServiceRequestFromLine(*line)
-                                 : Result<ServiceRequest>(line.status()));
-      if (instruments != nullptr) {
-        instruments->stage_parse->Record(parse_watch.ElapsedNanos());
-      }
+      raw_lines.push_back(raw);
+      parsed.push_back(*std::move(request));
     }
 
     std::vector<ServiceRequest> batch;
@@ -706,26 +719,10 @@ int CmdServe(const CliOptions& opts, std::FILE* out, std::FILE* err) {
     size_t cursor = 0;
     for (size_t i = 0; i < parsed.size(); ++i) {
       if (!parsed[i].ok()) {
-        std::fprintf(
-            out, "%s",
-            FormatErrorLine(line_numbers[i], parsed[i].status()).c_str());
-        ++failed;
+        write_result(line_numbers[i], raw_lines[i], parsed[i].status());
         continue;
       }
-      const Result<ServiceResponse>& result = results[cursor++];
-      if (!result.ok()) {
-        std::fprintf(out, "%s",
-                     FormatErrorLine(line_numbers[i], result.status()).c_str());
-        ++failed;
-        continue;
-      }
-      Stopwatch format_watch(clk);
-      const std::string rendered = FormatResponseLine(ResponseToFields(*result));
-      if (instruments != nullptr) {
-        instruments->stage_format->Record(format_watch.ElapsedNanos());
-      }
-      std::fprintf(out, "%s", rendered.c_str());
-      maybe_log_slow(line_numbers[i], raw_lines[i], *result);
+      write_result(line_numbers[i], raw_lines[i], results[cursor++]);
     }
   }
   if (owned_in != nullptr) std::fclose(owned_in);
@@ -870,10 +867,11 @@ std::string CliUsage() {
       "                   trace_*_ns timing fields on its response line\n"
       "                   (answer fields are bitwise identical either way);\n"
       "                   one tab-separated response line per request; rank\n"
-      "                   distributions are cached by (structural key, k)\n"
-      "                   and leaf marginals by structural key across\n"
-      "                   requests, so trees differing only by commutative\n"
-      "                   child order share cache entries.\n"
+      "                   distributions are cached across requests, one\n"
+      "                   entry per structural key at the widest k folded\n"
+      "                   (narrower ks read a prefix of it), so trees\n"
+      "                   differing only by commutative child order share\n"
+      "                   one entry.\n"
       "                   Default is batch mode (the whole input is one\n"
       "                   scheduler batch; loads apply before queries);\n"
       "                   --stream answers each request as it is read.\n"
@@ -898,11 +896,11 @@ std::string CliUsage() {
       "                      (expected rank), global (global top-k) or prf\n"
       "                      (PRF-upsilon with harmonic weights; default\n"
       "                      escore)\n"
-      "  --cache=on|off      serve only: the rank-distribution and\n"
-      "                      marginals caches (default on; answers are\n"
-      "                      bitwise identical either way — off exists for\n"
-      "                      benchmarking)\n"
-      "  --cache-budget=B    serve only: byte budget per cache; retained\n"
+      "  --cache=on|off      serve only: the rank-distribution cache\n"
+      "                      (default on; answers are bitwise identical\n"
+      "                      either way — off exists for benchmarking)\n"
+      "  --cache-budget=B    serve only: byte budget of each shard's\n"
+      "                      rank-distribution cache; retained\n"
       "                      entries are LRU-evicted to fit (default\n"
       "                      unbounded; 0 retains nothing; answers are\n"
       "                      bitwise independent of the budget)\n"
@@ -915,7 +913,7 @@ std::string CliUsage() {
       "                      shard engine gets max(1, threads/N) threads,\n"
       "                      so N > threads raises the total to N; a\n"
       "                      --cache-budget applies to each shard's\n"
-      "                      caches, so retained bytes scale with N;\n"
+      "                      cache, so retained bytes scale with N;\n"
       "                      answers are bitwise identical for any N;\n"
       "                      default 1; at N >= 2 op=stats adds\n"
       "                      per-shard breakdown fields)\n"
