@@ -73,8 +73,7 @@ void PrintQualityTable() {
       auto profit = [&](const std::vector<KeyId>& answer) {
         double total = 0.0;
         for (size_t j = 0; j < answer.size(); ++j) {
-          total += IntersectionPositionProfit(dist, answer[j],
-                                              static_cast<int>(j) + 1);
+          total += IntersectionProfitColumn(dist, dist.FindRow(answer[j]))[j];
         }
         return total;
       };

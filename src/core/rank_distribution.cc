@@ -6,36 +6,42 @@
 
 namespace cpdb {
 
+int RankDistribution::FindRow(KeyId key) const {
+  const std::vector<KeyId>& keys = table_->keys;
+  auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return -1;
+  return static_cast<int>(it - keys.begin());
+}
+
+RankDistribution::Row RankDistribution::RowOf(KeyId key) const {
+  static constexpr double kZeroRow[1] = {0.0};
+  const int t = FindRow(key);
+  return t < 0 ? Row{kZeroRow, kZeroRow, 0} : row(t);
+}
+
 double RankDistribution::PrRankEq(KeyId key, int i) const {
-  if (i < 1 || i > k_) return 0.0;
-  auto it = table_->key_index.find(key);
-  if (it == table_->key_index.end()) return 0.0;
-  return table_->pr_eq[static_cast<size_t>(it->second)]
-                      [static_cast<size_t>(i)];
+  return RowOf(key).Eq(i);
 }
 
 double RankDistribution::PrRankLe(KeyId key, int i) const {
-  if (i < 1) return 0.0;
-  auto it = table_->key_index.find(key);
-  if (it == table_->key_index.end()) return 0.0;
-  int clamped = std::min(i, k_);
-  return table_->pr_le[static_cast<size_t>(it->second)]
-                      [static_cast<size_t>(clamped)];
+  return RowOf(key).Le(i);
 }
 
-RankDistribution RankDistribution::Prefix(int k) const {
-  return RankDistribution(std::clamp(k, 0, k_), table_);
+bool RankDistribution::Covers(int k) const {
+  return k <= k_ || static_cast<size_t>(k_) >= table_->keys.size();
+}
+
+RankDistribution RankDistribution::At(int k) const {
+  return RankDistribution(Covers(k) ? std::max(k, 0) : k_, table_);
 }
 
 int64_t RankDistribution::ApproxBytes() const {
-  // Per-key: one KeyId, one rb-tree node (pair + ~3 pointers + color,
-  // estimated flat), and two rows of width+1 doubles with their vector
+  // Per-key: one KeyId and two rows of width+1 doubles with their vector
   // headers. On top of that, the fixed-size members' out-of-line storage:
   // the table itself, the keys element array, and the pr_eq/pr_le outer
   // arrays of n inner vector headers — omitting those undercharged every
   // cache entry by ~56 bytes per key, which a byte-budgeted LRU multiplies
   // across its whole admission history.
-  constexpr int64_t kMapNodeBytes = 64;
   constexpr int64_t kVecHeader =
       static_cast<int64_t>(sizeof(std::vector<double>));
   const int64_t per_row =
@@ -46,7 +52,7 @@ int64_t RankDistribution::ApproxBytes() const {
          static_cast<int64_t>(sizeof(Table)) +
          n * static_cast<int64_t>(sizeof(KeyId)) +  // keys element array
          2 * n * kVecHeader +  // pr_eq/pr_le outer arrays of inner headers
-         n * kMapNodeBytes + 2 * n * per_row;
+         2 * n * per_row;
 }
 
 RankDistributionBuilder::RankDistributionBuilder(int k)
@@ -54,39 +60,37 @@ RankDistributionBuilder::RankDistributionBuilder(int k)
   table_->width = k;
 }
 
-void RankDistributionBuilder::EnsureKey(KeyId key) {
+int RankDistributionBuilder::Slot(KeyId key) {
   auto [it, inserted] =
-      table_->key_index.insert({key, static_cast<int>(table_->keys.size())});
+      index_.insert({key, static_cast<int>(table_->keys.size())});
   if (inserted) {
     table_->keys.push_back(key);
     table_->pr_eq.emplace_back(static_cast<size_t>(table_->width) + 1, 0.0);
   }
+  return it->second;
 }
 
+void RankDistributionBuilder::EnsureKey(KeyId key) { Slot(key); }
+
 void RankDistributionBuilder::Add(KeyId key, int i, double prob) {
-  EnsureKey(key);
+  const int slot = Slot(key);
   if (i < 1 || i > table_->width) return;
-  table_->pr_eq[static_cast<size_t>(table_->key_index[key])]
-               [static_cast<size_t>(i)] += prob;
+  table_->pr_eq[static_cast<size_t>(slot)][static_cast<size_t>(i)] += prob;
 }
 
 RankDistribution RankDistributionBuilder::Build() && {
-  // keys must be sorted ascending like ComputeRankDistribution produces;
-  // reindex after sorting.
+  // Rows are addressed by position in the sorted keys, so permute them into
+  // key order; the registration index is not needed past this point.
   RankDistribution::Table& table = *table_;
-  std::vector<KeyId> sorted = table.keys;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<std::vector<double>> pr_eq(sorted.size());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    pr_eq[i] = std::move(
-        table.pr_eq[static_cast<size_t>(table.key_index[sorted[i]])]);
+  std::vector<std::vector<double>> pr_eq;
+  pr_eq.reserve(index_.size());
+  table.keys.clear();
+  for (auto& [key, slot] : index_) {  // ascending keys
+    table.keys.push_back(key);
+    pr_eq.push_back(std::move(table.pr_eq[static_cast<size_t>(slot)]));
   }
-  table.keys = std::move(sorted);
+  index_.clear();
   table.pr_eq = std::move(pr_eq);
-  table.key_index.clear();
-  for (size_t i = 0; i < table.keys.size(); ++i) {
-    table.key_index[table.keys[i]] = static_cast<int>(i);
-  }
   table.pr_le = table.pr_eq;
   for (auto& row : table.pr_le) {
     for (size_t i = 2; i < row.size(); ++i) row[i] += row[i - 1];

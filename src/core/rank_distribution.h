@@ -10,6 +10,7 @@
 #ifndef CPDB_CORE_RANK_DISTRIBUTION_H_
 #define CPDB_CORE_RANK_DISTRIBUTION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,21 +28,64 @@ namespace cpdb {
 /// statistics of Section 5 — every consensus Top-k objective (mean answers
 /// under d_Delta, d_I, F^(k+1)) is a linear functional of them, which is
 /// why "compute the rank distribution once, then optimize" is the uniform
-/// algorithmic pattern. Accessors are O(log n) per lookup (key index map)
-/// and O(1) in i.
+/// algorithmic pattern.
 ///
-/// A distribution is an immutable view of a shared table: copies and
-/// Prefix() views share the rows instead of copying them. Every fold of
+/// Rows are addressed by index into keys(): row(t) is O(1), and the metric
+/// heads read each key's row once instead of looking keys up per rank. The
+/// by-key accessors (PrRankEq and friends) find the row by binary search
+/// over the sorted keys, O(log n) per call; there is no key index map.
+///
+/// A distribution is an immutable view of a shared table: copies and At()
+/// views share the rows instead of copying them. Every fold of
 /// this library sums each Pr(r = i) in the same order whatever k it is
 /// truncated at, so the k-prefix of a fold at a wider K is bitwise the fold
 /// at k — which is what lets one wide fold answer every narrower k.
+///
+/// A view may claim a k above its table's width: a world ranks at most n
+/// tuples (same-key alternatives are exclusive), so a fold at any k >= n
+/// stores zeros beyond rank n, and a table folded at n reads exactly like
+/// it — Pr(r = i) is 0 and Pr(r <= i) is Pr(r <= n) for i beyond the width.
 class RankDistribution {
  public:
   int k() const { return k_; }
 
+  /// \brief The ranks this view stores, min(k(), table width); every rank
+  /// beyond it reads Pr(r = i) = 0 and Pr(r <= i) = Pr(r <= width()).
+  int width() const { return std::min(k_, table_->width); }
+
   /// \brief Keys covered, ascending (all keys of the generating tree).
   /// Views of one table return the same vector.
   const std::vector<KeyId>& keys() const { return table_->keys; }
+
+  /// \brief One key's distribution as this view reads it: `eq[i]` is
+  /// Pr(r = i) and `le[i]` is Pr(r <= i) for i in [0, width] (index 0 holds
+  /// 0). Eq/Le extend that to every rank the view claims.
+  struct Row {
+    const double* eq;
+    const double* le;
+    int width;
+    double Eq(int i) const { return i >= 1 && i <= width ? eq[i] : 0.0; }
+    double Le(int i) const { return i < 1 ? 0.0 : le[std::min(i, width)]; }
+    /// Pr(r <= k) for the view's k: the Top-k membership probability.
+    double TopK() const { return le[width]; }
+    /// Pr(r > k), including absence.
+    double BeyondK() const { return 1.0 - TopK(); }
+  };
+
+  /// \brief The row of keys()[index]. O(1).
+  Row row(int index) const {
+    const size_t t = static_cast<size_t>(index);
+    return Row{table_->pr_eq[t].data(), table_->pr_le[t].data(), width()};
+  }
+
+  /// \brief The index of `key` in keys(), or -1 when it is not covered.
+  /// O(log n) binary search.
+  int FindRow(KeyId key) const;
+
+  /// \brief The row of `key`, or an all-zero row (Pr(r = i) = 0 at every
+  /// rank) when the key is not covered: what the by-key accessors read.
+  /// One binary search.
+  Row RowOf(KeyId key) const;
 
   /// \brief Pr(r(key) = i): the probability some alternative of `key` is
   /// present and ranked exactly i-th by score. 0 for i outside [1, k] or
@@ -60,31 +104,36 @@ class RankDistribution {
   /// (absent tuples have rank infinity). O(log n) per call.
   double PrBeyondK(KeyId key) const { return 1.0 - PrTopK(key); }
 
-  /// \brief The view truncated at rank `k` (clamped to [0, this->k()]: a
-  /// view never widens). It shares this distribution's table — no row is
-  /// copied — and reads exactly like a fold at `k`: PrRankEq is 0 beyond
-  /// `k` and PrRankLe clamps at it. O(1).
-  RankDistribution Prefix(int k) const;
+  /// \brief Whether At(k) reads exactly like a fold at `k`: k <= this->k(),
+  /// or this view is complete (k() >= keys().size(), so it holds every rank
+  /// a tuple can take).
+  bool Covers(int k) const;
+
+  /// \brief The view at cutoff `k`. It shares this distribution's table —
+  /// no row is copied — and when Covers(k) it reads exactly like a fold at
+  /// `k`: PrRankEq is 0 beyond `k` and PrRankLe clamps at it. A k this view
+  /// does not cover clamps to k() (a view widens only when complete);
+  /// negative k clamps to 0. O(1).
+  RankDistribution At(int k) const;
 
   /// \brief Approximate heap footprint in bytes of the shared table — the
   /// eviction cost the serving layer's byte-budgeted caches charge for
-  /// retaining this distribution (a Prefix() view reports its table's
-  /// full-width charge, since holding it keeps that table alive). Computed
-  /// from element *counts* (sizes, not allocator capacities) plus a fixed
-  /// per-map-node estimate, so the figure is a deterministic function of
-  /// (keys, table width): budget-driven eviction decisions replay
-  /// identically across runs and platforms. O(1).
+  /// retaining this distribution (an At() view reports its table's
+  /// full-width charge, since holding it keeps that table alive).
+  /// Computed from element *counts* (sizes, not allocator capacities), so
+  /// the figure is a deterministic function of (keys, table width):
+  /// budget-driven eviction decisions replay identically across runs and
+  /// platforms. O(1).
   int64_t ApproxBytes() const;
 
  private:
   friend class RankDistributionBuilder;
   // The rows every view of one fold shares; `width` is the k they were
-  // folded at.
+  // folded at. Row t belongs to keys[t], and keys ascend.
   struct Table {
     int width = 0;
     std::vector<KeyId> keys;
-    std::map<KeyId, int> key_index;
-    // pr_eq[key_index][i] = Pr(r = i); index 0 unused.
+    // pr_eq[t][i] = Pr(r(keys[t]) = i); index 0 unused (0).
     std::vector<std::vector<double>> pr_eq;
     std::vector<std::vector<double>> pr_le;
   };
@@ -110,11 +159,18 @@ class RankDistributionBuilder {
   /// \brief Adds `prob` to Pr(r(key) = i); creates the key on first use.
   void Add(KeyId key, int i, double prob);
 
-  /// \brief Finalizes prefix sums and returns the distribution.
+  /// \brief Finalizes prefix sums and returns the distribution. The key
+  /// index used while building is dropped: the result addresses rows by
+  /// their position in the sorted keys.
   RankDistribution Build() &&;
 
  private:
+  // The row slot of `key` (rows in registration order), registering an
+  // all-zero row on first use.
+  int Slot(KeyId key);
+
   std::shared_ptr<RankDistribution::Table> table_;
+  std::map<KeyId, int> index_;
 };
 
 /// \brief The contribution of one leaf to its key's rank distribution:

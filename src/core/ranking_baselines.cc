@@ -11,17 +11,20 @@ namespace cpdb {
 
 namespace {
 
-// Sorts keys by a per-key value (descending if `descending`) and returns the
-// first k.
+// Sorts keys by their value (value[i] belongs to keys[i]; descending if
+// `descending`, ties in key order) and returns the first k.
 std::vector<KeyId> TopKeysByValue(const std::vector<KeyId>& keys,
-                                  const std::map<KeyId, double>& value, int k,
+                                  const std::vector<double>& value, int k,
                                   bool descending) {
-  std::vector<KeyId> sorted = keys;
-  std::stable_sort(sorted.begin(), sorted.end(), [&](KeyId a, KeyId b) {
-    double va = value.at(a), vb = value.at(b);
-    return descending ? va > vb : va < vb;
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return descending ? value[a] > value[b] : value[a] < value[b];
   });
-  if (static_cast<int>(sorted.size()) > k) sorted.resize(static_cast<size_t>(k));
+  if (static_cast<int>(order.size()) > k) order.resize(static_cast<size_t>(k));
+  std::vector<KeyId> sorted;
+  sorted.reserve(order.size());
+  for (size_t i : order) sorted.push_back(keys[i]);
   return sorted;
 }
 
@@ -29,13 +32,19 @@ std::vector<KeyId> TopKeysByValue(const std::vector<KeyId>& keys,
 
 std::vector<KeyId> TopKByExpectedScore(const AndXorTree& tree, int k) {
   std::vector<double> marginal = tree.LeafMarginals();
-  std::map<KeyId, double> value;
-  for (KeyId key : tree.Keys()) value[key] = 0.0;
+  std::map<KeyId, double> by_key;
+  for (KeyId key : tree.Keys()) by_key[key] = 0.0;
   for (NodeId l : tree.LeafIds()) {
     const TupleAlternative& alt = tree.node(l).leaf;
-    value[alt.key] += marginal[static_cast<size_t>(l)] * alt.score;
+    by_key[alt.key] += marginal[static_cast<size_t>(l)] * alt.score;
   }
-  return TopKeysByValue(tree.Keys(), value, k, /*descending=*/true);
+  std::vector<KeyId> keys;
+  std::vector<double> value;
+  for (const auto& [key, v] : by_key) {  // ascending, like tree.Keys()
+    keys.push_back(key);
+    value.push_back(v);
+  }
+  return TopKeysByValue(keys, value, k, /*descending=*/true);
 }
 
 double ExpectedRankOfKey(const AndXorTree& tree,
@@ -87,9 +96,7 @@ std::vector<double> ExpectedRanks(const AndXorTree& tree) {
 std::vector<KeyId> TopKByExpectedRankFromRanks(const std::vector<KeyId>& keys,
                                                const std::vector<double>& ranks,
                                                int k) {
-  std::map<KeyId, double> value;
-  for (size_t i = 0; i < keys.size(); ++i) value[keys[i]] = ranks[i];
-  return TopKeysByValue(keys, value, k, /*descending=*/false);
+  return TopKeysByValue(keys, ranks, k, /*descending=*/false);
 }
 
 std::vector<KeyId> TopKByExpectedRank(const AndXorTree& tree, int k) {
@@ -99,18 +106,23 @@ std::vector<KeyId> TopKByExpectedRank(const AndXorTree& tree, int k) {
 std::vector<KeyId> ProbabilisticThresholdTopK(const RankDistribution& dist,
                                               double threshold) {
   std::vector<KeyId> selected;
-  for (KeyId key : dist.keys()) {
-    if (dist.PrTopK(key) >= threshold) selected.push_back(key);
+  std::vector<double> value;
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    const double p = dist.row(static_cast<int>(t)).TopK();
+    if (p >= threshold) {
+      selected.push_back(dist.keys()[t]);
+      value.push_back(p);
+    }
   }
-  std::stable_sort(selected.begin(), selected.end(), [&](KeyId a, KeyId b) {
-    return dist.PrTopK(a) > dist.PrTopK(b);
-  });
-  return selected;
+  return TopKeysByValue(selected, value, static_cast<int>(selected.size()),
+                        /*descending=*/true);
 }
 
 std::vector<KeyId> GlobalTopK(const RankDistribution& dist) {
-  std::map<KeyId, double> value;
-  for (KeyId key : dist.keys()) value[key] = dist.PrTopK(key);
+  std::vector<double> value(dist.keys().size());
+  for (size_t t = 0; t < value.size(); ++t) {
+    value[t] = dist.row(static_cast<int>(t)).TopK();
+  }
   return TopKeysByValue(dist.keys(), value, dist.k(), /*descending=*/true);
 }
 
@@ -153,14 +165,15 @@ std::vector<KeyId> UTopKSampled(const AndXorTree& tree, int k, int num_samples,
 
 std::vector<KeyId> TopKByPRF(const RankDistribution& dist,
                              const std::vector<double>& weights) {
-  std::map<KeyId, double> value;
-  for (KeyId key : dist.keys()) {
+  std::vector<double> value(dist.keys().size());
+  for (size_t t = 0; t < value.size(); ++t) {
+    const RankDistribution::Row row = dist.row(static_cast<int>(t));
     double v = 0.0;
     for (int i = 1; i <= dist.k() && i <= static_cast<int>(weights.size());
          ++i) {
-      v += weights[static_cast<size_t>(i - 1)] * dist.PrRankEq(key, i);
+      v += weights[static_cast<size_t>(i - 1)] * row.Eq(i);
     }
-    value[key] = v;
+    value[t] = v;
   }
   return TopKeysByValue(dist.keys(), value, dist.k(), /*descending=*/true);
 }

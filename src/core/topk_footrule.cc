@@ -8,61 +8,69 @@
 
 namespace cpdb {
 
-double Upsilon2(const RankDistribution& dist, KeyId key) {
+namespace {
+
+// Upsilon2(t) = sum_{i<=k} i * Pr(r(t) = i), off t's row.
+double Upsilon2(const RankDistribution::Row& row, int k) {
   double v = 0.0;
-  for (int i = 1; i <= dist.k(); ++i) v += i * dist.PrRankEq(key, i);
+  for (int i = 1; i <= k; ++i) v += i * row.Eq(i);
   return v;
 }
 
-double Upsilon3(const RankDistribution& dist, KeyId key, int i) {
-  double v = 0.0;
-  for (int j = 1; j <= dist.k(); ++j) {
-    v += std::abs(i - j) * dist.PrRankEq(key, j);
-  }
-  v += i * dist.PrBeyondK(key);
-  return v;
-}
-
-double FootrulePositionCost(const RankDistribution& dist, KeyId key,
-                            int position) {
-  const int k = dist.k();
+// The assignment cost f(t, position) of placing t at `position`, off t's
+// row with its Upsilon2 already summed.
+double PositionCost(const RankDistribution::Row& row, int k, int position,
+                    double upsilon2) {
   double upsilon3_prime = 0.0;  // sum_j |i-j| Pr(r=j), without the absence part
   for (int j = 1; j <= k; ++j) {
-    upsilon3_prime += std::abs(position - j) * dist.PrRankEq(key, j);
+    upsilon3_prime += std::abs(position - j) * row.Eq(j);
   }
-  return upsilon3_prime + (k + 1 - position) * dist.PrBeyondK(key) -
-         (k + 1) * dist.PrTopK(key) + Upsilon2(dist, key);
+  return upsilon3_prime + (k + 1 - position) * row.BeyondK() -
+         (k + 1) * row.TopK() + upsilon2;
 }
-
-namespace {
 
 // The answer-independent part of E[F^(k+1)]: every tuple that lands in the
 // world's Top-k contributes (k+1) - (its rank) when it is not matched by the
-// answer; the matched corrections live in FootrulePositionCost.
+// answer; the matched corrections live in PositionCost.
 double FootruleConstant(const RankDistribution& dist) {
+  const int k = dist.k();
   double c = 0.0;
-  for (KeyId key : dist.keys()) {
-    c += (dist.k() + 1) * dist.PrTopK(key) - Upsilon2(dist, key);
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    const RankDistribution::Row row = dist.row(static_cast<int>(t));
+    c += (k + 1) * row.TopK() - Upsilon2(row, k);
   }
   return c;
+}
+
+Status CheckFootruleMeanSize(const RankDistribution& dist) {
+  if (static_cast<int>(dist.keys().size()) < dist.k()) {
+    return Status::InvalidArgument(
+        "footrule mean answer needs at least k tuples");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 double ExpectedTopKFootrule(const RankDistribution& dist,
                             const std::vector<KeyId>& answer) {
+  const int k = dist.k();
   double total = FootruleConstant(dist);
   for (size_t i = 0; i < answer.size(); ++i) {
-    total += FootrulePositionCost(dist, answer[i], static_cast<int>(i) + 1);
+    const RankDistribution::Row row = dist.RowOf(answer[i]);
+    total += PositionCost(row, k, static_cast<int>(i) + 1, Upsilon2(row, k));
   }
   return total;
 }
 
 std::vector<double> FootruleCostColumn(const RankDistribution& dist,
-                                       KeyId key) {
-  std::vector<double> column(static_cast<size_t>(dist.k()), 0.0);
-  for (int i = 1; i <= dist.k(); ++i) {
-    column[static_cast<size_t>(i - 1)] = FootrulePositionCost(dist, key, i);
+                                       int row) {
+  const int k = dist.k();
+  const RankDistribution::Row r = dist.row(row);
+  const double upsilon2 = Upsilon2(r, k);
+  std::vector<double> column(static_cast<size_t>(k), 0.0);
+  for (int i = 1; i <= k; ++i) {
+    column[static_cast<size_t>(i - 1)] = PositionCost(r, k, i, upsilon2);
   }
   return column;
 }
@@ -70,12 +78,9 @@ std::vector<double> FootruleCostColumn(const RankDistribution& dist,
 Result<TopKResult> MeanTopKFootruleFromColumns(
     const RankDistribution& dist,
     const std::vector<std::vector<double>>& columns) {
+  CPDB_RETURN_NOT_OK(CheckFootruleMeanSize(dist));
   const int k = dist.k();
   const std::vector<KeyId>& keys = dist.keys();
-  if (static_cast<int>(keys.size()) < k) {
-    return Status::InvalidArgument(
-        "footrule mean answer needs at least k tuples");
-  }
   if (columns.size() != keys.size()) {
     return Status::InvalidArgument("one cost column per key required");
   }
@@ -103,10 +108,11 @@ Result<TopKResult> MeanTopKFootruleFromColumns(
 }
 
 Result<TopKResult> MeanTopKFootrule(const RankDistribution& dist) {
+  CPDB_RETURN_NOT_OK(CheckFootruleMeanSize(dist));
   std::vector<std::vector<double>> columns;
   columns.reserve(dist.keys().size());
-  for (KeyId key : dist.keys()) {
-    columns.push_back(FootruleCostColumn(dist, key));
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    columns.push_back(FootruleCostColumn(dist, static_cast<int>(t)));
   }
   return MeanTopKFootruleFromColumns(dist, columns);
 }

@@ -30,18 +30,9 @@
 
 namespace cpdb {
 
-/// \brief Upsilon2(t) = sum_{i<=k} i * Pr(r(t) = i).
-double Upsilon2(const RankDistribution& dist, KeyId key);
-
-/// \brief Upsilon3(t, i) = sum_{j<=k} |i-j| Pr(r(t)=j) + i Pr(r(t)>k).
-double Upsilon3(const RankDistribution& dist, KeyId key, int i);
-
-/// \brief The assignment cost f(t, i) of placing tuple t at position i.
-double FootrulePositionCost(const RankDistribution& dist, KeyId key,
-                            int position);
-
 /// \brief E[F^(k+1)(answer, topk(pw))], exactly, from the rank distribution.
-/// Valid for answers of size exactly k.
+/// Valid for answers of size exactly k. Reads each key's row once (one
+/// binary search per answer key).
 double ExpectedTopKFootrule(const RankDistribution& dist,
                             const std::vector<KeyId>& answer);
 
@@ -49,17 +40,17 @@ double ExpectedTopKFootrule(const RankDistribution& dist,
 /// Hungarian algorithm. Requires at least k keys.
 Result<TopKResult> MeanTopKFootrule(const RankDistribution& dist);
 
-/// \brief The assignment costs of one candidate tuple: entry i - 1 is
-/// FootrulePositionCost(dist, key, i) for positions i = 1..k. Building the
-/// k x n cost matrix is the dominant O(n k^2) part of MeanTopKFootrule; one
-/// column is the per-candidate unit Engine::ConsensusTopK fans across its
-/// thread pool.
-std::vector<double> FootruleCostColumn(const RankDistribution& dist, KeyId key);
+/// \brief The assignment costs of the candidate in row `row` of `dist`
+/// (the key dist.keys()[row]): entry i - 1 is f(t, i) for positions
+/// i = 1..k. Upsilon2, the Top-k and the beyond-k probabilities are read
+/// once per column, the k position costs off the row. Building the k x n
+/// cost matrix is the dominant O(n k^2) part of MeanTopKFootrule.
+std::vector<double> FootruleCostColumn(const RankDistribution& dist, int row);
 
 /// \brief MeanTopKFootrule from externally computed candidate columns
-/// (columns[t] = FootruleCostColumn(dist, dist.keys()[t])); shared by the
-/// sequential wrapper and the engine's parallel path, so both feed the same
-/// Hungarian solve. Fails on a column count or length mismatch.
+/// (columns[t] = FootruleCostColumn(dist, t)), for callers that build the
+/// columns themselves. Fails on fewer than k keys (the check MeanTopKFootrule
+/// runs before any column) and on a column count or length mismatch.
 Result<TopKResult> MeanTopKFootruleFromColumns(
     const RankDistribution& dist,
     const std::vector<std::vector<double>>& columns);

@@ -20,39 +20,34 @@ namespace cpdb {
 /// \brief E[d_I(answer, topk(pw))] =
 /// (1/k) sum_{i=1..k} (1/2i)(|answer^i| + sum_t Pr(r(t)<=i)
 ///                           - 2 sum_{t in answer^i} Pr(r(t)<=i)).
+/// Reads rows; each answer key is looked up once.
 double ExpectedTopKIntersection(const RankDistribution& dist,
                                 const std::vector<KeyId>& answer);
-
-/// \brief The profit of placing tuple `key` at position j (1-based):
-/// sum_{i=j..k} Pr(r(key) <= i) / i. The exact mean answer maximizes the
-/// total profit of a position->tuple assignment.
-double IntersectionPositionProfit(const RankDistribution& dist, KeyId key,
-                                  int position);
 
 /// \brief Exact mean Top-k answer under d_I via the Hungarian algorithm
 /// (O(n k^2) with potentials). Requires at least k keys.
 Result<TopKResult> MeanTopKIntersectionExact(const RankDistribution& dist);
 
-/// \brief The assignment profits of one candidate tuple: entry j - 1 is
-/// IntersectionPositionProfit(dist, key, j) for positions j = 1..k — the
-/// per-candidate unit Engine::ConsensusTopK fans across its thread pool.
+/// \brief The assignment profits of the candidate in row `row` of `dist`:
+/// entry j - 1 is the profit of placing it at position j,
+/// sum_{i=j..k} Pr(r(t) <= i) / i, for positions j = 1..k — the exact mean
+/// answer maximizes the total profit of a position->tuple assignment.
 std::vector<double> IntersectionProfitColumn(const RankDistribution& dist,
-                                             KeyId key);
+                                             int row);
 
 /// \brief MeanTopKIntersectionExact from externally computed candidate
-/// columns (columns[t] = IntersectionProfitColumn(dist, dist.keys()[t]));
-/// shared by the sequential wrapper and the engine's parallel path. Fails on
-/// a column count or length mismatch.
+/// columns (columns[t] = IntersectionProfitColumn(dist, t)), for callers
+/// that build the columns themselves. Fails on fewer than k keys (the check
+/// MeanTopKIntersectionExact runs before any column) and on a column count
+/// or length mismatch.
 Result<TopKResult> MeanTopKIntersectionExactFromColumns(
     const RankDistribution& dist,
     const std::vector<std::vector<double>>& columns);
 
-/// \brief Upsilon_H(t) = sum_{i=1..k} Pr(r(t) <= i)/i (a special case of
-/// the parameterized ranking functions of Li-Saha-Deshpande).
-double UpsilonH(const RankDistribution& dist, KeyId key);
-
 /// \brief H_k-approximate mean answer: the k tuples with the largest
-/// Upsilon_H values, in that order. The paper proves
+/// Upsilon_H(t) = sum_{i=1..k} Pr(r(t) <= i)/i values (a special case of
+/// the parameterized ranking functions of Li-Saha-Deshpande), in that
+/// order. Upsilon_H is computed once per key. The paper proves
 /// A(approx) >= A(optimal) / H_k for the profit objective A.
 TopKResult MeanTopKIntersectionApprox(const RankDistribution& dist);
 

@@ -215,7 +215,7 @@ Result<TopKResult> MeanTopKKendallExactDp(const KendallEvaluator& evaluator,
                                           int max_candidates) {
   std::vector<KeyId> candidates;
   for (KeyId key : evaluator.keys()) {
-    if (dist.PrTopK(key) > 0.0) candidates.push_back(key);
+    if (dist.RowOf(key).TopK() > 0.0) candidates.push_back(key);
   }
   const int c = static_cast<int>(candidates.size());
   if (c > max_candidates || c > 24) {
@@ -305,7 +305,7 @@ Result<TopKResult> MeanTopKKendallExact(const KendallEvaluator& evaluator,
                                         int max_candidates) {
   std::vector<KeyId> candidates;
   for (KeyId key : evaluator.keys()) {
-    if (dist.PrTopK(key) > 0.0) candidates.push_back(key);
+    if (dist.RowOf(key).TopK() > 0.0) candidates.push_back(key);
   }
   if (static_cast<int>(candidates.size()) > max_candidates) {
     return Status::ResourceExhausted(

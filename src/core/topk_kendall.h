@@ -99,8 +99,8 @@ Result<TopKResult> MeanTopKKendallViaFootrule(const KendallEvaluator& evaluator,
                                               const RankDistribution& dist);
 
 /// \brief Re-scores an already computed answer under d_K — the tail of
-/// MeanTopKKendallViaFootrule, split out so the engine can supply a footrule
-/// answer whose cost columns were built across its thread pool.
+/// MeanTopKKendallViaFootrule, split out so the engine can re-score with an
+/// evaluator over the q columns it folded across its thread pool.
 TopKResult RescoreUnderKendall(const KendallEvaluator& evaluator,
                                TopKResult answer);
 

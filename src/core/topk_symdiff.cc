@@ -15,18 +15,43 @@ namespace cpdb {
 double ExpectedTopKSymDiff(const RankDistribution& dist,
                            const std::vector<KeyId>& answer) {
   double sum_all = 0.0;
-  for (KeyId key : dist.keys()) sum_all += dist.PrTopK(key);
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    sum_all += dist.row(static_cast<int>(t)).TopK();
+  }
   double sum_answer = 0.0;
-  for (KeyId key : answer) sum_answer += dist.PrTopK(key);
+  for (KeyId key : answer) sum_answer += dist.RowOf(key).TopK();
   return (static_cast<double>(answer.size()) + sum_all - 2.0 * sum_answer) /
          (2.0 * dist.k());
 }
 
+namespace {
+
+// The keys whose Pr(r(t) <= k) passes `keep`, stable-sorted by that
+// probability descending (ties keep key order). One row read per key.
+template <typename Keep>
+std::vector<KeyId> KeysByTopKDescending(const RankDistribution& dist,
+                                        Keep keep) {
+  std::vector<std::pair<double, KeyId>> ranked;
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    const double p = dist.row(static_cast<int>(t)).TopK();
+    if (keep(p)) ranked.emplace_back(p, dist.keys()[t]);
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const std::pair<double, KeyId>& a,
+                      const std::pair<double, KeyId>& b) {
+                     return a.first > b.first;
+                   });
+  std::vector<KeyId> keys;
+  keys.reserve(ranked.size());
+  for (const auto& [p, key] : ranked) keys.push_back(key);
+  return keys;
+}
+
+}  // namespace
+
 TopKResult MeanTopKSymDiff(const RankDistribution& dist) {
-  std::vector<KeyId> keys = dist.keys();
-  std::stable_sort(keys.begin(), keys.end(), [&](KeyId a, KeyId b) {
-    return dist.PrTopK(a) > dist.PrTopK(b);
-  });
+  std::vector<KeyId> keys =
+      KeysByTopKDescending(dist, [](double) { return true; });
   TopKResult result;
   size_t take = std::min<size_t>(keys.size(), static_cast<size_t>(dist.k()));
   result.keys.assign(keys.begin(), keys.begin() + take);
@@ -37,15 +62,8 @@ TopKResult MeanTopKSymDiff(const RankDistribution& dist) {
 TopKResult MeanTopKSymDiffUnrestricted(const RankDistribution& dist) {
   // E[d_Delta] = (|tau| + sum_t P(t) - 2 sum_{t in tau} P(t)) / 2k, so a
   // tuple helps exactly when P(t) > 1/2; no size constraint applies.
-  std::vector<KeyId> keys;
-  for (KeyId key : dist.keys()) {
-    if (dist.PrTopK(key) > 0.5) keys.push_back(key);
-  }
-  std::stable_sort(keys.begin(), keys.end(), [&](KeyId a, KeyId b) {
-    return dist.PrTopK(a) > dist.PrTopK(b);
-  });
   TopKResult result;
-  result.keys = std::move(keys);
+  result.keys = KeysByTopKDescending(dist, [](double p) { return p > 0.5; });
   result.expected_distance = ExpectedTopKSymDiff(dist, result.keys);
   return result;
 }
@@ -219,7 +237,7 @@ MedianSymDiffContext BuildMedianSymDiffContext(const AndXorTree& tree,
   context.value_p.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
   context.value_centered.assign(static_cast<size_t>(tree.NumNodes()), 0.0);
   for (NodeId l : tree.LeafIds()) {
-    double p = dist.PrTopK(tree.node(l).leaf.key);
+    double p = dist.RowOf(tree.node(l).leaf.key).TopK();
     context.value_p[static_cast<size_t>(l)] = p;
     context.value_centered[static_cast<size_t>(l)] = p - 0.5;
   }

@@ -75,7 +75,7 @@ struct SymDiffMedianCandidate {
 };
 
 /// \brief Shared inputs of every stratum, computed once per query (one
-/// distinct-score scan and one PrTopK sweep instead of one per stratum):
+/// distinct-score scan and one Pr(r <= k) sweep instead of one per stratum):
 /// the Theorem 4 thresholds ascending, the per-node DP values
 /// Pr(r(t) <= k), and their centered form Pr(r(t) <= k) - 1/2 (leaves
 /// only; other nodes 0). Build with BuildMedianSymDiffContext.

@@ -2,6 +2,7 @@
 
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -52,9 +53,12 @@ int Engine::num_threads() const { return pool_.num_threads(); }
 RankDistribution Engine::ComputeRankDistribution(
     const AndXorTree& tree, int k, const FlatTree* program) const {
   rank_dist_folds_.fetch_add(1, std::memory_order_relaxed);
+  // No world ranks more than n tuples, so every rank beyond n carries
+  // probability 0: the fold stops at n and the view claims k over it.
+  const int width = std::min(k, static_cast<int>(tree.Keys().size()));
   if (IsBlockIndependent(tree)) {
-    Result<RankDistribution> fast = ComputeRankDistributionFast(tree, k);
-    if (fast.ok()) return std::move(fast).ValueOrDie();
+    Result<RankDistribution> fast = ComputeRankDistributionFast(tree, width);
+    if (fast.ok()) return fast->At(k);
     // Fall through to the general path on any fast-path failure.
   }
 
@@ -69,26 +73,13 @@ RankDistribution Engine::ComputeRankDistribution(
       static_cast<size_t>(num_leaves));
   pool_.ParallelFor(num_leaves, [&](int64_t i) {
     contributions[static_cast<size_t>(i)] =
-        LeafRankContribution(flat, static_cast<int>(i), k);
+        LeafRankContribution(flat, static_cast<int>(i), width);
     NoteArenaHighWater();
   });
 
   // The sequential form's merge, in the same leaf-table order: bitwise-
   // identical sums.
-  return MergeLeafRankContributions(flat, k, contributions);
-}
-
-std::vector<std::vector<double>> Engine::PerKeyColumns(
-    const RankDistribution& dist,
-    const std::function<std::vector<double>(const RankDistribution&, KeyId)>&
-        column) const {
-  const std::vector<KeyId>& keys = dist.keys();
-  std::vector<std::vector<double>> columns(keys.size());
-  pool_.ParallelFor(static_cast<int64_t>(keys.size()), [&](int64_t t) {
-    columns[static_cast<size_t>(t)] =
-        column(dist, keys[static_cast<size_t>(t)]);
-  });
-  return columns;
+  return MergeLeafRankContributions(flat, width, contributions).At(k);
 }
 
 std::vector<double> Engine::LeafMarginals(const AndXorTree& tree,
@@ -222,10 +213,9 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
     case TopKMetric::kIntersection:
       switch (answer) {
         case TopKAnswer::kMean:
-          // One profit column per candidate tuple across the pool; the
-          // Hungarian solve runs on the calling thread.
-          return MeanTopKIntersectionExactFromColumns(
-              dist, PerKeyColumns(dist, IntersectionProfitColumn));
+          // One profit column per candidate tuple (a few row reads each),
+          // then the Hungarian solve: below parallelization grain.
+          return MeanTopKIntersectionExact(dist);
         case TopKAnswer::kMeanApprox:
           // A single O(n k + n log n) sort: below parallelization grain.
           return MeanTopKIntersectionApprox(dist);
@@ -235,21 +225,17 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
       }
       break;
     case TopKMetric::kFootrule:
-      // One cost column per candidate tuple across the pool; the Hungarian
-      // solve runs on the calling thread.
-      return MeanTopKFootruleFromColumns(
-          dist, PerKeyColumns(dist, FootruleCostColumn));
+      // One cost column per candidate tuple (a few row reads each), then
+      // the Hungarian solve: below parallelization grain.
+      return MeanTopKFootrule(dist);
     case TopKMetric::kKendall: {
       // E[d_K] reads q(u, t) only for t in the answer (Sec. 5.5), so the
-      // footrule answer comes first, from parallel cost columns — a k > n
-      // rejection returns here, before any fold. Then one flat fold per
-      // cell with t in the answer, (n-1)·k of the n(n-1), fans across the
-      // pool (each writes its own cell, so the columns are
+      // footrule answer comes first — a k > n rejection returns here,
+      // before any column or fold. Then one flat
+      // fold per cell with t in the answer, (n-1)·k of the n(n-1), fans
+      // across the pool (each writes its own cell, so the columns are
       // schedule-deterministic), and the answer is re-scored under d_K.
-      CPDB_ASSIGN_OR_RETURN(
-          TopKResult footrule,
-          MeanTopKFootruleFromColumns(dist,
-                                      PerKeyColumns(dist, FootruleCostColumn)));
+      CPDB_ASSIGN_OR_RETURN(TopKResult footrule, MeanTopKFootrule(dist));
       const std::vector<KeyId>& keys = dist.keys();
       const std::vector<KeyId>& answer = footrule.keys;
       std::optional<FlatTree> owned;

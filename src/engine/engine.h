@@ -16,13 +16,14 @@
 //   * median symdiff — one unit per Theorem 4 search stratum (score
 //     threshold DPs plus the small-world DP), merged by replaying the
 //     sequential first-improvement scan;
-//   * footrule / intersection assignment — one cost (profit) column per
-//     candidate tuple, fanned across the pool before the Hungarian solve;
 //   * expected ranks — one unit per key (core ExpectedRankOfKey).
 //
 // Set consensus is not a parallel path: the leaf marginals come off one
 // O(N) FlatTree::Compile pass (LeafMarginals), and the filter / min-cost DP
 // over them (ConsensusWorldWithMarginals) is O(N) on the calling thread.
+// Nor are the footrule / intersection assignment columns: one cost (profit)
+// column per candidate tuple, each a few row reads, computed on the calling
+// thread before the Hungarian solve.
 //
 // EvaluateConsensusBatch fans whole queries across the same pool (queries
 // nest their own ParallelFor calls; the pool is nest-safe), so callers with
@@ -35,7 +36,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,6 +136,11 @@ class Engine {
   /// sequential and deterministic, but a numerically different (equally
   /// correct) algorithm than the general path, agreeing only to ~1e-9.
   ///
+  /// Both paths fold at min(k, n) for the tree's n keys and return the
+  /// view at k (RankDistribution::At): no world ranks more than n tuples, so
+  /// the ranks beyond n hold zeros a fold at k would store, and the view
+  /// reads exactly like it.
+  ///
   /// `program`, when non-null, must be FlatTree::Compile(tree) (the
   /// serving catalog holds exactly that, one per distinct shape); the call
   /// then skips its own compile. A compiled program is a pure function of
@@ -151,9 +156,7 @@ class Engine {
   /// \brief Computes the consensus Top-k answer for (metric, answer). Every
   /// metric's heavy precomputation runs through the pool: the rank
   /// distribution always; additionally the Theorem 4 strata (symdiff
-  /// median), the per-candidate Hungarian cost/profit columns (footrule,
-  /// intersection exact), and the footrule columns plus the answer's q
-  /// columns (kendall). Results are bitwise identical to the sequential core
+  /// median) and the answer's q columns (kendall). Results are bitwise identical to the sequential core
   /// functions for any thread count. Unsupported combinations (e.g.
   /// footrule median) return NotImplemented; unknown enum values return
   /// InvalidArgument.
@@ -172,13 +175,13 @@ class Engine {
 
   /// \brief ConsensusTopK with the rank-distribution precompute supplied by
   /// the caller: the cache-aware entry point. `dist` must be the engine's
-  /// ComputeRankDistribution(tree, dist.k()), or a Prefix(k) view of a
+  /// ComputeRankDistribution(tree, dist.k()), or an At(k) view of a
   /// wider fold (bitwise the same) — the serving layer's RankDistCache
   /// memoizes one such fold per shape, so repeated queries against one
   /// shape skip the O(L^2 k) fold. Because the
   /// fold is schedule-deterministic, answers are bitwise identical whether
   /// `dist` was computed fresh or served from a cache. The metric-specific
-  /// tails (strata, columns, q columns) still run through the pool. The
+  /// tails (strata, q columns) still run through the pool. The
   /// guard here is a cheap key-set compare: a `dist` whose key set does not
   /// match tree.Keys() is InvalidArgument, but a stale distribution from a
   /// *different tree over the identical key set* (say, re-built with new
@@ -281,13 +284,6 @@ class Engine {
   }
 
  private:
-  /// One `column(dist, key)` evaluation per key of `dist`, fanned across
-  /// the pool — the per-candidate unit of the assignment-based metrics.
-  std::vector<std::vector<double>> PerKeyColumns(
-      const RankDistribution& dist,
-      const std::function<std::vector<double>(const RankDistribution&, KeyId)>&
-          column) const;
-
   /// FlatTree::Compile, counted: the single chokepoint every engine path
   /// compiles through, so fold_compiles_ cannot undercount.
   FlatTree CompileCounted(const AndXorTree& tree) const;

@@ -131,13 +131,33 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot) {
               }
               return a->k < b->k;
             });
+  // A record carries the ranks its table stores: a view wider than its
+  // table (a complete fold, see RankDistribution::At) reads zeros beyond
+  // them, and decodes to a table that covers the same ks. A record of one
+  // shape at a different k than its predecessor that stores the same ranks
+  // is dropped; a record repeating its predecessor's (shape, k) is written
+  // as is, for the decoder to reject.
+  const auto stored_width = [](const SnapshotDistribution* d) {
+    return std::min(d->k, d->dist->width());
+  };
+  std::vector<const SnapshotDistribution*> records;
+  records.reserve(dists.size());
+  for (size_t i = 0; i < dists.size(); ++i) {
+    const SnapshotDistribution* d = dists[i];
+    const SnapshotDistribution* prev = i > 0 ? dists[i - 1] : nullptr;
+    if (prev != nullptr && prev->struct_key == d->struct_key &&
+        prev->k != d->k && stored_width(prev) == stored_width(d)) {
+      continue;
+    }
+    records.push_back(d);
+  }
 
   std::string out;
   out.append(kCatalogSnapshotMagic, sizeof(kCatalogSnapshotMagic));
   AppendU32(&out, kCatalogSnapshotVersion);
   AppendU32(&out, 0);  // reserved
   AppendU64(&out, static_cast<uint64_t>(trees.size()));
-  AppendU64(&out, static_cast<uint64_t>(dists.size()));
+  AppendU64(&out, static_cast<uint64_t>(records.size()));
 
   for (const SnapshotTree* t : trees) {
     AppendU32(&out, static_cast<uint32_t>(t->name.size()));
@@ -148,16 +168,16 @@ std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot) {
     out.append(t->content);
   }
 
-  for (const SnapshotDistribution* d : dists) {
+  for (const SnapshotDistribution* d : records) {
+    const int width = stored_width(d);
     AppendU64(&out, d->struct_key.value());
-    AppendU32(&out, static_cast<uint32_t>(d->k));
+    AppendU32(&out, static_cast<uint32_t>(width));
     const std::vector<KeyId>& keys = d->dist->keys();
     AppendU64(&out, static_cast<uint64_t>(keys.size()));
-    for (KeyId key : keys) {
-      AppendU32(&out, static_cast<uint32_t>(key));
-      for (int i = 1; i <= d->k; ++i) {
-        AppendDoubleBits(&out, d->dist->PrRankEq(key, i));
-      }
+    for (size_t t = 0; t < keys.size(); ++t) {
+      AppendU32(&out, static_cast<uint32_t>(keys[t]));
+      const RankDistribution::Row row = d->dist->row(static_cast<int>(t));
+      for (int i = 1; i <= width; ++i) AppendDoubleBits(&out, row.eq[i]);
     }
   }
 

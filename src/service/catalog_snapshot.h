@@ -45,7 +45,9 @@
 //                 u64 structural key, u64 content length, content bytes
 //   dist record:  u64 structural key, u32 k, u64 key count, then per key:
 //                 i32 key id, then k doubles (raw IEEE-754 bits, little-
-//                 endian): Pr(r(key) = i) for i = 1..k
+//                 endian): Pr(r(key) = i) for i = 1..k. The record's k is
+//                 the stored table width, min(k, key count) for a fold
+//                 the engine ran: a complete table covers every wider k.
 //
 // Format v1 (still readable) differs in two ways: tree records carry no
 // structural key (it is recomputed on load by canonicalizing the parsed
@@ -119,7 +121,9 @@ struct CatalogSnapshot {
 /// \brief Serializes a snapshot to the v2 byte format. Deterministic:
 /// records are emitted in sorted order (trees by name, distributions by
 /// (StructKey, k)) whatever order the vectors hold, so the bytes are a
-/// pure function of the logical content.
+/// pure function of the logical content. Each distribution record stores
+/// the ranks its table holds, min(k, dist->width()); records of one shape
+/// at different ks that store the same ranks are written once.
 std::string EncodeCatalogSnapshot(const CatalogSnapshot& snapshot);
 
 /// \brief Parses and fully validates `size` bytes of snapshot (v1 or v2).

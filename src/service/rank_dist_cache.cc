@@ -8,12 +8,12 @@ namespace cpdb {
 
 namespace {
 
-// The k-view of a retained entry; the entry itself when it is exactly k
-// wide, so same-k callers share one handle.
+// The k-view of a retained entry (which Covers k); the entry itself when it
+// is exactly k wide, so same-k callers share one handle.
 std::shared_ptr<const RankDistribution> ViewAt(
     std::shared_ptr<const RankDistribution> dist, int k) {
   if (dist == nullptr || dist->k() == k) return dist;
-  return std::make_shared<const RankDistribution>(dist->Prefix(k));
+  return std::make_shared<const RankDistribution>(dist->At(k));
 }
 
 }  // namespace
@@ -28,7 +28,7 @@ std::shared_ptr<const RankDistribution> RankDistCache::GetOrCompute(
   return ViewAt(
       cache_.GetOrCompute(
           struct_key.value(), compute,
-          [k](const RankDistribution& dist) { return dist.k() >= k; }),
+          [k](const RankDistribution& dist) { return dist.Covers(k); }),
       k);
 }
 
@@ -36,8 +36,8 @@ std::shared_ptr<const RankDistribution> RankDistCache::Peek(
     StructKey struct_key, int k) const {
   std::shared_ptr<const RankDistribution> dist =
       cache_.Peek(struct_key.value());
-  return dist != nullptr && dist->k() >= k ? ViewAt(std::move(dist), k)
-                                           : nullptr;
+  return dist != nullptr && dist->Covers(k) ? ViewAt(std::move(dist), k)
+                                            : nullptr;
 }
 
 bool RankDistCache::Seed(StructKey struct_key,

@@ -9,11 +9,13 @@
 // share one entry.
 //
 // Each key holds the widest distribution folded for that shape so far, and
-// serves every narrower k as a RankDistribution::Prefix view of it: the
+// serves every narrower k as a RankDistribution::At view of it: the
 // fold sums each Pr(r = i) in the same order at any cutoff, so the k-prefix
 // of a fold at K is bitwise the fold at k. A request whose k the retained
 // (or in-flight) entry covers is a hit (or coalesced); a wider request is a
-// miss whose fold replaces the narrower entry. Because the engine's fold is
+// miss whose fold replaces the narrower entry. An entry folded at or beyond
+// its shape's key count n is complete and covers every k (the engine folds
+// at min(k, n), and ranks beyond n carry no mass — RankDistribution::At). Because the engine's fold is
 // schedule-deterministic, a cached distribution is bit-for-bit the one a
 // fresh computation would produce — serving from the cache can change
 // latency only, never answers (tests/service_test.cc pins this for all
@@ -53,7 +55,7 @@ class RankDistCache {
   explicit RankDistCache(int64_t byte_budget = kUnboundedCacheBytes);
 
   /// \brief The distribution for `struct_key` at cutoff k, as a view of the
-  /// retained entry when its k() >= k. Otherwise `compute` runs — at most
+  /// retained entry when it Covers(k). Otherwise `compute` runs — at most
   /// once across concurrent callers for one key — and must return a
   /// distribution with k() >= k (the caller may fold wider, to serve later
   /// requests of its batch); it replaces the retained entry under the
@@ -64,7 +66,7 @@ class RankDistCache {
       const std::function<RankDistribution()>& compute);
 
   /// \brief The k-view of the retained entry, or nullptr when none is
-  /// retained or it is narrower than k. Does not count toward the stats and
+  /// retained or it does not cover k. Does not count toward the stats and
   /// does not touch the LRU order (a probe, not a query).
   std::shared_ptr<const RankDistribution> Peek(StructKey struct_key,
                                                int k) const;

@@ -431,6 +431,37 @@ TEST(CatalogSnapshotCorruptionTest, DistributionRecordDefectsAreRejected) {
                  "out of range", "k=0");
 }
 
+// The encoder compares each record with its predecessor in (shape, k)
+// order. On a 3-key shape, (s, 3), (s, 5) store the same 3 ranks, so the
+// (s, 5) record is dropped; a further (s, 5) repeats its predecessor and is
+// written, at the stored width 3, for the decoder to reject as a duplicate.
+TEST(CatalogSnapshotCorruptionTest, SameWidthRecordsCollapseAndRepeatsReject) {
+  LiveService live(/*with_distributions=*/true);
+  const CatalogSnapshot valid = live.Snapshot(true);
+  CatalogSnapshot base;
+  base.trees = valid.trees;
+  for (const SnapshotDistribution& d : valid.distributions) {
+    if (d.dist->keys().size() == 3) base.distributions.push_back(d);
+  }
+  ASSERT_EQ(base.distributions.size(), 1u);
+  const SnapshotDistribution narrow = base.distributions[0];
+  ASSERT_EQ(narrow.k, 3);
+  ASSERT_EQ(narrow.dist->width(), 3);
+  SnapshotDistribution wide = narrow;
+  wide.k = 5;
+  wide.dist = std::make_shared<const RankDistribution>(narrow.dist->At(5));
+  ASSERT_EQ(wide.dist->k(), 5);
+
+  CatalogSnapshot collapsed = base;
+  collapsed.distributions.push_back(wide);
+  EXPECT_EQ(EncodeCatalogSnapshot(collapsed), EncodeCatalogSnapshot(base));
+
+  CatalogSnapshot repeated = collapsed;
+  repeated.distributions.push_back(wide);
+  ExpectRejected(EncodeCatalogSnapshot(repeated), StatusCode::kParseError,
+                 "duplicate (structural key, k)", "repeated wide record");
+}
+
 // A missing path is an error, not an empty snapshot — the warm-restart
 // contract (a restart that silently comes up cold would hide the defect
 // until traffic notices the latency).

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -355,27 +357,34 @@ TEST_F(CatalogWarmRestartTest, PrecomputedDistributionsMakeFirstBatchWarm) {
 
 // The cache keeps one entry per shape, so a file holding several ks of one
 // shape — as files saved before entries were per shape do — seeds only the
-// widest, which answers every narrower k as a prefix without folding.
+// widest, which answers every narrower k as a prefix without folding. A
+// record stores min(k, n) ranks for a shape of n keys (the engine folds no
+// wider), so the ks of one shape that reach n share one record.
 TEST_F(CatalogWarmRestartTest, SeveralKsOfOneShapeSeedTheWidest) {
   ShardedScheduler cold(1, ReferenceEngineOptions());
   SeedCold(&cold);
   CatalogSnapshot older = cold.BuildSnapshot(/*include_distributions=*/false);
   Engine engine;
-  std::set<StructKey> shapes;
+  std::map<StructKey, int> shapes;  // shape -> key count
+  size_t stored_records = 0;
   for (const SnapshotTree& record : older.trees) {
-    if (!shapes.insert(record.struct_key).second) continue;
+    const int n = static_cast<int>(record.tree->Keys().size());
+    if (!shapes.emplace(record.struct_key, n).second) continue;
+    std::set<int> widths;
     for (int k : {2, 5, 3}) {
       older.distributions.push_back(SnapshotDistribution{
           record.struct_key, k,
           std::make_shared<const RankDistribution>(
               engine.ComputeRankDistribution(*record.tree, k))});
+      widths.insert(std::min(k, n));
     }
+    stored_records += widths.size();
   }
   const std::string bytes = EncodeCatalogSnapshot(older);
   Result<CatalogSnapshot> snapshot =
       DecodeCatalogSnapshot(bytes.data(), bytes.size());
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_EQ(snapshot->distributions.size(), 3 * shapes.size());
+  ASSERT_EQ(snapshot->distributions.size(), stored_records);
 
   std::vector<ServiceRequest> batch;
   for (const std::string& name : names_) {
@@ -398,7 +407,8 @@ TEST_F(CatalogWarmRestartTest, SeveralKsOfOneShapeSeedTheWidest) {
         << label;
     for (const SnapshotDistribution& record :
          warm.BuildSnapshot(/*include_distributions=*/true).distributions) {
-      EXPECT_EQ(record.k, 5) << label;
+      EXPECT_EQ(record.k, std::min(5, shapes.at(record.struct_key)))
+          << label;
     }
     ExpectSameWire(warm.ExecuteBatch(batch), want, /*compare_stats=*/false,
                    label);
@@ -409,6 +419,40 @@ TEST_F(CatalogWarmRestartTest, SeveralKsOfOneShapeSeedTheWidest) {
               0)
         << label;
   }
+}
+
+// A request wider than its shape's key count n folds at n: the retained
+// entry claims the request's k over an n-wide table, the snapshot record
+// stores n ranks, and the restored entry covers every k — a warm replica
+// answers k = n + 1 and k = 20000 without folding, with the cold bytes.
+TEST_F(CatalogWarmRestartTest, WideRequestsPersistTheTableWidth) {
+  std::vector<ServiceRequest> batch;
+  for (const std::string& name : names_) {
+    for (int k : {20000, 40}) {
+      batch.push_back(TopKRequest(name, k, TopKMetric::kSymDiff));
+      batch.push_back(TopKRequest(name, k, TopKMetric::kIntersection,
+                                  TopKAnswer::kMeanApprox));
+    }
+  }
+  ShardedScheduler cold(1, ReferenceEngineOptions());
+  SeedCold(&cold);
+  const auto want = cold.ExecuteBatch(batch);
+  for (const auto& slot : want) ASSERT_TRUE(slot.ok());
+  SaveSnapshotWithDistributions(cold);
+  Result<CatalogSnapshot> snapshot = LoadSnapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  ASSERT_FALSE(snapshot->distributions.empty());
+  for (const SnapshotDistribution& record : snapshot->distributions) {
+    EXPECT_EQ(record.k, static_cast<int>(record.dist->keys().size()));
+  }
+
+  ShardedScheduler warm(1, ReferenceEngineOptions());
+  ASSERT_TRUE(warm.InstallSnapshot(*snapshot).ok());
+  ExpectSameWire(warm.ExecuteBatch(batch), want, /*compare_stats=*/false,
+                 "warm");
+  EXPECT_EQ(warm.cache_stats().misses, 0);
+  EXPECT_EQ(
+      warm.MetricsSnapshotNow().Find("cpdb_rank_dist_folds_total")->value, 0);
 }
 
 // Seeding respects the byte budget like any other cache write: a budget too

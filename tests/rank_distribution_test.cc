@@ -162,7 +162,8 @@ TEST(RankDistributionTest, ApproxBytesCoversHandComputedLowerBound) {
   //   * and the top-level object itself (which embeds the keys_/pr_eq_/
   //     pr_le_ headers).
   // The historical formula omitted the outer-array headers and the keys_
-  // element storage, undercharging every cached entry.
+  // element storage, undercharging every cached entry. The per-key charge
+  // is exact (no estimated map node: rows are addressed by index).
   const int k = 5;
   const int n = 10;
   Rng rng(3);
@@ -181,6 +182,23 @@ TEST(RankDistributionTest, ApproxBytesCoversHandComputedLowerBound) {
   const int64_t lower_bound = payload + key_array + inner_headers +
                               static_cast<int64_t>(sizeof(RankDistribution));
   EXPECT_GE(dist.ApproxBytes(), lower_bound);
+
+  // Per key, exactly the KeyId, its two inner vector headers in the outer
+  // arrays, and its two rows (header plus k+1 doubles each): rows are
+  // addressed by index, so no key-index map node is charged.
+  RandomTreeOptions wider = opts;
+  wider.num_keys = n + 1;
+  Rng rng_wider(3);
+  auto tree_wider = RandomBid(wider, &rng_wider);
+  ASSERT_TRUE(tree_wider.ok());
+  const RankDistribution dist_wider = ComputeRankDistribution(*tree_wider, k);
+  ASSERT_EQ(static_cast<int>(dist_wider.keys().size()), n + 1);
+  const int64_t per_key =
+      static_cast<int64_t>(sizeof(KeyId)) +
+      2 * static_cast<int64_t>(sizeof(std::vector<double>)) +
+      2 * (static_cast<int64_t>(sizeof(std::vector<double>)) +
+           (k + 1) * static_cast<int64_t>(sizeof(double)));
+  EXPECT_EQ(dist_wider.ApproxBytes() - dist.ApproxBytes(), per_key);
 
   // Deterministic function of (n, k): a same-shaped distribution from a
   // different tree costs the same — budget eviction replays identically.
@@ -223,7 +241,7 @@ TEST(RankDistributionTest, PrefixViewIsBitwiseTheNarrowerFold) {
     ASSERT_EQ(wide.k(), kWide);
     for (int k = 1; k < kWide; ++k) {
       const RankDistribution fold = engine.ComputeRankDistribution(trees[t], k);
-      const RankDistribution view = wide.Prefix(k);
+      const RankDistribution view = wide.At(k);
       ASSERT_EQ(view.k(), k);
       ASSERT_EQ(&view.keys(), &wide.keys());  // shared, not copied
       ASSERT_EQ(view.keys(), fold.keys());
@@ -241,9 +259,11 @@ TEST(RankDistributionTest, PrefixViewIsBitwiseTheNarrowerFold) {
         EXPECT_EQ(view.PrTopK(key), fold.PrTopK(key));
       }
     }
-    // A view never widens, and charges its table's full width.
-    EXPECT_EQ(wide.Prefix(kWide + 5).k(), kWide);
-    EXPECT_EQ(wide.Prefix(3).ApproxBytes(), wide.ApproxBytes());
+    // A view widens only when complete (its table holds every rank of its
+    // n <= kWide keys), and charges its table's full width.
+    const bool complete = wide.keys().size() <= static_cast<size_t>(kWide);
+    EXPECT_EQ(wide.At(kWide + 5).k(), complete ? kWide + 5 : kWide);
+    EXPECT_EQ(wide.At(3).ApproxBytes(), wide.ApproxBytes());
   }
 }
 

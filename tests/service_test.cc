@@ -187,7 +187,11 @@ TEST(RankDistCacheTest, CountsHitsAndMissesPerKey) {
   // A view reports its table's charge, so the retained bytes are those of
   // the widest fold per shape.
   EXPECT_EQ(narrow->ApproxBytes(), wide->ApproxBytes());
-  EXPECT_EQ(cache.Peek(StructKey(1), 4), nullptr);  // wider than retained
+  // Wider than retained misses — unless the entry is complete: the k = 3
+  // fold of this 3-key tree holds every rank, so it covers any k.
+  EXPECT_EQ(cache.Peek(StructKey(2), 3), nullptr);
+  ASSERT_NE(cache.Peek(StructKey(1), 4), nullptr);
+  EXPECT_EQ(cache.Peek(StructKey(1), 4)->k(), 4);
   // Unbounded by default: entries are charged but never evicted.
   EXPECT_EQ(cache.byte_budget(), kUnboundedCacheBytes);
   EXPECT_EQ(stats.evictions, 0);

@@ -15,6 +15,7 @@
 #include "common/rng.h"
 #include "core/evaluation.h"
 #include "model/builders.h"
+#include "support/reference_heads.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -97,11 +98,11 @@ TEST(TopKFootruleTest, UpsilonStatisticsOnCertainDatabase) {
   ASSERT_TRUE(tree.ok());
   RankDistribution dist = ComputeRankDistribution(*tree, 3);
   // Key 1 is deterministically at rank 2.
-  EXPECT_NEAR(Upsilon2(dist, 1), 2.0, 1e-12);
-  EXPECT_NEAR(Upsilon3(dist, 1, 2), 0.0, 1e-12);
-  EXPECT_NEAR(Upsilon3(dist, 1, 3), 1.0, 1e-12);
+  EXPECT_NEAR(by_key::Upsilon2(dist, 1), 2.0, 1e-12);
+  EXPECT_NEAR(by_key::Upsilon3(dist, 1, 2), 0.0, 1e-12);
+  EXPECT_NEAR(by_key::Upsilon3(dist, 1, 3), 1.0, 1e-12);
   // Key 3 is always beyond k=3: Upsilon3(t, i) = i.
-  EXPECT_NEAR(Upsilon3(dist, 3, 2), 2.0, 1e-12);
+  EXPECT_NEAR(by_key::Upsilon3(dist, 3, 2), 2.0, 1e-12);
 }
 
 TEST(TopKFootruleTest, CertainDatabaseHasZeroOptimalDistance) {

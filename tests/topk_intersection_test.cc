@@ -15,6 +15,7 @@
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "core/evaluation.h"
+#include "support/reference_heads.h"
 #include "workload/generators.h"
 
 namespace cpdb {
@@ -100,8 +101,7 @@ TEST_P(TopKIntersectionProperty, ApproxSatisfiesHkBoundOnProfit) {
   auto profit = [&](const std::vector<KeyId>& answer) {
     double total = 0.0;
     for (size_t j = 0; j < answer.size(); ++j) {
-      total += IntersectionPositionProfit(dist, answer[j],
-                                          static_cast<int>(j) + 1);
+      total += IntersectionProfitColumn(dist, dist.FindRow(answer[j]))[j];
     }
     return total;
   };
@@ -122,13 +122,14 @@ TEST(TopKIntersectionTest, UpsilonHIsProfitAtPositionOne) {
   auto tree = RandomBid(opts, &rng);
   ASSERT_TRUE(tree.ok());
   RankDistribution dist = ComputeRankDistribution(*tree, 4);
-  for (KeyId key : dist.keys()) {
-    EXPECT_DOUBLE_EQ(UpsilonH(dist, key),
-                     IntersectionPositionProfit(dist, key, 1));
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    const KeyId key = dist.keys()[t];
+    EXPECT_DOUBLE_EQ(by_key::UpsilonH(dist, key),
+                     IntersectionProfitColumn(dist, static_cast<int>(t))[0]);
     // Upsilon_H telescopes: sum_i Pr(r <= i)/i.
     double manual = 0.0;
     for (int i = 1; i <= 4; ++i) manual += dist.PrRankLe(key, i) / i;
-    EXPECT_NEAR(UpsilonH(dist, key), manual, 1e-12);
+    EXPECT_NEAR(by_key::UpsilonH(dist, key), manual, 1e-12);
   }
 }
 
@@ -149,10 +150,12 @@ TEST(TopKIntersectionTest, ProfitMonotoneInPosition) {
   auto tree = RandomBid(opts, &rng);
   ASSERT_TRUE(tree.ok());
   RankDistribution dist = ComputeRankDistribution(*tree, 5);
-  for (KeyId key : dist.keys()) {
+  for (size_t t = 0; t < dist.keys().size(); ++t) {
+    const std::vector<double> profit =
+        IntersectionProfitColumn(dist, static_cast<int>(t));
     for (int j = 2; j <= 5; ++j) {
-      EXPECT_LE(IntersectionPositionProfit(dist, key, j),
-                IntersectionPositionProfit(dist, key, j - 1) + 1e-12);
+      EXPECT_LE(profit[static_cast<size_t>(j - 1)],
+                profit[static_cast<size_t>(j - 2)] + 1e-12);
     }
   }
 }

@@ -11,7 +11,7 @@
 # fails when any file under src/ or tools/
 #
 #   * includes one of the test-support headers (generating_function,
-#     poly2, sparse_poly), or
+#     poly2, sparse_poly, reference_folds, reference_heads), or
 #   * names a function ending in "Pointer" followed by an argument list,
 #
 # or when any file under tools/ includes core/aggregates.h, core/hardness.h
@@ -20,7 +20,12 @@
 # under src/engine/, src/service/ or tools/ includes core/monte_carlo.h or
 # core/evaluation.h: the Monte-Carlo estimators and the enumerated expected
 # distances are ground truth for tests, benchmarks and examples, never a
-# second answer path.
+# second answer path. And it fails when src/engine/, src/service/ or a
+# serving head (src/core/topk_*.cc, src/core/ranking_baselines.cc) calls a
+# by-key RankDistribution accessor (PrRankEq, PrRankLe, PrTopK, PrBeyondK):
+# each is a binary search per read, so the serving paths read rows
+# (RankDistribution::row / RowOf), looking each key up at most once. The
+# by-key heads live in tests/support/reference_heads.cc as the reference.
 #
 # Usage: tools/check_library_surface.sh [repo-root]
 
@@ -29,10 +34,11 @@ set -eu
 root="${1:-$(dirname "$0")/..}"
 cd "$root"
 
-include_pattern='#[[:space:]]*include[[:space:]]*["<]([^">]*/)?(generating_function|poly2|sparse_poly)[.]h'
+include_pattern='#[[:space:]]*include[[:space:]]*["<]([^">]*/)?(generating_function|poly2|sparse_poly|reference_folds|reference_heads)[.]h'
 pointer_pattern='[A-Za-z0-9_]Pointer[[:space:]]*[(]'
 op_core_pattern='#[[:space:]]*include[[:space:]]*["<]core/(aggregates|hardness|ranking_baselines)[.]h'
 truth_pattern='#[[:space:]]*include[[:space:]]*["<]core/(monte_carlo|evaluation)[.]h'
+by_key_pattern='(PrRankEq|PrRankLe|PrTopK|PrBeyondK)[[:space:]]*[(]'
 
 violations=$(grep -RnE "$include_pattern|$pointer_pattern" src tools || true)
 
@@ -63,6 +69,19 @@ if [ -n "$truth_violations" ]; then
   exit 1
 fi
 
+by_key_violations=$(grep -RnE "$by_key_pattern" src/engine src/service \
+  src/core/topk_*.cc src/core/ranking_baselines.cc || true)
+
+if [ -n "$by_key_violations" ]; then
+  echo "library-surface lint FAILED: a serving path reads a rank" >&2
+  echo "distribution by key. Read rows (RankDistribution::row / RowOf)" >&2
+  echo "in src/engine/, src/service/ and the serving heads:" >&2
+  echo "$by_key_violations" >&2
+  exit 1
+fi
+
 echo "library surface OK: src/ and tools/ use no tests/support references;"
 echo "tools/ leaves the op table's computations to the op table;"
-echo "the engine, the service and tools/ include no sampler or enumerator."
+echo "the engine, the service and tools/ include no sampler or enumerator;"
+echo "the engine, the service and the serving heads read rank distributions"
+echo "by row."
