@@ -2,10 +2,11 @@
 //
 // Thread scaling of the engine's newly parallelized consensus paths: the
 // MedianTopKSymDiff stratum search, the footrule / intersection Hungarian
-// cost-column builds, set consensus with chunked marginal folds, and the
-// batched query API. Every path is schedule-deterministic, so these runs
-// double as a determinism smoke check: thread count changes wall-clock only
-// (on multi-core hosts; a 1-core container shows flat curves).
+// cost-column builds, set consensus with chunked marginal folds, and a
+// mixed one-query-at-a-time sweep. Every path is schedule-deterministic,
+// so these runs double as a determinism smoke check: thread count changes
+// wall-clock only (on multi-core hosts; a 1-core container shows flat
+// curves).
 
 #include <benchmark/benchmark.h>
 
@@ -99,24 +100,23 @@ void BM_EngineSetConsensus(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSetConsensus)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// Whole-query fan-out: all four metrics x several k in one submission.
-void BM_EngineConsensusBatch(benchmark::State& state) {
+// A mixed sweep, one query at a time (the serving executor's shape): all
+// four metrics x several k, each query fanning only its own units.
+void BM_EngineConsensusSweep(benchmark::State& state) {
   AndXorTree tree = MakeDeepTree(30);
   Engine engine = MakeEngine(static_cast<int>(state.range(0)));
-  std::vector<Engine::ConsensusQuery> queries;
-  for (int k : {2, 4, 8}) {
-    for (TopKMetric metric :
-         {TopKMetric::kSymDiff, TopKMetric::kIntersection,
-          TopKMetric::kFootrule, TopKMetric::kKendall}) {
-      queries.push_back({&tree, k, metric, TopKAnswer::kMean});
+  for (auto _ : state) {
+    for (int k : {2, 4, 8}) {
+      for (TopKMetric metric :
+           {TopKMetric::kSymDiff, TopKMetric::kIntersection,
+            TopKMetric::kFootrule, TopKMetric::kKendall}) {
+        auto result = engine.ConsensusTopK(tree, k, metric, TopKAnswer::kMean);
+        benchmark::DoNotOptimize(result);
+      }
     }
   }
-  for (auto _ : state) {
-    auto results = engine.EvaluateConsensusBatch(queries);
-    benchmark::DoNotOptimize(results);
-  }
 }
-BENCHMARK(BM_EngineConsensusBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_EngineConsensusSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 }  // namespace cpdb

@@ -229,6 +229,7 @@ MedianSymDiffContext BuildMedianSymDiffContext(const AndXorTree& tree,
                                                const RankDistribution& dist) {
   MedianSymDiffContext context;
   context.k = dist.k();
+  context.num_keys = static_cast<int>(dist.keys().size());
   // Distinct leaf scores ascending: the Theorem 4 thresholds, in the order
   // the sequential scan (a std::set walk) considered them historically.
   std::set<double> scores;
@@ -260,7 +261,10 @@ std::vector<SymDiffMedianCandidate> EvalMedianSymDiffStratum(
   if (stratum < static_cast<int>(context.thresholds.size())) {
     // Candidates of size exactly k above this score threshold (Theorem 4):
     // a size-k world of the pruned tree is exactly the Top-k of a
-    // realizable full world. DP values are P(t) = Pr(r(t) <= k).
+    // realizable full world. DP values are P(t) = Pr(r(t) <= k). No world
+    // holds more than n tuples (the key constraint), so at k > n no size-k
+    // world exists and the DP is skipped outright.
+    if (k > context.num_keys) return candidates;
     const double threshold = context.thresholds[static_cast<size_t>(stratum)];
     std::vector<bool> active(static_cast<size_t>(tree.NumNodes()), false);
     int num_active = 0;
@@ -280,13 +284,17 @@ std::vector<SymDiffMedianCandidate> EvalMedianSymDiffStratum(
 
   // Final stratum: whole worlds with fewer than k tuples (their Top-k answer
   // is the world itself), over the unpruned tree with centered values
-  // P(t) - 1/2 so sizes compare on the uniform objective.
+  // P(t) - 1/2 so sizes compare on the uniform objective. Sizes above n are
+  // infeasible, so the DP rows stop at min(k - 1, n): every entry up to the
+  // cap is filled from the same (i, j) pairs in the same order whatever the
+  // cap, so the candidates are bitwise those of a DP sized at k - 1.
   std::vector<bool> all_active(static_cast<size_t>(tree.NumNodes()), false);
   for (NodeId l : tree.LeafIds()) {
     all_active[static_cast<size_t>(l)] = true;
   }
-  SizeValueDp dp(tree, context.value_centered, all_active, k - 1);
-  for (int size = 0; size < k; ++size) {
+  const int max_size = std::min(k - 1, context.num_keys);
+  SizeValueDp dp(tree, context.value_centered, all_active, max_size);
+  for (int size = 0; size <= max_size; ++size) {
     double v = dp.ValueAt(size);
     if (v == kNegInf) continue;
     candidates.push_back({v, dp.Reconstruct(size)});

@@ -81,6 +81,9 @@ struct SymDiffMedianCandidate {
 /// only; other nodes 0). Build with BuildMedianSymDiffContext.
 struct MedianSymDiffContext {
   int k = 0;
+  /// n, the distribution's key count: no world holds more tuples, so it
+  /// caps every stratum's DP size.
+  int num_keys = 0;
   std::vector<double> thresholds;
   std::vector<double> value_p;
   std::vector<double> value_centered;
@@ -98,7 +101,9 @@ int NumMedianSymDiffStrata(const MedianSymDiffContext& context);
 
 /// \brief Evaluates stratum `stratum`: indices below the distinct-score
 /// count run that score-threshold DP (at most one candidate); the final
-/// index runs the small-world DP (up to k candidates, sizes ascending).
+/// index runs the small-world DP (up to min(k, n + 1) candidates, sizes
+/// ascending). Every DP is sized at most n: at k > n the threshold strata
+/// return nothing without running one.
 /// Candidates are returned in the exact order the sequential scan considers
 /// them; infeasible strata return an empty vector. Strata are independent
 /// and `context` is only read, so calls may run concurrently.

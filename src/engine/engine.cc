@@ -264,43 +264,6 @@ Result<TopKResult> Engine::ConsensusTopKWithDist(const AndXorTree& tree,
   return Status::InvalidArgument("unknown metric or answer kind");
 }
 
-std::vector<Result<TopKResult>> Engine::EvaluateConsensusBatch(
-    const std::vector<ConsensusQuery>& queries) const {
-  std::vector<Result<TopKResult>> results(
-      queries.size(),
-      Result<TopKResult>(Status::Internal("query not evaluated")));
-  // Whole queries fan across the pool; each slot is written by exactly one
-  // unit and every query is itself schedule-deterministic, so the batch is
-  // bitwise-equivalent to a sequential loop of ConsensusTopK calls. Nested
-  // ParallelFor inside a query is safe (idle threads drain the shared
-  // queue), so inner units of one query fill gaps left by another.
-  pool_.ParallelFor(static_cast<int64_t>(queries.size()), [&](int64_t i) {
-    const ConsensusQuery& q = queries[static_cast<size_t>(i)];
-    if (q.tree == nullptr) {
-      results[static_cast<size_t>(i)] =
-          Status::InvalidArgument("ConsensusQuery.tree must not be null");
-      return;
-    }
-    if (q.dist != nullptr) {
-      // Cache-aware slot: the caller supplied the (tree, k) rank
-      // distribution (the serving layer points every query sharing a
-      // fingerprint at one cached instance). A k mismatch would silently
-      // answer a different query, so it fails the slot instead.
-      if (q.dist->k() != q.k) {
-        results[static_cast<size_t>(i)] = Status::InvalidArgument(
-            "ConsensusQuery.dist was computed for a different k");
-        return;
-      }
-      results[static_cast<size_t>(i)] = ConsensusTopKWithDist(
-          *q.tree, *q.dist, q.metric, q.answer, q.program);
-      return;
-    }
-    results[static_cast<size_t>(i)] =
-        ConsensusTopK(*q.tree, q.k, q.metric, q.answer, q.program);
-  });
-  return results;
-}
-
 Result<Engine::WorldResult> Engine::ConsensusWorldWithMarginals(
     const AndXorTree& tree, const std::vector<double>& marginals,
     bool median) const {

@@ -25,11 +25,11 @@
 // column per candidate tuple, each a few row reads, computed on the calling
 // thread before the Hungarian solve.
 //
-// EvaluateConsensusBatch fans whole queries across the same pool (queries
-// nest their own ParallelFor calls; the pool is nest-safe), so callers with
-// many (tree, k, metric) combinations pay one submission. Sharding and
-// caching live above this facade, in src/service: each shard owns one
-// Engine, and its rank-distribution cache feeds ConsensusQuery::dist.
+// The engine answers one query per call; the units fanned across the pool
+// are the heavy parts inside a query (leaves, q cells, strata), never whole
+// queries. Sharding and caching live above this facade, in src/service:
+// each shard owns one Engine, and its rank-distribution cache feeds
+// ConsensusTopKWithDist.
 
 #ifndef CPDB_ENGINE_ENGINE_H_
 #define CPDB_ENGINE_ENGINE_H_
@@ -192,36 +192,6 @@ class Engine {
       const AndXorTree& tree, const RankDistribution& dist, TopKMetric metric,
       TopKAnswer answer = TopKAnswer::kMean,
       const FlatTree* program = nullptr) const;
-
-  /// \brief One query of a consensus Top-k batch; `tree` (and `dist` when
-  /// set) must stay alive for the duration of the EvaluateConsensusBatch
-  /// call (several queries may share one tree).
-  struct ConsensusQuery {
-    const AndXorTree* tree = nullptr;
-    int k = 1;
-    TopKMetric metric = TopKMetric::kSymDiff;
-    TopKAnswer answer = TopKAnswer::kMean;
-    /// Optional precomputed rank distribution for (tree, k) — see
-    /// ConsensusTopKWithDist. When set, its k() must equal `k` (the slot
-    /// fails with InvalidArgument otherwise) and the query skips the
-    /// rank-distribution fold; the serve scheduler points every query of a
-    /// shape at views of one cached fold.
-    const RankDistribution* dist = nullptr;
-    /// Optional precompiled fold program for `tree` — see
-    /// ComputeRankDistribution. Must be FlatTree::Compile(*tree) when set;
-    /// the serving catalog shares one per distinct shape.
-    const FlatTree* program = nullptr;
-  };
-
-  /// \brief Evaluates many consensus Top-k queries in one submission,
-  /// fanning whole queries across the pool (each query may nest its own
-  /// ParallelFor; the pool is nest-safe, and idle threads inside one query
-  /// steal units of another). results[i] corresponds to queries[i] and
-  /// equals what ConsensusTopK(queries[i]...) returns — bitwise, for any
-  /// thread count; per-query failures (null tree, bad k, unsupported
-  /// combination) land in their slot without affecting other queries.
-  std::vector<Result<TopKResult>> EvaluateConsensusBatch(
-      const std::vector<ConsensusQuery>& queries) const;
 
   // -- Set consensus (Section 4.1) ----------------------------------------
 

@@ -34,8 +34,8 @@ struct Assignment {
 /// least one row.
 ///
 /// Pure function of `cost` (no shared or global state), so distinct solves
-/// may run concurrently — Engine::EvaluateConsensusBatch fans one solve per
-/// footrule/intersection query across its thread pool.
+/// may run concurrently — concurrent footrule/intersection queries (one
+/// per serving shard, or per caller thread) each run their own solve.
 Result<Assignment> SolveAssignmentMin(
     const std::vector<std::vector<double>>& cost);
 

@@ -167,6 +167,39 @@ int TopKRankDistK(const ServiceRequest& request) {
              : 0;
 }
 
+Result<ServiceResponse> ExecuteTopKTree(OpHost& host, const CatalogEntry& entry,
+                                        const ServiceRequest& request,
+                                        const Clock* clk,
+                                        ResponseTiming* timing) {
+  // The rank distribution comes through the per-shape cache (folded once
+  // per batch at the planned width); a request that can only fail reads
+  // none and populates nothing — the engine rejects it before any fold.
+  Stopwatch cache_watch(clk);
+  std::shared_ptr<const RankDistribution> dist;
+  if (TopKRankDistK(request) > 0) dist = host.RankDistFor(entry, request.k);
+  AddSpan(timing, "cache", cache_watch);
+  Stopwatch fold_watch(clk);
+  Result<TopKResult> result =
+      dist != nullptr
+          ? host.engine()->ConsensusTopKWithDist(*entry.tree, *dist,
+                                                 request.metric, request.answer,
+                                                 entry.program.get())
+          : host.engine()->ConsensusTopK(*entry.tree, request.k,
+                                         request.metric, request.answer,
+                                         entry.program.get());
+  AddSpan(timing, "fold", fold_watch);
+  if (!result.ok()) return result.status();
+  ServiceResponse response;
+  response.op = ServiceRequest::Op::kTopK;
+  response.tree_name = request.tree_name;
+  response.k = request.k;
+  response.metric = TopKMetricName(request.metric);
+  response.answer = TopKAnswerName(request.answer);
+  response.keys = std::move(result->keys);
+  response.expected_distance = result->expected_distance;
+  return response;
+}
+
 void FormatTopK(const ServiceResponse& response,
                 std::vector<RequestField>* fields) {
   fields->push_back({"tree", response.tree_name});
@@ -559,9 +592,9 @@ OpRegistry::OpRegistry() {
     spec.name = "topk";
     spec.routing = OpRouting::kTreeAddressed;
     spec.batch_phase = kQueryPhase;
-    spec.fuse_consensus_batch = true;
     spec.rank_dist_k = TopKRankDistK;
     spec.parse = ParseTopK;
+    spec.execute_tree = ExecuteTopKTree;
     spec.format = FormatTopK;
     add(spec);
   }

@@ -19,14 +19,17 @@
 //     before queries before stats before metrics);
 //   * how it executes: an execute hook against an abstract host (OpHost:
 //     one shard's Engine + rank-distribution cache; AdminHost: the merged
-//     front-end state), or — topk only — a slot in the per-shard
-//     executor's fused consensus batch, and
+//     front-end state) — every tree-addressed op, topk included, has its
+//     `execute_tree` hook and no other execution form, and
 //   * a deterministic response formatter.
 //
 // ShardedScheduler::ExecuteBatch and the per-shard executor behind it are
-// generic walks of this table: adding an op means adding one row here
-// (plus its core/engine computation), not editing six dispatch sites. The wire error for an unknown op enumerates
-// the valid names from the table, so the message can never go stale.
+// generic walks of this table: the executor resolves every slot's tree,
+// plans the batch's folds (`rank_dist_k`), then runs each slot's hook in
+// slot order. Adding an op means adding one row here (plus its core/engine
+// computation), not editing six dispatch sites. The wire error for an
+// unknown op enumerates the valid names from the table, so the message can
+// never go stale.
 //
 // Determinism contract: every execute hook computes through
 // schedule-deterministic Engine forms, so answers are bitwise identical
@@ -54,8 +57,7 @@ namespace cpdb {
 /// an OpSpec provides).
 enum class OpRouting {
   /// Addressed to one catalog tree by name: routed to the shard owning the
-  /// tree's StructKey and executed there — through `execute_tree`, or as a
-  /// slot of the fused consensus batch (`fuse_consensus_batch`).
+  /// tree's StructKey and executed there through `execute_tree`.
   kTreeAddressed,
   /// Touches the catalog as a whole: executed on the front-end thread,
   /// which computes the identity and inserts into the owning shard.
@@ -89,8 +91,8 @@ class OpHost {
 
   /// The rank distribution at cutoff k unconditionally — through the
   /// RankDistCache when enabled (a miss folds at the widest k the batch
-  /// plans for the shape), computed fresh at k otherwise. The baseline
-  /// rankings (method=global|prf) and the fused topk slots route here.
+  /// plans for the shape), computed fresh at k otherwise. The topk hook
+  /// and the baseline rankings (method=global|prf) route here.
   virtual std::shared_ptr<const RankDistribution> RankDistFor(
       const CatalogEntry& entry, int k) = 0;
 };
@@ -123,13 +125,6 @@ struct OpSpec {
   OpRouting routing = OpRouting::kTreeAddressed;
   int batch_phase = kQueryPhase;
 
-  /// Query-phase trait: the slot carries a consensus Top-k query that the
-  /// per-shard executor folds into its single fused
-  /// Engine::EvaluateConsensusBatch submission (rank distribution through
-  /// the cache, one shared fold span). A fused row has no `execute_tree`:
-  /// the batch is its only execution form. Only kTopK sets it.
-  bool fuse_consensus_batch = false;
-
   /// Batch-plan hook: the cutoff k at which this request reads its
   /// shape's rank distribution, or 0 when it reads none. The per-shard
   /// executor folds each shape once per batch, at the widest k its slots
@@ -145,7 +140,7 @@ struct OpSpec {
 
   /// Executes a kTreeAddressed op against its resolved catalog entry,
   /// recording cache/fold spans on `timing` (clk null = inert watches).
-  /// Null for non-tree ops and for the fused row.
+  /// Set on every kTreeAddressed row, null on the others.
   Result<ServiceResponse> (*execute_tree)(OpHost& host,
                                           const CatalogEntry& entry,
                                           const ServiceRequest& request,

@@ -4,9 +4,9 @@
 // their wire mappings (ServiceRequestFromLine, ResponseToFields), the
 // scheduler knobs (SchedulerOptions), and the serve-path instruments
 // (ServeInstruments). service/sharded_scheduler.h is the one front end that
-// executes these requests; its per-shard executor routes every rank
-// distribution through the shard's memo cache, by StructKey, and fans the
-// remaining per-query work through Engine::EvaluateConsensusBatch.
+// executes these requests; its per-shard executor runs each request's
+// OpRegistry execute hook in slot order, and routes every rank
+// distribution through the shard's memo cache, by StructKey.
 
 #ifndef CPDB_SERVICE_QUERY_SCHEDULER_H_
 #define CPDB_SERVICE_QUERY_SCHEDULER_H_

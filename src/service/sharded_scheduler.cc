@@ -72,20 +72,6 @@ void FinishRequest(ServeInstruments* instruments, const ServiceRequest& request,
   }
 }
 
-// The kTopK ok response for a finished consensus result.
-ServiceResponse ConsensusTopKResponse(const ServiceRequest& request,
-                                      const TopKResult& result) {
-  ServiceResponse response;
-  response.op = ServiceRequest::Op::kTopK;
-  response.tree_name = request.tree_name;
-  response.k = request.k;
-  response.metric = TopKMetricName(request.metric);
-  response.answer = TopKAnswerName(request.answer);
-  response.keys = result.keys;
-  response.expected_distance = result.expected_distance;
-  return response;
-}
-
 // QueryScheduler — one shard's executor. It runs the tree-addressed
 // requests the front end routes to its shard against the shard's engine
 // and catalog, owning the shard's RankDistCache and its instruments. Each
@@ -284,7 +270,6 @@ void QueryScheduler::ExecuteBatch(const ServiceRequest* requests,
   // shape folds it once, at that k, and every other slot reads a prefix
   // view of the one entry.
   std::vector<CatalogEntry> entries(slots.size());
-  std::vector<size_t> fused;  // positions j into slots
   std::map<StructKey, int> fold_widths;
   for (size_t j = 0; j < slots.size(); ++j) {
     const ServiceRequest& request = requests[slots[j]];
@@ -297,7 +282,6 @@ void QueryScheduler::ExecuteBatch(const ServiceRequest* requests,
     }
     entries[j] = *std::move(entry);
     const OpSpec& spec = ops.spec(request.op);
-    if (spec.fuse_consensus_batch) fused.push_back(j);
     const int k = spec.rank_dist_k != nullptr ? spec.rank_dist_k(request) : 0;
     if (k > 0) {
       int& width = fold_widths[entries[j].struct_key];
@@ -306,67 +290,14 @@ void QueryScheduler::ExecuteBatch(const ServiceRequest* requests,
   }
   BatchHost host(this, std::move(fold_widths));
 
-  // The fused consensus pass — topk's only execution form, skipped when
-  // no slot takes it.
-  if (!fused.empty()) {
-    // The deduplication step: route every Top-k query's rank-distribution
-    // precompute through the per-shape cache, in slot order, so the first
-    // query of each shape folds (at the planned width) and the rest hit —
-    // within this batch and across batches alike. The handles keep cached
-    // entries alive for the duration of the engine call even if entries
-    // are evicted concurrently. A request that can only fail (bad k,
-    // unsupported metric/answer pair) gets no distribution and populates
-    // nothing: the engine rejects such queries *before* paying the fold,
-    // and reports the error. With caching off no slot gets one, so the
-    // engine folds.
-    std::vector<std::shared_ptr<const RankDistribution>> dists(fused.size());
-    std::vector<Engine::ConsensusQuery> queries(fused.size());
-    for (size_t f = 0; f < fused.size(); ++f) {
-      const size_t j = fused[f];
-      const ServiceRequest& request = requests[slots[j]];
-      Stopwatch cache_watch(clk);
-      if (options_.use_cache && ops.spec(request.op).rank_dist_k(request) > 0) {
-        dists[f] = host.RankDistFor(entries[j], request.k);
-      }
-      AddSpan(&timings[j], "cache", cache_watch);
-      queries[f] = {entries[j].tree.get(), request.k, request.metric,
-                    request.answer, dists[f].get(), entries[j].program.get()};
-    }
-
-    // One engine submission for all fused slots: whole queries fan across
-    // the pool, cached distributions are shared read-only.
-    Stopwatch fold_watch(clk);
-    std::vector<Result<TopKResult>> results =
-        engine_->EvaluateConsensusBatch(queries);
-    // The whole submission is one engine call, so every fused slot
-    // records the same fold duration — per-slot attribution inside a
-    // fused batch would be fiction. The count (one fold span per slot) is
-    // what the sharded-parity tests rely on; values are side-band by
-    // contract.
-    const int64_t batch_fold_nanos = fold_watch.ElapsedNanos();
-    for (size_t f = 0; f < fused.size(); ++f) {
-      const size_t j = fused[f];
-      if (fold_watch.enabled()) {
-        timings[j].spans.emplace_back("fold", batch_fold_nanos);
-      }
-      if (!results[f].ok()) {
-        responses[slots[j]] = results[f].status();
-        continue;
-      }
-      responses[slots[j]] =
-          ConsensusTopKResponse(requests[slots[j]], *results[f]);
-    }
-  }
-
-  // The other resolved slots (worlds, the analytics ops) run their own
-  // execute hooks after the fused finalize, in slot order — a hook that
-  // reads a rank distribution routes it through the cache inside the hook.
+  // Every resolved slot runs its op's execute hook, in slot order; a hook
+  // that reads a rank distribution routes it through the cache inside the
+  // hook.
   for (size_t j = 0; j < slots.size(); ++j) {
+    if (entries[j].tree == nullptr) continue;
     const ServiceRequest& request = requests[slots[j]];
-    const OpSpec& spec = ops.spec(request.op);
-    if (entries[j].tree == nullptr || spec.fuse_consensus_batch) continue;
-    responses[slots[j]] =
-        spec.execute_tree(host, entries[j], request, clk, &timings[j]);
+    responses[slots[j]] = ops.spec(request.op).execute_tree(
+        host, entries[j], request, clk, &timings[j]);
   }
 
   for (size_t j = 0; j < slots.size(); ++j) {

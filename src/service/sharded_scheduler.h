@@ -30,8 +30,9 @@
 // shard's cache, so queries sharing a structural key — within a batch or
 // across batches — pay the fold once, over the catalog's precompiled
 // per-shape program; leaf marginals are read straight off that program.
-// The remaining per-query work (strata, Hungarian columns, q matrices)
-// fans through Engine::EvaluateConsensusBatch. The cache is single-flight
+// Each slot then runs its op's execute hook in slot order; the heavy
+// per-query work (strata, q cells) fans its own units across the shard
+// engine's pool. The cache is single-flight
 // and LRU-evicting under the configured byte budget
 // (SchedulerOptions::cache_budget_bytes, applied per shard).
 //

@@ -348,31 +348,24 @@ TEST(DifferentialTest, SetConsensusMatchesEnumeration) {
   }
 }
 
-// --- Batch API --------------------------------------------------------------
+// --- Every metric over one sweep ------------------------------------------
 
-TEST(DifferentialTest, BatchAnswersMatchEnumeration) {
+TEST(DifferentialTest, EveryMetricMeanAnswerMatchesEnumeration) {
   Engine engine = MakeEngine();
   std::vector<AndXorTree> trees = SmallTrees(12);
   const int k = 2;
-  std::vector<Engine::ConsensusQuery> queries;
-  for (const AndXorTree& tree : trees) {
+  for (size_t t = 0; t < trees.size(); ++t) {
+    std::vector<RankedWorld> worlds = MaterializeWorlds(trees[t], k);
     for (TopKMetric metric :
          {TopKMetric::kSymDiff, TopKMetric::kIntersection,
           TopKMetric::kFootrule, TopKMetric::kKendall}) {
-      queries.push_back({&tree, k, metric, TopKAnswer::kMean});
+      Result<TopKResult> result =
+          engine.ConsensusTopK(trees[t], k, metric, TopKAnswer::kMean);
+      ASSERT_TRUE(result.ok()) << "tree " << t << " " << TopKMetricName(metric);
+      ASSERT_NEAR(result->expected_distance,
+                  BruteExpectedTopK(worlds, result->keys, k, metric), kTol)
+          << "tree " << t << " " << TopKMetricName(metric);
     }
-  }
-  std::vector<Result<TopKResult>> results =
-      engine.EvaluateConsensusBatch(queries);
-  ASSERT_EQ(results.size(), queries.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << "slot " << i;
-    std::vector<RankedWorld> worlds = MaterializeWorlds(*queries[i].tree, k);
-    ASSERT_NEAR(results[i]->expected_distance,
-                BruteExpectedTopK(worlds, results[i]->keys, k,
-                                  queries[i].metric),
-                kTol)
-        << "slot " << i;
   }
 }
 

@@ -25,6 +25,7 @@
 #include "obs/clock.h"
 #include "obs/histogram.h"
 #include "service/sharded_scheduler.h"
+#include "workload/generators.h"
 
 namespace cpdb {
 namespace {
@@ -632,6 +633,82 @@ TEST(TraceDeterminismTest, FixedFakeClockYieldsZeroSpans) {
   EXPECT_EQ(topk->hist.count, 1);
   EXPECT_EQ(topk->hist.sum_nanos, 0);
   EXPECT_EQ(snap.Find("cpdb_requests_total")->value, 4);
+}
+
+// One batch of four topk slots (all four metrics), a baseline method=global
+// slot and a world slot over one shape. Each slot's spans are disjoint
+// intervals of the shard's timeline, so over the batch they add up to at
+// most the clock's advance across the call, and a topk slot carries
+// exactly a catalog, a cache and a fold span. A ticking FakeClock moves
+// only when read, and nothing inside an engine call reads it, so it pins
+// the span shapes exactly; the steady clock also moves while the engine
+// works, which is what lets the bound see one engine call recorded as the
+// fold span of several slots.
+TEST(TraceDeterminismTest, BatchSpansAddUpToTheClocksAdvance) {
+  Rng rng(7);
+  RandomTreeOptions tree_options;
+  tree_options.num_keys = 24;
+  auto tree = RandomAndXorTree(tree_options, &rng);
+  ASSERT_TRUE(tree.ok());
+
+  std::vector<ServiceRequest> requests;
+  for (TopKMetric metric :
+       {TopKMetric::kKendall, TopKMetric::kFootrule, TopKMetric::kSymDiff,
+        TopKMetric::kIntersection}) {
+    ServiceRequest topk;
+    topk.op = ServiceRequest::Op::kTopK;
+    topk.tree_name = "t";
+    topk.k = 8;
+    topk.metric = metric;
+    topk.trace = true;
+    requests.push_back(topk);
+  }
+  ServiceRequest baseline;
+  baseline.op = ServiceRequest::Op::kBaseline;
+  baseline.tree_name = "t";
+  baseline.k = 8;
+  baseline.baseline_method = "global";
+  baseline.trace = true;
+  requests.push_back(baseline);
+  ServiceRequest world;
+  world.op = ServiceRequest::Op::kWorld;
+  world.tree_name = "t";
+  world.trace = true;
+  requests.push_back(world);
+
+  for (const bool ticking : {true, false}) {
+    SCOPED_TRACE(ticking ? "ticking FakeClock" : "steady clock");
+    FakeClock fake_clock(5000);
+    fake_clock.set_auto_advance(11);
+    const Clock* clock = SteadyClock::Instance();
+    if (ticking) clock = &fake_clock;
+    EngineOptions engine_options;
+    engine_options.num_threads = 1;
+    SchedulerOptions options;
+    options.clock = clock;
+    ShardedScheduler scheduler(1, engine_options, options);
+    ASSERT_TRUE(scheduler.Insert("t", *tree).ok());
+
+    const int64_t before = clock->NowNanos();
+    auto results = scheduler.ExecuteBatch(requests);
+    const int64_t advance = clock->NowNanos() - before;
+
+    ASSERT_EQ(results.size(), requests.size());
+    const std::vector<std::string> topk_stages = {"catalog", "cache", "fold"};
+    int64_t span_sum = 0;
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      std::vector<std::string> stages;
+      for (const auto& [stage, nanos] : results[i]->timing.spans) {
+        stages.push_back(stage);
+        span_sum += nanos;
+      }
+      if (requests[i].op == ServiceRequest::Op::kTopK) {
+        EXPECT_EQ(stages, topk_stages) << "slot " << i;
+      }
+    }
+    EXPECT_LE(span_sum, advance);
+  }
 }
 
 }  // namespace

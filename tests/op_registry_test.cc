@@ -265,19 +265,17 @@ TEST(OpRegistryTest, TableIndexIsTheOpEnumAndNamesRoundTrip) {
   }
   EXPECT_EQ(registry.FindByName("frobnicate"), nullptr);
   // Every spec is fully wired: a parse, a formatter, and exactly one
-  // execution form matching its routing class — a tree-addressed row
-  // either has its own execute hook or fuses into the consensus batch,
-  // never both, so no op has two execution forms.
+  // execution form matching its routing class — every tree-addressed row
+  // (topk included) has its own execute hook, so the per-shard executor
+  // has one form: run each slot's hook.
   for (const OpSpec& spec : registry.specs()) {
     EXPECT_NE(spec.parse, nullptr) << spec.name;
     EXPECT_NE(spec.format, nullptr) << spec.name;
     if (spec.routing == OpRouting::kAdmin) {
       EXPECT_NE(spec.execute_admin, nullptr) << spec.name;
       EXPECT_EQ(spec.execute_tree, nullptr) << spec.name;
-      EXPECT_FALSE(spec.fuse_consensus_batch) << spec.name;
     } else if (spec.routing == OpRouting::kTreeAddressed) {
-      EXPECT_NE(spec.execute_tree != nullptr, spec.fuse_consensus_batch)
-          << spec.name;
+      EXPECT_NE(spec.execute_tree, nullptr) << spec.name;
       EXPECT_EQ(spec.execute_admin, nullptr) << spec.name;
     }
   }

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/evaluation.h"
+#include "engine/engine.h"
 #include "model/possible_worlds.h"
 #include "workload/generators.h"
 
@@ -206,6 +207,79 @@ TEST(TopKSymDiffTest, SmallWorldsAreConsidered) {
   auto median = MedianTopKSymDiff(*tree, dist);
   ASSERT_TRUE(median.ok());
   EXPECT_EQ(median->keys.size(), 2u);  // both tuples, never three
+}
+
+// At k >= n (n keys) every stratum's DP is sized at most n: no world holds
+// more than n tuples. The answers below were produced by the uncapped DPs
+// (every row sized at k, or k - 1 for the small-world stratum); the capped
+// ones must reproduce them bit for bit, through the core scan and the
+// engine's parallel strata alike.
+TEST(TopKSymDiffTest, MedianAtKBeyondNMatchesUncappedDpBitwise) {
+  struct Pin {
+    uint64_t seed;
+    int k;
+    std::vector<KeyId> keys;
+    double expected;
+  };
+  // Seeds 3, 9 and 13 draw deep and/xor trees, 4 a BID table; n = 10 each,
+  // k in {n, n + 1, 2n, 1000}.
+  const std::vector<Pin> pins = {
+      {3, 10, {3, 9, 8, 4, 5, 7, 6}, 0x1.c22b5dae5cf86p-3},
+      {3, 11, {3, 9, 8, 4, 5, 7, 6}, 0x1.993eb2416bca9p-3},
+      {3, 20, {3, 9, 8, 4, 5, 7, 6}, 0x1.c22b5dae5cf86p-4},
+      {3, 1000, {3, 9, 8, 4, 5, 7, 6}, 0x1.201bc1136eb37p-9},
+      {9, 10, {7, 9, 5, 0, 8}, 0x1.66af1213acfd6p-3},
+      {9, 11, {7, 9, 5, 0, 8}, 0x1.461384cc11a09p-3},
+      {9, 20, {7, 9, 5, 0, 8}, 0x1.66af1213acfd6p-4},
+      {9, 1000, {7, 9, 5, 0, 8}, 0x1.cb1d87c743d3bp-10},
+      {13, 10, {8, 9}, 0x1.8468d45de4f1dp-3},
+      {13, 11, {8, 9}, 0x1.61197b3e15f31p-3},
+      {13, 20, {8, 9}, 0x1.8468d45de4f1dp-4},
+      {13, 1000, {8, 9}, 0x1.f12a0596e79bep-10},
+      {4, 10, {1, 4, 6, 7, 8, 5, 0, 9, 3, 2}, 0x1.038f6f8fad6c3p-3},
+      {4, 11, {1, 4, 6, 7, 8, 5, 0, 9, 3, 2}, 0x1.d7ed85053b506p-4},
+      {4, 20, {1, 4, 6, 7, 8, 5, 0, 9, 3, 2}, 0x1.038f6f8fad6c3p-4},
+      {4, 1000, {1, 4, 6, 7, 8, 5, 0, 9, 3, 2}, 0x1.4c3cb7c225a93p-10},
+  };
+  EngineOptions options;
+  options.num_threads = 4;
+  Engine engine(options);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed) + " k " +
+                 std::to_string(pin.k));
+    Rng rng(pin.seed);
+    RandomTreeOptions opts;
+    opts.num_keys = 10;
+    opts.max_depth = 3;
+    const bool bid = pin.seed % 4 == 0;
+    auto tree = bid ? RandomBid(opts, &rng) : RandomAndXorTree(opts, &rng);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_EQ(tree->Keys().size(), 10u);
+    const RankDistribution dist = ComputeRankDistribution(*tree, pin.k);
+    auto median = MedianTopKSymDiff(*tree, dist);
+    ASSERT_TRUE(median.ok());
+    EXPECT_EQ(median->keys, pin.keys);
+    EXPECT_EQ(median->expected_distance, pin.expected);
+
+    // Past n no threshold stratum has a size-k world, and the small-world
+    // stratum offers at most one candidate per size 0..n.
+    const MedianSymDiffContext context = BuildMedianSymDiffContext(*tree, dist);
+    const int num_strata = NumMedianSymDiffStrata(context);
+    for (int s = 0; s + 1 < num_strata && pin.k > 10; ++s) {
+      EXPECT_TRUE(EvalMedianSymDiffStratum(*tree, context, s).empty());
+    }
+    EXPECT_LE(EvalMedianSymDiffStratum(*tree, context, num_strata - 1).size(),
+              11u);
+
+    // The engine's BID fast path folds a numerically different (equally
+    // correct) distribution, so only the general path pins its bits.
+    if (bid) continue;
+    auto engine_median = engine.ConsensusTopK(
+        *tree, pin.k, TopKMetric::kSymDiff, TopKAnswer::kMedian);
+    ASSERT_TRUE(engine_median.ok());
+    EXPECT_EQ(engine_median->keys, pin.keys);
+    EXPECT_EQ(engine_median->expected_distance, pin.expected);
+  }
 }
 
 }  // namespace

@@ -476,9 +476,9 @@ int CmdTopK(const CliOptions& opts, std::FILE* out, std::FILE* err) {
   if (!tree) return 1;
   if (!EngineFlagsValid(opts, /*uses_k=*/true, err)) return 1;
   // --metric=all asks for all four metrics' mean answers over the same
-  // tree; the four requests fuse into one Engine::EvaluateConsensusBatch
-  // submission, so the rank distribution, strata, columns, and q-matrix
-  // units of all queries share the pool.
+  // tree: four op=topk requests in one batch, so the first folds the rank
+  // distribution and the other three read it from the shard's cache; each
+  // query fans only its own units (q cells, strata) across the pool.
   const bool all = opts.metric == "all";
   std::vector<TopKMetric> metrics = {TopKMetric::kSymDiff,
                                      TopKMetric::kIntersection,
@@ -835,8 +835,8 @@ std::string CliUsage() {
       "  sample           draw random worlds (--count, --seed)\n"
       "  consensus-world  --metric=symdiff|jaccard --answer=mean|median\n"
       "  topk             --k=K --metric=symdiff|intersection|footrule|kendall\n"
-      "                   (--metric=all batches every metric's mean answer\n"
-      "                   through the engine in one submission)\n"
+      "                   (--metric=all answers every metric's mean in\n"
+      "                   one batch, over one rank-distribution fold)\n"
       "                   --answer=mean|median|approx|any-size (median and\n"
       "                   any-size: symdiff only; approx: intersection\n"
       "                   only; --metric=all: mean only; an unsupported\n"
